@@ -23,7 +23,7 @@ SearchResult exhaustive_best_placement(const Torus& torus, i64 size,
                                        i64 max_candidates) {
   TP_REQUIRE(size >= 2 && size <= torus.num_nodes(),
              "placement size out of range");
-  TP_REQUIRE(binomial(torus.num_nodes(), size) <= max_candidates,
+  TP_REQUIRE(saturating_binomial(torus.num_nodes(), size) <= max_candidates,
              "too many candidate placements to enumerate");
 
   const i64 n = torus.num_nodes();

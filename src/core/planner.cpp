@@ -38,7 +38,7 @@ PlacementPlan plan_placement(const Torus& torus, i32 t, RouterKind kind) {
     placement.emplace(multiple_linear_placement(torus, t));
   }
   PlacementPlan plan{std::move(*placement), kind, nullptr, 0.0, false, 0.0,
-                     ""};
+                     {}, ""};
 
   {
     TP_OBS_SCOPE("plan.route");
@@ -67,7 +67,8 @@ PlacementPlan plan_placement(const Torus& torus, i32 t, RouterKind kind) {
   }
   {
     TP_OBS_SCOPE("plan.bound");
-    plan.lower_bound = best_lower_bound(torus, plan.placement);
+    plan.bounds = all_bounds(torus, plan.placement);
+    plan.lower_bound = plan.bounds.back().value;
   }
   plan.summary = plan.placement.name() + " + " + plan.router->name() +
                  " on T_" + std::to_string(k) + "^" + std::to_string(d) +

@@ -10,6 +10,7 @@
 
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "src/bounds/lower_bounds.h"
 #include "src/load/load_map.h"
@@ -36,6 +37,8 @@ struct PlacementPlan {
   double predicted_emax = 0.0;     ///< paper's closed form / upper bound
   bool prediction_exact = false;   ///< closed form (true) vs upper bound
   double lower_bound = 0.0;        ///< best applicable lower bound
+  /// Every lower bound (all_bounds); .back() is the best, lower_bound.
+  std::vector<BoundValue> bounds;
   std::string summary;             ///< one-line human-readable description
 };
 
@@ -56,9 +59,9 @@ LoadMap measure_loads(const Torus& torus, const Placement& p,
 /// Exact loads computed with `threads` analyzer workers.  Callers that own
 /// a worker pool (the service engine) pass their configured width instead
 /// of sizing each call off hardware_concurrency.  threads == 1 is the
-/// serial path; ODR parallel results are bit-identical to serial at any
-/// width, UDR matches to ~1 ulp for a fixed width, and Adaptive has no
-/// parallel analyzer (threads is ignored).
+/// serial path; ODR and UDR parallel results are bit-identical to serial
+/// at any width, and Adaptive has no parallel analyzer (threads is
+/// ignored).
 LoadMap measure_loads(const Torus& torus, const Placement& p,
                       RouterKind kind, i32 threads);
 

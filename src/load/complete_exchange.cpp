@@ -1,6 +1,10 @@
 #include "src/load/complete_exchange.h"
 
+#include <algorithm>
+#include <array>
+#include <bit>
 #include <memory>
+#include <utility>
 
 #include "src/obs/obs.h"
 #include "src/routing/odr.h"
@@ -12,19 +16,440 @@
 
 namespace tp {
 
-using routing_detail::allowed_dirs;
-using routing_detail::steps_in_dir;
+namespace {
+
+/// Minimum routed source-destination pairs per worker before the parallel
+/// load analyzers fan out.  One pair costs roughly d segment walks (~hundreds
+/// of ns); a spawned-and-joined thread costs tens of µs, so each worker
+/// needs thousands of pairs to amortize it.  Routed pairs are
+/// reps·(|P|-1): the folded T8^3 linear placement routes 63 of them and
+/// stays serial (the BENCH_4 odr_loads_parallel4 regression), while a
+/// 4096-node random placement of T16^3 (16.8M pairs) fans out fully.
+constexpr i64 kMinPairsPerWorker = 4096;
+
+/// Division-free coordinate arithmetic.  Node ids are mixed-radix values
+/// (torus.h), so a translation adds coordinates mod k_i and a ring walk
+/// along a dimension moves by that dimension's stride.
+struct Lattice {
+  explicit Lattice(const Torus& torus)
+      : d(static_cast<std::size_t>(torus.dims())) {
+    i64 s = 1;
+    for (std::size_t i = d; i-- > 0;) {
+      radix[i] = torus.radix(static_cast<i32>(i));
+      stride[i] = s;
+      s *= radix[i];
+    }
+  }
+
+  /// Writes the coordinates of n to c[0..d).
+  void decode(NodeId n, i32* c) const {
+    for (std::size_t i = 0; i < d; ++i)
+      c[i] = static_cast<i32>((n / stride[i]) % radix[i]);
+  }
+
+  /// out = a + b (both rows in range); out may alias a or b.
+  void add(const i32* a, const i32* b, i32* out) const {
+    for (std::size_t i = 0; i < d; ++i) {
+      out[i] = a[i] + b[i];
+      if (out[i] >= radix[i]) out[i] -= radix[i];
+    }
+  }
+
+  /// The node at coordinates a + b (both rows in range).
+  NodeId sum(const i32* a, const i32* b) const {
+    NodeId n = 0;
+    for (std::size_t i = 0; i < d; ++i) {
+      i32 c = a[i] + b[i];
+      if (c >= radix[i]) c -= radix[i];
+      n += c * stride[i];
+    }
+    return n;
+  }
+
+  std::size_t d;
+  std::array<i32, kMaxDims> radix{};
+  std::array<i64, kMaxDims> stride{};
+};
+
+/// Coordinates of every placement node, row i for p.nodes()[i].
+std::vector<i32> node_coords(const Lattice& lat, const Placement& p) {
+  std::vector<i32> coords(p.nodes().size() * lat.d);
+  for (std::size_t i = 0; i < p.nodes().size(); ++i)
+    lat.decode(p.nodes()[i], &coords[i * lat.d]);
+  return coords;
+}
+
+}  // namespace
+
+TranslationFold translation_fold(const Torus& torus, const Placement& p) {
+  TP_PROF_PHASE("fold.detect");
+  p.check_torus(torus);
+  const Lattice lat(torus);
+  const std::size_t d = lat.d;
+  const std::vector<NodeId>& nodes = p.nodes();
+  TranslationFold fold;
+  fold.num_orbits = torus.num_nodes();
+  fold.reps = nodes;
+  if (nodes.size() < 2) return fold;
+
+  const std::vector<i32> pc = node_coords(lat, p);
+  const i32* p0 = pc.data();
+  // H as coordinate rows, the identity first.  Every h in H is q - p0 for
+  // some q in P; in_h marks those q, i.e. the set p0 + H.
+  std::vector<i32> h_rows(d, 0);
+  std::vector<bool> in_h(static_cast<std::size_t>(torus.num_nodes()), false);
+  in_h[static_cast<std::size_t>(nodes[0])] = true;
+  const auto member = [&](const i32* h) {
+    return in_h[static_cast<std::size_t>(lat.sum(p0, h))];
+  };
+  // Nodes are tested last first: a near-period, such as a shift of a
+  // clustered block, fails at the block's far boundary on its first test.
+  const auto is_period = [&](const i32* h) {
+    for (std::size_t i = nodes.size(); i-- > 0;)
+      if (!p.contains(lat.sum(&pc[i * d], h))) return false;
+    return true;
+  };
+  std::array<i32, kMaxDims> g{};
+  std::array<i32, kMaxDims> m{};
+  std::array<i32, kMaxDims> e{};
+  for (std::size_t qi = 1; qi < nodes.size(); ++qi) {
+    if (in_h[static_cast<std::size_t>(nodes[qi])]) continue;
+    for (std::size_t i = 0; i < d; ++i) {
+      g[i] = pc[qi * d + i] - p0[i];
+      if (g[i] < 0) g[i] += lat.radix[i];
+    }
+    if (!is_period(g.data())) continue;
+    // H + <g> is the union of the cosets H + j·g, j below g's order
+    // modulo H: the first j·g already in the growing H.
+    const std::size_t old = h_rows.size() / d;
+    m = g;
+    while (!member(m.data())) {
+      for (std::size_t row = 0; row < old; ++row) {
+        lat.add(&h_rows[row * d], m.data(), e.data());
+        h_rows.insert(h_rows.end(), e.begin(),
+                      e.begin() + static_cast<std::ptrdiff_t>(d));
+        in_h[static_cast<std::size_t>(lat.sum(p0, e.data()))] = true;
+      }
+      lat.add(m.data(), g.data(), m.data());
+    }
+  }
+  const std::size_t order = h_rows.size() / d;
+  fold.stabilizer_size = static_cast<i64>(order);
+  if (order == 1) return fold;
+
+  // Orbit ids in order of their smallest node; reps are the first
+  // placement node of each orbit.
+  fold.num_orbits = torus.num_nodes() / fold.stabilizer_size;
+  fold.orbit.assign(static_cast<std::size_t>(torus.num_nodes()), -1);
+  std::array<i32, kMaxDims> c{};  // coordinates of n
+  i64 next = 0;
+  for (NodeId n = 0; n < torus.num_nodes(); ++n) {
+    if (fold.orbit[static_cast<std::size_t>(n)] < 0) {
+      for (std::size_t row = 0; row < order; ++row)
+        fold.orbit[static_cast<std::size_t>(
+            lat.sum(c.data(), &h_rows[row * d]))] = next;
+      ++next;
+    }
+    for (std::size_t i = d; i-- > 0;) {
+      if (++c[i] < lat.radix[i]) break;
+      c[i] = 0;
+    }
+  }
+  TP_ASSERT(next == fold.num_orbits, "stabilizer orbits do not tile the torus");
+  fold.reps.clear();
+  std::vector<bool> seen(static_cast<std::size_t>(fold.num_orbits), false);
+  for (const NodeId q : nodes) {
+    const auto o = static_cast<std::size_t>(fold.orbit_of(q));
+    if (seen[o]) continue;
+    seen[o] = true;
+    fold.reps.push_back(q);
+  }
+  return fold;
+}
 
 namespace {
 
-/// Minimum source-destination pairs per worker before the parallel load
-/// analyzers fan out.  One pair costs roughly d segment walks (~hundreds
-/// of ns); a spawned-and-joined thread costs tens of µs, so each worker
-/// needs thousands of pairs to amortize it.  4096 puts the T8^3 linear
-/// placement (64·63 = 4032 pairs) on the serial path — the BENCH_4
-/// odr_loads_parallel4 regression — while T16^3 (4096·4095 pairs) still
-/// fans out fully.
-constexpr i64 kMinPairsPerWorker = 4096;
+/// The placement, its fold and its coordinates: what every routed source
+/// reads.
+struct Sources {
+  Sources(const Torus& torus, const Placement& p)
+      : lat(torus),
+        fold(translation_fold(torus, p)),
+        nodes(p.nodes()),
+        coords(node_coords(lat, p)) {}
+
+  const i32* coord(std::size_t i) const { return &coords[i * lat.d]; }
+
+  Lattice lat;
+  TranslationFold fold;
+  const std::vector<NodeId>& nodes;
+  std::vector<i32> coords;
+};
+
+/// One worker's load per link orbit: slot 2·dim + (dir == Neg) of orbit o
+/// sits at o·2d + slot — a LoadMap's layout when H is trivial.
+template <typename W>
+class OrbitBuckets {
+ public:
+  explicit OrbitBuckets(const Sources& sources)
+      : sources_(&sources),
+        slots_(2 * static_cast<i64>(sources.lat.d)),
+        sums_(static_cast<std::size_t>(sources.fold.num_orbits * slots_),
+              W{0}) {}
+
+  void add(NodeId tail, i64 slot, W w) {
+    sums_[static_cast<std::size_t>(sources_->fold.orbit_of(tail) * slots_ +
+                                   slot)] += w;
+  }
+
+  /// Adds w to the `steps` links of the ring walk leaving `node`, whose
+  /// coordinate in `dim` is `from`, in direction `dir`.
+  void walk(NodeId node, i32 dim, Dir dir, i32 from, i32 steps, W w) {
+    const auto u = static_cast<std::size_t>(dim);
+    const i32 k = sources_->lat.radix[u];
+    const bool pos = dir == Dir::Pos;
+    const i64 slot = 2 * dim + (pos ? 0 : 1);
+    const i64 step = pos ? sources_->lat.stride[u] : -sources_->lat.stride[u];
+    const i32 last = pos ? k - 1 : 0;  // the coordinate the ring wraps after
+    NodeId cur = node;
+    i32 c = from;
+    for (i32 s = 0; s < steps; ++s) {
+      add(cur, slot, w);
+      if (c == last) {
+        c = k - 1 - last;
+        cur -= (k - 1) * step;
+      } else {
+        c += pos ? 1 : -1;
+        cur += step;
+      }
+    }
+  }
+
+  void merge(const OrbitBuckets& other) {
+    for (std::size_t i = 0; i < sums_.size(); ++i) sums_[i] += other.sums_[i];
+  }
+
+  /// Every link gets its orbit's bucket divided by `unit`.
+  LoadMap broadcast(const Torus& torus, double unit) const {
+    TP_PROF_PHASE("fold.broadcast");
+    std::vector<double> value(sums_.size());
+    for (std::size_t i = 0; i < sums_.size(); ++i)
+      value[i] = static_cast<double>(sums_[i]) / unit;
+    const auto slots = static_cast<std::size_t>(slots_);
+    std::vector<double> loads(
+        static_cast<std::size_t>(torus.num_directed_edges()));
+    for (NodeId n = 0; n < torus.num_nodes(); ++n)
+      std::copy_n(
+          &value[static_cast<std::size_t>(sources_->fold.orbit_of(n)) * slots],
+          slots, &loads[static_cast<std::size_t>(n) * slots]);
+    return LoadMap(torus, std::move(loads));
+  }
+
+ private:
+  const Sources* sources_;
+  i64 slots_;
+  std::vector<W> sums_;
+};
+
+/// How one dimension is corrected from coordinate a to b: no move, one,
+/// or — on a tie under BothDirections — two that split the weight.  The
+/// moves of routing_detail::allowed_dirs and steps_in_dir, in their
+/// order, without their range checks and counter: this runs per pair.
+struct Correction {
+  i32 count = 0;
+  std::array<Dir, 2> dir{};
+  std::array<i32, 2> steps{};
+};
+
+Correction correction(i32 k, i32 a, i32 b, TieBreak tie) {
+  Correction c;
+  if (a == b) return c;
+  const i32 fwd = b > a ? b - a : b - a + k;
+  const i32 bwd = k - fwd;
+  if (fwd <= bwd) {
+    c.dir[0] = Dir::Pos;
+    c.steps[0] = fwd;
+    c.count = 1;
+  }
+  if (bwd < fwd || (bwd == fwd && tie == TieBreak::BothDirections)) {
+    c.dir[static_cast<std::size_t>(c.count)] = Dir::Neg;
+    c.steps[static_cast<std::size_t>(c.count)] = bwd;
+    ++c.count;
+  }
+  return c;
+}
+
+/// One weighted correction segment produced by the route pass.
+struct OdrSegment {
+  NodeId node;  ///< entry node
+  i32 dim;
+  Dir dir;
+  i32 from;   ///< entry node's coordinate in dim
+  i32 steps;
+  i64 weight;
+};
+
+/// Routes representatives [lo, hi) under ODR.  Two passes per source, so
+/// route enumeration and the link-load walk profile as separate phases
+/// (odr.route / odr.walk) at a grain coarse enough that the attribution
+/// does not distort what it measures.
+void route_odr(const Sources& src_set, const SmallVec<i32>& order,
+               TieBreak tie, i64 unit, OrbitBuckets<i64>& out, i64 lo,
+               i64 hi) {
+  const Lattice& lat = src_set.lat;
+  std::vector<OdrSegment> segs;
+  segs.reserve(src_set.nodes.size() * order.size());
+  std::array<i32, kMaxDims> cs{};
+  for (i64 r = lo; r < hi; ++r) {
+    const NodeId src = src_set.fold.reps[static_cast<std::size_t>(r)];
+    lat.decode(src, cs.data());
+    segs.clear();
+    {
+      TP_PROF_PHASE("odr.route");
+      for (std::size_t j = 0; j < src_set.nodes.size(); ++j) {
+        if (src_set.nodes[j] == src) continue;
+        const i32* cd = src_set.coord(j);
+        // Dimensions are corrected in order; the node entering each
+        // dimension is deterministic (earlier dims at dst, later at src)
+        // regardless of any tie direction taken earlier, so each
+        // dimension's segment(s) can be enumerated without walking links.
+        NodeId node = src;
+        for (const i32 dim : order) {
+          const auto u = static_cast<std::size_t>(dim);
+          const Correction c = correction(lat.radix[u], cs[u], cd[u], tie);
+          for (std::size_t i = 0; i < static_cast<std::size_t>(c.count); ++i)
+            segs.push_back(OdrSegment{node, dim, c.dir[i], cs[u], c.steps[i],
+                                      unit / c.count});
+          node += (cd[u] - cs[u]) * lat.stride[u];
+        }
+        TP_ASSERT(node == src_set.nodes[j],
+                  "ODR load walk did not reach destination");
+      }
+    }
+    {
+      TP_PROF_PHASE("odr.walk");
+      for (const OdrSegment& s : segs)
+        out.walk(s.node, s.dim, s.dir, s.from, s.steps, s.weight);
+    }
+  }
+}
+
+/// Routes representatives [lo, hi) under UDR with subset weights:
+/// correcting dimension j after the subset S of the other s-1 differing
+/// dimensions happens in |S|!(s-1-|S|)!/s! of all orders, and the walk
+/// then enters j's segment at the node whose S-dims sit at dst and the
+/// rest at src — whatever directions S took.
+void route_udr(const Sources& src_set, TieBreak tie, i64 unit,
+               OrbitBuckets<i64>& out, i64 lo, i64 hi) {
+  const Lattice& lat = src_set.lat;
+  const auto d = static_cast<i64>(lat.d);
+  // order_weight[s][m] = unit · m!(s-1-m)!/s!, an integer for s <= d.
+  std::array<std::array<i64, kMaxDims>, kMaxDims + 1> order_weight{};
+  for (i64 s = 1; s <= d; ++s)
+    for (i64 m = 0; m < s; ++m)
+      order_weight[static_cast<std::size_t>(s)][static_cast<std::size_t>(m)] =
+          unit / factorial(s) * factorial(m) * factorial(s - 1 - m);
+
+  std::array<i32, kMaxDims> cs{};
+  std::array<i32, kMaxDims> diff{};
+  std::array<Correction, kMaxDims> corr{};
+  std::array<i64, kMaxDims> delta{};
+  std::array<i64, kMaxDims> others{};
+  std::array<NodeId, std::size_t{1} << (kMaxDims - 1)> entry{};
+  for (i64 r = lo; r < hi; ++r) {
+    const NodeId src = src_set.fold.reps[static_cast<std::size_t>(r)];
+    lat.decode(src, cs.data());
+    for (std::size_t j = 0; j < src_set.nodes.size(); ++j) {
+      if (src_set.nodes[j] == src) continue;
+      const i32* cd = src_set.coord(j);
+      std::size_t s = 0;
+      for (std::size_t u = 0; u < lat.d; ++u) {
+        if (cs[u] == cd[u]) continue;
+        diff[s] = static_cast<i32>(u);
+        corr[s] = correction(lat.radix[u], cs[u], cd[u], tie);
+        delta[s] = (cd[u] - cs[u]) * lat.stride[u];
+        ++s;
+      }
+      for (std::size_t ji = 0; ji < s; ++ji) {
+        std::size_t n_others = 0;
+        for (std::size_t i = 0; i < s; ++i)
+          if (i != ji) others[n_others++] = delta[i];
+        // entry[mask]: src with the dims in mask moved to dst.
+        const std::uint32_t subsets = 1u << n_others;
+        entry[0] = src;
+        for (std::uint32_t mask = 1; mask < subsets; ++mask) {
+          const auto low = static_cast<std::size_t>(std::countr_zero(mask));
+          entry[mask] = entry[mask & (mask - 1)] + others[low];
+        }
+        const Correction& c = corr[ji];
+        const i32 dim = diff[ji];
+        const i32 from = cs[static_cast<std::size_t>(dim)];
+        for (std::uint32_t mask = 0; mask < subsets; ++mask) {
+          const i64 w =
+              order_weight[s][static_cast<std::size_t>(std::popcount(mask))] /
+              c.count;
+          for (std::size_t i = 0; i < static_cast<std::size_t>(c.count); ++i)
+            out.walk(entry[mask], dim, c.dir[i], from, c.steps[i], w);
+        }
+      }
+    }
+  }
+}
+
+enum class Walk { Odr, Udr };
+
+/// Routes every coset representative into int64 link-orbit buckets,
+/// spread over up to `threads` workers when the routed pairs,
+/// reps·(|P|-1), are enough to pay for them; sums the workers' buckets
+/// (integer adds: exact in any order, so every width agrees bit for bit)
+/// and broadcasts.  Counts are in units of 1/(2·d!), which every ODR and
+/// UDR link weight is a multiple of.  Every bucket holds at most the total
+/// load, sum over ordered pairs of Lee distances <= |P|(|P|-1)·Σ⌊k_i/2⌋;
+/// below 2^53 units it is exact both as an int64 and as the double the
+/// broadcast divides, so each load is the correctly rounded rational.
+LoadMap folded_exact_loads(const Torus& torus, const Placement& p,
+                           i32 threads, Walk walk, const SmallVec<i32>& order,
+                           TieBreak tie) {
+  p.check_torus(torus);
+  const i64 unit = 2 * factorial(torus.dims());
+  i64 diameter = 0;
+  for (i32 dim = 0; dim < torus.dims(); ++dim) diameter += torus.radix(dim) / 2;
+  const i64 pairs = p.size() * std::max<i64>(p.size() - 1, 0);
+  i64 bound = 0;
+  TP_REQUIRE(!__builtin_mul_overflow(pairs, diameter, &bound) &&
+                 !__builtin_mul_overflow(bound, unit, &bound) &&
+                 bound < (i64{1} << 53),
+             "placement too large for exact int64 load accumulation");
+  TP_OBS_COUNT("load.pairs_evaluated", pairs);
+
+  const Sources sources(torus, p);
+  const auto reps = static_cast<i64>(sources.fold.reps.size());
+  const i32 workers = effective_workers(
+      reps * std::max<i64>(p.size() - 1, 0), threads, kMinPairsPerWorker);
+  std::vector<OrbitBuckets<i64>> partial(static_cast<std::size_t>(workers),
+                                         OrbitBuckets<i64>(sources));
+  const auto route = [&](OrbitBuckets<i64>& out, i64 lo, i64 hi) {
+    if (walk == Walk::Odr)
+      route_odr(sources, order, tie, unit, out, lo, hi);
+    else
+      route_udr(sources, tie, unit, out, lo, hi);
+  };
+  if (workers == 1) {
+    route(partial[0], 0, reps);
+  } else {
+    parallel_for_blocks(reps, workers, [&](i32 worker, i64 lo, i64 hi) {
+      route(partial[static_cast<std::size_t>(worker)], lo, hi);
+    });
+  }
+  for (std::size_t w = 1; w < partial.size(); ++w) partial[0].merge(partial[w]);
+  return partial[0].broadcast(torus, static_cast<double>(unit));
+}
+
+SmallVec<i32> identity_order(const Torus& torus) {
+  SmallVec<i32> order;
+  for (i32 dim = 0; dim < torus.dims(); ++dim) order.push_back(dim);
+  return order;
+}
 
 }  // namespace
 
@@ -45,255 +470,34 @@ LoadMap reference_loads(const Torus& torus, const Placement& p,
   return loads;
 }
 
-namespace {
-
-/// Adds `weight` to every link of the correction segment of dimension
-/// `dim` starting at `node`, moving toward coordinate `to` in direction
-/// `dir`.  Returns the node where the segment ends.
-NodeId add_segment(const Torus& torus, LoadMap& loads, NodeId node, i32 dim,
-                   i32 to, Dir dir, double weight) {
-  const i32 from = torus.coord_of(node, dim);
-  const i64 steps = steps_in_dir(torus, dim, from, to, dir);
-  NodeId cur = node;
-  for (i64 s = 0; s < steps; ++s) {
-    loads.add(torus.edge_id(cur, dim, dir), weight);
-    cur = torus.neighbor(cur, dim, dir);
-  }
-  return cur;
-}
-
-}  // namespace
 
 LoadMap odr_loads(const Torus& torus, const Placement& p, TieBreak tie) {
-  SmallVec<i32> identity;
-  for (i32 dim = 0; dim < torus.dims(); ++dim) identity.push_back(dim);
-  return odr_loads_ordered(torus, p, identity, tie);
+  return odr_loads_ordered(torus, p, identity_order(torus), tie);
 }
-
-namespace {
-
-/// Accumulates ODR contributions of sources p.nodes()[src_lo..src_hi).
-void accumulate_odr(const Torus& torus, const Placement& p,
-                    const SmallVec<i32>& order, TieBreak tie,
-                    LoadMap& loads, i64 src_lo, i64 src_hi);
-
-/// Accumulates UDR contributions of sources p.nodes()[src_lo..src_hi).
-void accumulate_udr(const Torus& torus, const Placement& p, TieBreak tie,
-                    LoadMap& loads, i64 src_lo, i64 src_hi);
-
-}  // namespace
 
 LoadMap odr_loads_ordered(const Torus& torus, const Placement& p,
                           const SmallVec<i32>& order, TieBreak tie) {
   TP_OBS_SCOPE("load.odr");
-  p.check_torus(torus);
-  TP_OBS_COUNT("load.pairs_evaluated", p.size() * (p.size() - 1));
   OdrRouter(order, tie).correction_order(torus);  // validate permutation
-  LoadMap loads(torus);
-  accumulate_odr(torus, p, order, tie, loads, 0, p.size());
-  return loads;
+  return folded_exact_loads(torus, p, 1, Walk::Odr, order, tie);
 }
 
 LoadMap odr_loads_parallel(const Torus& torus, const Placement& p,
                            i32 threads, TieBreak tie) {
-  p.check_torus(torus);
-  SmallVec<i32> order;
-  for (i32 dim = 0; dim < torus.dims(); ++dim) order.push_back(dim);
-  // Work-size cutover (see util/parallel.h): small tori run serial —
-  // below ~kMinPairsPerWorker pairs per worker, spawn/join plus the
-  // per-edge reduction costs more than the parallelism saves.  The serial
-  // path computes the identical map (same order, same tie break), so the
-  // cutover is invisible to callers.
-  if (effective_workers(p.size() * (p.size() - 1), threads,
-                        kMinPairsPerWorker) == 1)
-    return odr_loads_ordered(torus, p, order, tie);
   TP_OBS_SCOPE("load.odr");
-  std::vector<LoadMap> partial(static_cast<std::size_t>(threads),
-                               LoadMap(torus));
-  // Registry counters are not atomic (obs/registry.h): workers tally into
-  // their own slot and the total is recorded once after the join, so
-  // load.pairs_evaluated is exact for any thread count.
-  std::vector<i64> pairs(static_cast<std::size_t>(threads), 0);
-  parallel_for_blocks(p.size(), threads, [&](i32 worker, i64 lo, i64 hi) {
-    accumulate_odr(torus, p, order, tie,
-                   partial[static_cast<std::size_t>(worker)], lo, hi);
-    pairs[static_cast<std::size_t>(worker)] += (hi - lo) * (p.size() - 1);
-  });
-  i64 total_pairs = 0;
-  for (i64 n : pairs) total_pairs += n;
-  TP_OBS_COUNT("load.pairs_evaluated", total_pairs);
-  LoadMap loads(torus);
-  for (const LoadMap& part : partial)
-    for (EdgeId e = 0; e < torus.num_directed_edges(); ++e)
-      loads.add(e, part[e]);
-  return loads;
+  return folded_exact_loads(torus, p, threads, Walk::Odr,
+                            identity_order(torus), tie);
+}
+
+LoadMap udr_loads(const Torus& torus, const Placement& p, TieBreak tie) {
+  TP_OBS_SCOPE("load.udr");
+  return folded_exact_loads(torus, p, 1, Walk::Udr, {}, tie);
 }
 
 LoadMap udr_loads_parallel(const Torus& torus, const Placement& p,
                            i32 threads, TieBreak tie) {
-  p.check_torus(torus);
-  // Same work-size cutover as odr_loads_parallel; udr_loads is the exact
-  // subset-weight computation, so the serial path is bit-identical (the
-  // parallel reduce can differ by ~1 ulp, never the other way).
-  if (effective_workers(p.size() * (p.size() - 1), threads,
-                        kMinPairsPerWorker) == 1)
-    return udr_loads(torus, p, tie);
   TP_OBS_SCOPE("load.udr");
-  std::vector<LoadMap> partial(static_cast<std::size_t>(threads),
-                               LoadMap(torus));
-  // Same per-worker tally + post-join reduce as odr_loads_parallel.
-  std::vector<i64> pairs(static_cast<std::size_t>(threads), 0);
-  parallel_for_blocks(p.size(), threads, [&](i32 worker, i64 lo, i64 hi) {
-    accumulate_udr(torus, p, tie, partial[static_cast<std::size_t>(worker)],
-                   lo, hi);
-    pairs[static_cast<std::size_t>(worker)] += (hi - lo) * (p.size() - 1);
-  });
-  i64 total_pairs = 0;
-  for (i64 n : pairs) total_pairs += n;
-  TP_OBS_COUNT("load.pairs_evaluated", total_pairs);
-  LoadMap loads(torus);
-  for (const LoadMap& part : partial)
-    for (EdgeId e = 0; e < torus.num_directed_edges(); ++e)
-      loads.add(e, part[e]);
-  return loads;
-}
-
-namespace {
-
-/// One weighted correction segment produced by the route pass: walk from
-/// `node` along `dim` in `dir` until coordinate `to`, adding `weight` to
-/// every link.
-struct OdrSegment {
-  NodeId node;
-  i32 dim;
-  i32 to;
-  Dir dir;
-  double weight;
-};
-
-void accumulate_odr(const Torus& torus, const Placement& p,
-                    const SmallVec<i32>& order, TieBreak tie,
-                    LoadMap& loads, i64 src_lo, i64 src_hi) {
-  // Two passes per source, so route enumeration and the link-load walk
-  // profile as separate phases (odr.route / odr.walk) at a grain coarse
-  // enough that the attribution does not distort what it measures.  The
-  // segment list preserves the fused loop's add order exactly (pairs in
-  // placement order, dims in correction order, directions in tie order),
-  // so the accumulated map is bit-identical to the previous single-pass
-  // form.
-  std::vector<OdrSegment> segs;
-  segs.reserve(static_cast<std::size_t>(p.size()) * order.size());
-  for (i64 si = src_lo; si < src_hi; ++si) {
-    const NodeId src = p.nodes()[static_cast<std::size_t>(si)];
-    segs.clear();
-    {
-      TP_PROF_PHASE("odr.route");
-      for (NodeId dst : p.nodes()) {
-        if (src == dst) continue;
-        // Dimensions are corrected in order; the node state entering each
-        // dimension is deterministic (earlier dims at dst, later at src)
-        // regardless of any tie direction taken earlier, so each
-        // dimension's segment(s) can be enumerated without walking links.
-        Coord c = torus.coord(src);
-        NodeId node = src;
-        for (std::size_t idx = 0; idx < order.size(); ++idx) {
-          const i32 dim = order[idx];
-          const i32 a = c[static_cast<std::size_t>(dim)];
-          const i32 b = torus.coord_of(dst, dim);
-          const auto dirs = allowed_dirs(torus, dim, a, b, tie);
-          if (dirs.empty()) continue;
-          const double w = 1.0 / static_cast<double>(dirs.size());
-          for (std::size_t i = 0; i < dirs.size(); ++i) {
-            const Dir dir = dirs[i] > 0 ? Dir::Pos : Dir::Neg;
-            segs.push_back(OdrSegment{node, dim, b, dir, w});
-          }
-          c[static_cast<std::size_t>(dim)] = b;
-          node = torus.node_id(c);
-        }
-        TP_ASSERT(node == dst, "ODR load walk did not reach destination");
-      }
-    }
-    {
-      TP_PROF_PHASE("odr.walk");
-      for (const OdrSegment& s : segs)
-        add_segment(torus, loads, s.node, s.dim, s.to, s.dir, s.weight);
-    }
-  }
-}
-
-void accumulate_udr(const Torus& torus, const Placement& p, TieBreak tie,
-                    LoadMap& loads, i64 src_lo, i64 src_hi) {
-  // Precompute m!(s-1-m)!/s! for all m < s <= kMaxDims.
-  double order_weight[kMaxDims + 1][kMaxDims] = {};
-  for (std::size_t s = 1; s <= kMaxDims; ++s)
-    for (std::size_t m = 0; m < s; ++m)
-      order_weight[s][m] =
-          static_cast<double>(factorial(static_cast<i64>(m)) *
-                              factorial(static_cast<i64>(s - 1 - m))) /
-          static_cast<double>(factorial(static_cast<i64>(s)));
-
-  for (i64 si = src_lo; si < src_hi; ++si) {
-    const NodeId src = p.nodes()[static_cast<std::size_t>(si)];
-    for (NodeId dst : p.nodes()) {
-      if (src == dst) continue;
-      const SmallVec<i32> diff = UdrRouter::differing_dims(torus, src, dst);
-      const std::size_t s = diff.size();
-      // For each dimension j being corrected, and each subset S of the
-      // other differing dimensions corrected before j, the walk enters the
-      // j-segment at the node whose S-dims sit at dst and the rest at src.
-      // That state is independent of the directions taken in S, so the
-      // direction choice only matters for the j-segment itself.
-      for (std::size_t ji = 0; ji < s; ++ji) {
-        const i32 j = diff[ji];
-        const i32 a = torus.coord_of(src, j);
-        const i32 b = torus.coord_of(dst, j);
-        const auto dirs = allowed_dirs(torus, j, a, b, tie);
-        TP_ASSERT(!dirs.empty(), "differing dim with no direction");
-        const double dir_w = 1.0 / static_cast<double>(dirs.size());
-        // Other differing dims, as a compact array for subset masking.
-        SmallVec<i32> others;
-        for (std::size_t i = 0; i < s; ++i)
-          if (i != ji) others.push_back(diff[i]);
-        const int n_others = static_cast<int>(others.size());
-        for_each_subset(n_others, [&](std::uint32_t mask) {
-          const double w =
-              order_weight[s][static_cast<std::size_t>(popcount32(mask))] *
-              dir_w;
-          // Build the entry node: dims in mask already corrected to dst.
-          NodeId node = src;
-          for (int oi = 0; oi < n_others; ++oi) {
-            if (!(mask & (1u << oi))) continue;
-            const i32 od = others[static_cast<std::size_t>(oi)];
-            const i64 stride_move =
-                static_cast<i64>(torus.coord_of(dst, od)) -
-                torus.coord_of(node, od);
-            // Move coordinate od of node to dst's value.
-            node = torus.node_id([&] {
-              Coord c = torus.coord(node);
-              c[static_cast<std::size_t>(od)] = torus.coord_of(dst, od);
-              return c;
-            }());
-            (void)stride_move;
-          }
-          for (std::size_t di = 0; di < dirs.size(); ++di) {
-            const Dir dir = dirs[di] > 0 ? Dir::Pos : Dir::Neg;
-            add_segment(torus, loads, node, j, b, dir, w);
-          }
-        });
-      }
-    }
-  }
-}
-
-}  // namespace
-
-LoadMap udr_loads(const Torus& torus, const Placement& p, TieBreak tie) {
-  TP_OBS_SCOPE("load.udr");
-  p.check_torus(torus);
-  TP_OBS_COUNT("load.pairs_evaluated", p.size() * (p.size() - 1));
-  LoadMap loads(torus);
-  accumulate_udr(torus, p, tie, loads, 0, p.size());
-  return loads;
+  return folded_exact_loads(torus, p, threads, Walk::Udr, {}, tie);
 }
 
 LoadMap odr_loads_table(const Torus& torus, const Placement& p,
@@ -356,10 +560,13 @@ LoadMap adaptive_loads(const Torus& torus, const Placement& p) {
   TP_OBS_SCOPE("load.adaptive");
   p.check_torus(torus);
   TP_OBS_COUNT("load.pairs_evaluated", p.size() * (p.size() - 1));
-  LoadMap loads(torus);
+  // Adaptive weights are multinomial ratios with no fixed denominator, so
+  // this is the one kernel that folds into double buckets.
+  const Sources sources(torus, p);
+  OrbitBuckets<double> loads(sources);
   const std::size_t d = static_cast<std::size_t>(torus.dims());
 
-  for (NodeId src : p.nodes()) {
+  for (const NodeId src : sources.fold.reps) {
     for (NodeId dst : p.nodes()) {
       if (src == dst) continue;
       // Per-dimension arc lengths and tie flags.
@@ -444,15 +651,14 @@ LoadMap adaptive_loads(const Torus& torus, const Placement& p) {
                 m_from * static_cast<double>(len[i] - pos[i]) /
                 static_cast<double>(steps_from);
             const double frac = m_to * m_from_head / m_base;
-            const Dir dd = dir[i] > 0 ? Dir::Pos : Dir::Neg;
-            loads.add(torus.edge_id(u, static_cast<i32>(i), dd),
+            loads.add(u, 2 * static_cast<i64>(i) + (dir[i] > 0 ? 0 : 1),
                       commit_w * frac);
           }
         }
       });
     }
   }
-  return loads;
+  return loads.broadcast(torus, 1.0);
 }
 
 double expected_total_load(const Torus& torus, const Placement& p) {

@@ -2,10 +2,17 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "src/util/error.h"
 
 namespace tp {
+
+LoadMap::LoadMap(const Torus& torus, std::vector<double> loads)
+    : loads_(std::move(loads)), dims_(torus.dims()) {
+  TP_REQUIRE(static_cast<i64>(loads_.size()) == torus.num_directed_edges(),
+             "one load per directed link required");
+}
 
 double LoadMap::max_load() const {
   double m = 0.0;

@@ -2,9 +2,10 @@
 //
 // A LoadMap holds E(l) for every directed link l of a torus under the
 // complete-exchange scenario.  Loads are rationals with small denominators
-// (products of path-set sizes); they are accumulated in double precision,
-// which is exact for the single-path routers and accurate to ~1e-12 for the
-// multi-path ones at the sizes this library targets.
+// (products of path-set sizes).  The ODR and UDR analyzers accumulate them
+// exactly, as integers over 2·d!, and store each as the correctly rounded
+// double; adaptive_loads and reference_loads sum doubles, accurate to a
+// few ulps at the sizes this library targets.
 
 #pragma once
 
@@ -19,8 +20,10 @@ class LoadMap {
  public:
   explicit LoadMap(const Torus& torus)
       : loads_(static_cast<std::size_t>(torus.num_directed_edges()), 0.0),
-        dims_(torus.dims()),
-        num_nodes_(torus.num_nodes()) {}
+        dims_(torus.dims()) {}
+
+  /// Adopts one load per directed link, in EdgeId order.
+  LoadMap(const Torus& torus, std::vector<double> loads);
 
   void add(EdgeId e, double w) { loads_.at(static_cast<std::size_t>(e)) += w; }
   double operator[](EdgeId e) const {
@@ -60,7 +63,6 @@ class LoadMap {
  private:
   std::vector<double> loads_;
   i32 dims_;
-  i64 num_nodes_;
 };
 
 }  // namespace tp

@@ -454,15 +454,16 @@ void Engine::worker_loop(i32 worker) {
       const MutexLock lock(stats_mu_);
       worker_state_[slot] = "compute " + job->key.str();
     }
-    execute(job);
-    {
-      const MutexLock lock(stats_mu_);
-      worker_state_[slot] = "idle";
-    }
+    execute(job, slot);
   }
 }
 
-void Engine::execute(const std::shared_ptr<InFlight>& job) {
+void Engine::mark_idle(std::size_t slot) {
+  const MutexLock lock(stats_mu_);
+  worker_state_[slot] = "idle";
+}
+
+void Engine::execute(const std::shared_ptr<InFlight>& job, std::size_t slot) {
   const Clock::time_point dequeued = Clock::now();
 
   // Dequeue-time deadline sweep: when every waiter has already expired
@@ -477,6 +478,7 @@ void Engine::execute(const std::shared_ptr<InFlight>& job) {
         break;
       }
     if (all_expired) {
+      mark_idle(slot);
       std::vector<std::shared_ptr<Pending>> waiters = std::move(job->waiters);
       inflight_.erase(job->key);
       --inflight_jobs_;
@@ -515,6 +517,7 @@ void Engine::execute(const std::shared_ptr<InFlight>& job) {
   // the cache for later, well-formed retries of the same key).
   if (response.ok) cache_.put(job->key, response.result);
 
+  mark_idle(slot);
   std::vector<std::shared_ptr<Pending>> waiters;
   {
     const MutexLock lock(inflight_mu_);

@@ -266,7 +266,10 @@ class Engine {
       TP_EXCLUDES(queue_mu_, inflight_mu_, stats_mu_);
   void worker_loop(i32 worker);
   void saver_loop();
-  void execute(const std::shared_ptr<InFlight>& job);
+  /// Computes a job on worker `slot`, marking the slot idle before the job
+  /// retires so a caller returning from drain() sees every worker idle.
+  void execute(const std::shared_ptr<InFlight>& job, std::size_t slot);
+  void mark_idle(std::size_t slot) TP_EXCLUDES(stats_mu_);
   void fulfill(const std::shared_ptr<Pending>& pending, Response response,
                bool count_completed);
   static Response timeout_response(const QueryKey& key);

@@ -1,6 +1,7 @@
 #include "src/service/query.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "src/placement/placement.h"
 #include "src/util/error.h"
@@ -137,7 +138,7 @@ QueryResult compute_query(const QueryKey& key, i32 measure_threads,
   }
 
   if (key.bounds) {
-    r.bound_table = all_bounds(torus, plan.placement);
+    r.bound_table = std::move(plan.bounds);
     if (plan.placement.size() >= 2) {
       r.slab = best_slab_bound(torus, plan.placement);
       r.has_slab = true;

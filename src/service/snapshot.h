@@ -44,8 +44,10 @@
 
 namespace tp::service {
 
-/// Bumped whenever the record layout changes; old files are refused.
-constexpr std::uint32_t kSnapshotFormatVersion = 1;
+/// Bumped whenever the record layout, or the meaning of the stored raw
+/// IEEE bits, changes; old files are refused.  Version 2: UDR loads are
+/// the correctly rounded exact rationals, no longer double sums.
+constexpr std::uint32_t kSnapshotFormatVersion = 2;
 
 /// The compatibility key baked into every snapshot: "<version> <git>".
 /// `torusplace version` prints the same fields (docs/durability.md).

@@ -1,6 +1,7 @@
 #include "src/util/math.h"
 
 #include <limits>
+#include <optional>
 
 #include "src/util/error.h"
 
@@ -48,16 +49,35 @@ i64 factorial(i64 n) {
   return result;
 }
 
-i64 binomial(i64 n, i64 r) {
+namespace {
+
+/// C(n, r), or nullopt when it does not fit in i64.  Each step computes
+/// C(n-r+i, i) = C(n-r+i-1, i-1)·(n-r+i)/i with the gcd of the running
+/// value and i divided out first, so the product is exactly the next
+/// binomial and overflows only when that binomial does — and the
+/// binomials grow with i, so only when C(n, r) itself does.
+std::optional<i64> checked_binomial(i64 n, i64 r) {
   TP_REQUIRE(n >= 0 && r >= 0 && r <= n, "binomial requires 0 <= r <= n");
   if (r > n - r) r = n - r;
   i64 result = 1;
   for (i64 i = 1; i <= r; ++i) {
-    TP_REQUIRE(result <= std::numeric_limits<i64>::max() / (n - r + i),
-               "binomial overflow");
-    result = result * (n - r + i) / i;
+    const i64 g = gcd(result, i);
+    if (__builtin_mul_overflow(result / g, (n - r + i) / (i / g), &result))
+      return std::nullopt;
   }
   return result;
+}
+
+}  // namespace
+
+i64 binomial(i64 n, i64 r) {
+  const std::optional<i64> c = checked_binomial(n, r);
+  TP_REQUIRE(c.has_value(), "binomial overflow");
+  return *c;
+}
+
+i64 saturating_binomial(i64 n, i64 r) {
+  return checked_binomial(n, r).value_or(std::numeric_limits<i64>::max());
 }
 
 i64 cyclic_distance(i64 i, i64 j, i64 k) {

@@ -29,9 +29,13 @@ i64 powi(i64 base, i64 exp);
 /// n! with overflow checking.  Requires 0 <= n <= 20.
 i64 factorial(i64 n);
 
-/// Binomial coefficient C(n, r) with overflow checking.
-/// Requires 0 <= r <= n.
+/// Binomial coefficient C(n, r) with overflow checking: throws exactly
+/// when C(n, r) does not fit in i64.  Requires 0 <= r <= n.
 i64 binomial(i64 n, i64 r);
+
+/// C(n, r), or the largest i64 when it does not fit — for comparing a
+/// count against a limit.  Requires 0 <= r <= n.
+i64 saturating_binomial(i64 n, i64 r);
 
 /// Cyclic distance between residues i and j modulo k (Definition 6):
 /// min(i-j mod k, j-i mod k).  Requires k >= 1; i, j may be any integers.

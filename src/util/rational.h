@@ -2,9 +2,9 @@
 //
 // Definition 4's loads are sums of fractions 1/|C_{p->q}| — rationals with
 // denominators dividing lcm(1!, ..., d!) (times 2^d with tie splitting).
-// The double-precision analyzers are exact for ODR and accurate to ~1e-12
-// elsewhere; Rational removes even that caveat so equality assertions in
-// tests and cross-checks are airtight.  Overflow throws (tp::Error) rather
+// The ODR and UDR analyzers return these as correctly rounded doubles;
+// Rational keeps them exact, so the oracles in exact_loads.h, equality
+// assertions in tests and cross-checks are airtight.  Overflow throws (tp::Error) rather
 // than wrapping.
 
 #pragma once

@@ -14,6 +14,7 @@
 #include <map>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/core/torusplace.h"
@@ -65,36 +66,45 @@ TEST(ProfilerDisabled, PhasesAreNoOps) {
 // --- phase attribution ----------------------------------------------------
 
 TEST(PhaseAttribution, OdrLoadsBreaksDownIntoRouteAndWalk) {
+  // One route pass and one walk pass per routed source: every node of a
+  // random placement, whose stabilizer is trivial, and the single coset
+  // representative of the linear placement, a subgroup of Z_4^3.
   Torus torus(3, 4);
-  const Placement p = linear_placement(torus);
-  obs::profiler().start(phase_only());
-  g_sink += odr_loads(torus, p).max_load();
-  obs::profiler().stop();
-  const obs::PhaseReport report = obs::profiler().report();
-  obs::profiler().reset();
+  const Placement random = random_placement(torus, 16, 5);
+  ASSERT_EQ(translation_fold(torus, random).stabilizer_size, 1);
+  for (const auto& [p, routed] :
+       {std::pair<Placement, i64>{random, random.size()},
+        std::pair<Placement, i64>{linear_placement(torus), 1}}) {
+    obs::profiler().start(phase_only());
+    g_sink += odr_loads(torus, p).max_load();
+    obs::profiler().stop();
+    const obs::PhaseReport report = obs::profiler().report();
+    obs::profiler().reset();
 
-  const auto calls = calls_by_path(report);
-  const std::vector<std::string> root{"load.odr"};
-  const std::vector<std::string> route{"load.odr", "odr.route"};
-  const std::vector<std::string> walk{"load.odr", "odr.walk"};
-  ASSERT_TRUE(calls.count(root)) << "missing load.odr root phase";
-  ASSERT_TRUE(calls.count(route)) << "missing odr.route child phase";
-  ASSERT_TRUE(calls.count(walk)) << "missing odr.walk child phase";
-  EXPECT_EQ(calls.at(root), 1);
-  // One route pass and one walk pass per source.
-  EXPECT_EQ(calls.at(route), p.size());
-  EXPECT_EQ(calls.at(walk), p.size());
+    const auto calls = calls_by_path(report);
+    const std::vector<std::string> root{"load.odr"};
+    const std::vector<std::string> route{"load.odr", "odr.route"};
+    const std::vector<std::string> walk{"load.odr", "odr.walk"};
+    ASSERT_TRUE(calls.count(root)) << "missing load.odr root phase";
+    ASSERT_TRUE(calls.count(route)) << "missing odr.route child phase";
+    ASSERT_TRUE(calls.count(walk)) << "missing odr.walk child phase";
+    EXPECT_EQ(calls.at(root), 1);
+    EXPECT_EQ(calls.at(route), routed) << p.name();
+    EXPECT_EQ(calls.at(walk), routed) << p.name();
+    EXPECT_EQ(calls.at({"load.odr", "fold.detect"}), 1);
+    EXPECT_EQ(calls.at({"load.odr", "fold.broadcast"}), 1);
 
-  // Inclusive time of the root covers its children; self + children's
-  // totals never exceed the root's total.
-  i64 root_total = 0, child_total = 0;
-  for (const obs::PhaseRow& row : report.rows) {
-    if (row.path == root) root_total = row.total_ns;
-    if (row.path == route || row.path == walk) child_total += row.total_ns;
+    // Inclusive time of the root covers its children; self + children's
+    // totals never exceed the root's total.
+    i64 root_total = 0, child_total = 0;
+    for (const obs::PhaseRow& row : report.rows) {
+      if (row.path == root) root_total = row.total_ns;
+      if (row.path == route || row.path == walk) child_total += row.total_ns;
+    }
+    EXPECT_GE(root_total, child_total);
+    EXPECT_EQ(report.depth_overflow, 0);
+    EXPECT_EQ(report.dropped_paths, 0);
   }
-  EXPECT_GE(root_total, child_total);
-  EXPECT_EQ(report.depth_overflow, 0);
-  EXPECT_EQ(report.dropped_paths, 0);
 }
 
 TEST(PhaseAttribution, NestedSelfTimeExcludesChildren) {

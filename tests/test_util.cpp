@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <map>
 #include <set>
 #include <string_view>
@@ -74,6 +75,21 @@ TEST(Math, Binomial) {
   EXPECT_EQ(binomial(10, 10), 1);
   EXPECT_EQ(binomial(52, 5), 2598960);
   EXPECT_THROW(binomial(3, 4), Error);
+}
+
+TEST(Math, BinomialThrowsOnlyOnTrueOverflow) {
+  // Multiplying before dividing overflowed on these although they fit.
+  EXPECT_EQ(binomial(62, 31), 465428353255261088LL);
+  EXPECT_EQ(binomial(66, 33), 7219428434016265740LL);
+  EXPECT_THROW(binomial(68, 34), Error);  // 28453041475240576740 > 2^63
+}
+
+TEST(Math, SaturatingBinomial) {
+  EXPECT_EQ(saturating_binomial(52, 5), 2598960);
+  EXPECT_EQ(saturating_binomial(66, 33), 7219428434016265740LL);
+  EXPECT_EQ(saturating_binomial(68, 34), std::numeric_limits<i64>::max());
+  EXPECT_EQ(saturating_binomial(216, 36), std::numeric_limits<i64>::max());
+  EXPECT_THROW(saturating_binomial(3, 4), Error);
 }
 
 TEST(Math, BinomialPascalIdentity) {

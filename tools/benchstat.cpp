@@ -46,6 +46,7 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/analysis/imbalance.h"
@@ -143,10 +144,40 @@ std::vector<BenchResult> run_benchmarks(int reps) {
     }));
   }
   {
+    // The same size unfolded: a random placement's stabilizer is trivial,
+    // so this times the kernel with no symmetry to fold over.
+    Torus torus(3, 8);
+    const Placement p = random_placement(torus, 64, 1);
+    results.push_back(time_fn("odr_loads_random/T8^3", reps, [&] {
+      g_sink += odr_loads(torus, p).max_load();
+    }));
+  }
+  for (const i32 k : {16, 32}) {
+    Torus torus(3, k);
+    const Placement p = linear_placement(torus);
+    results.push_back(
+        time_fn("odr_loads/T" + std::to_string(k) + "^3", reps,
+                [&] { g_sink += odr_loads(torus, p).max_load(); }));
+  }
+  {
     Torus torus(3, 6);
     const Placement p = linear_placement(torus);
     results.push_back(time_fn("udr_loads/T6^3", reps, [&] {
       g_sink += udr_loads(torus, p).max_load();
+    }));
+  }
+  {
+    Torus torus(3, 8);
+    const Placement p = linear_placement(torus);
+    results.push_back(time_fn("udr_loads/T8^3", reps, [&] {
+      g_sink += udr_loads(torus, p).max_load();
+    }));
+  }
+  {
+    Torus torus(2, 16);
+    const Placement p = linear_placement(torus);
+    results.push_back(time_fn("adaptive_loads/T16^2", reps, [&] {
+      g_sink += adaptive_loads(torus, p).max_load();
     }));
   }
   {
@@ -328,8 +359,19 @@ void write_json(const std::string& path,
   out << root.dump() << "\n";
 }
 
-/// Lexicographically latest BENCH_*.json in `dir` other than `out`;
-/// empty when none exists.
+/// The n of "BENCH_<n>.json", or -1 for any other BENCH_*.json name.
+i64 bench_number(const std::string& name) {
+  const std::string digits = name.substr(6, name.size() - 11);
+  if (digits.empty() || digits.size() > 9 ||
+      !std::all_of(digits.begin(), digits.end(),
+                   [](char c) { return c >= '0' && c <= '9'; }))
+    return -1;
+  return std::stoll(digits);
+}
+
+/// Latest BENCH_*.json in `dir` other than `out` — highest n of
+/// BENCH_<n>.json, so BENCH_10 follows BENCH_9, other names compared
+/// lexicographically; empty when none exists.
 std::string find_baseline(const std::string& dir, const std::string& out) {
   namespace fs = std::filesystem;
   std::string best;
@@ -345,7 +387,9 @@ std::string find_baseline(const std::string& dir, const std::string& out) {
         name.compare(name.size() - 5, 5, ".json") != 0)
       continue;
     if (name == out_name) continue;
-    if (name > best_name) {
+    if (best_name.empty() ||
+        std::make_pair(bench_number(name), name) >
+            std::make_pair(bench_number(best_name), best_name)) {
       best_name = name;
       best = entry.path().string();
     }

@@ -319,7 +319,7 @@ int cmd_optimize(const Args& args) {
           : -1.0;
 
   SearchResult result =
-      binomial(torus.num_nodes(), size) <= 200000
+      saturating_binomial(torus.num_nodes(), size) <= 200000
           ? exhaustive_best_placement(torus, size, kind)
           : anneal_placement(torus, size, kind, iters,
                              static_cast<u64>(args.get_int("seed", 17)));

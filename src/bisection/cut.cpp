@@ -1,5 +1,6 @@
 #include "src/bisection/cut.h"
 
+#include "src/torus/lattice.h"
 #include "src/util/error.h"
 
 namespace tp {
@@ -10,25 +11,17 @@ Cut::Cut(const Torus& torus, std::vector<bool> side) : side_(std::move(side)) {
 }
 
 i64 Cut::directed_cut_size(const Torus& torus) const {
-  i64 count = 0;
-  for (EdgeId e = 0; e < torus.num_directed_edges(); ++e) {
-    const Link l = torus.link(e);
-    if (side_[static_cast<std::size_t>(l.tail)] !=
-        side_[static_cast<std::size_t>(l.head)])
-      ++count;
-  }
-  return count;
+  // A crossing wire is crossed in both directions.
+  return 2 * undirected_cut_size(torus);
 }
 
 i64 Cut::undirected_cut_size(const Torus& torus) const {
+  const Lattice lat(torus);
   i64 count = 0;
-  for (EdgeId e = 0; e < torus.num_directed_edges(); ++e) {
-    if (torus.undirected_id(e) != e) continue;  // count each wire once
-    const Link l = torus.link(e);
-    if (side_[static_cast<std::size_t>(l.tail)] !=
-        side_[static_cast<std::size_t>(l.head)])
-      ++count;
-  }
+  for (i32 dim = 0; dim < torus.dims(); ++dim)
+    lat.for_each_pos_link(dim, [&](NodeId n, NodeId up, i32) {
+      if (crosses(n, up)) ++count;
+    });
   return count;
 }
 
@@ -47,13 +40,14 @@ bool Cut::bisects(const Torus& torus, const Placement& p) const {
 }
 
 EdgeSet Cut::crossing_edges(const Torus& torus) const {
+  const Lattice lat(torus);
   EdgeSet set(torus);
-  for (EdgeId e = 0; e < torus.num_directed_edges(); ++e) {
-    const Link l = torus.link(e);
-    if (side_[static_cast<std::size_t>(l.tail)] !=
-        side_[static_cast<std::size_t>(l.head)])
-      set.insert(e);
-  }
+  for (i32 dim = 0; dim < torus.dims(); ++dim)
+    lat.for_each_pos_link(dim, [&](NodeId n, NodeId up, i32) {
+      if (!crosses(n, up)) return;
+      set.insert(torus.edge_id(n, dim, Dir::Pos));
+      set.insert(torus.edge_id(up, dim, Dir::Neg));  // the reverse link
+    });
   return set;
 }
 

@@ -48,6 +48,11 @@ class Cut {
   std::pair<i64, i64> node_split() const;
 
  private:
+  bool crosses(NodeId a, NodeId b) const {
+    return side_[static_cast<std::size_t>(a)] !=
+           side_[static_cast<std::size_t>(b)];
+  }
+
   std::vector<bool> side_;
 };
 

@@ -1,14 +1,23 @@
 #include "src/bisection/dimension_cut.h"
 
 #include "src/placement/uniformity.h"
+#include "src/torus/lattice.h"
 #include "src/util/error.h"
 
 namespace tp {
 
-DimensionCutResult dimension_cut(const Torus& torus, const Placement& p,
-                                 i32 dim) {
-  p.check_torus(torus);
-  TP_REQUIRE(dim >= 0 && dim < torus.dims(), "dimension out of range");
+namespace {
+
+/// The boundary pair along one dimension that balances the placement best.
+struct LayerSplit {
+  i32 dim = 0;
+  i32 a = 0;  ///< side A = layers a+1..b
+  i32 b = 0;
+  i64 imbalance = -1;
+  i64 width = 0;  ///< directed links removed: 4·N/k_dim
+};
+
+LayerSplit best_layer_split(const Torus& torus, const Placement& p, i32 dim) {
   const i32 k = torus.radix(dim);
   const auto layer = subtorus_counts(torus, p, dim);
 
@@ -20,45 +29,53 @@ DimensionCutResult dimension_cut(const Torus& torus, const Placement& p,
   const i64 total = prefix[static_cast<std::size_t>(k)];
 
   // Boundaries sit between layer b and b+1 (mod k).  Choosing boundaries
-  // (a, b) with a < b puts layers a+1..b on side A.
-  i64 best_imbalance = -1;
-  i32 best_a = 0, best_b = 0;
+  // (a, b) with a < b puts layers a+1..b on side A.  Each boundary is N/k
+  // wires whatever (a, b) is, so the cut removes 4·N/k directed links.
+  LayerSplit best{dim, 0, 0, -1, 4 * (torus.num_nodes() / k)};
   for (i32 a = 0; a < k; ++a) {
     for (i32 b = a + 1; b < k; ++b) {
       const i64 in_a = prefix[static_cast<std::size_t>(b) + 1] -
                        prefix[static_cast<std::size_t>(a) + 1];
       const i64 imbalance =
           in_a * 2 > total ? in_a * 2 - total : total - in_a * 2;
-      if (best_imbalance < 0 || imbalance < best_imbalance) {
-        best_imbalance = imbalance;
-        best_a = a;
-        best_b = b;
+      if (best.imbalance < 0 || imbalance < best.imbalance) {
+        best.imbalance = imbalance;
+        best.a = a;
+        best.b = b;
       }
     }
   }
-  TP_ASSERT(best_imbalance >= 0, "no boundary pair found");
+  TP_ASSERT(best.imbalance >= 0, "no boundary pair found");
+  return best;
+}
 
+DimensionCutResult cut_along(const Torus& torus, const LayerSplit& s) {
   std::vector<bool> side(static_cast<std::size_t>(torus.num_nodes()), false);
-  for (NodeId n = 0; n < torus.num_nodes(); ++n) {
-    const i32 v = torus.coord_of(n, dim);
-    side[static_cast<std::size_t>(n)] = (v > best_a && v <= best_b);
-  }
-  DimensionCutResult result{Cut(torus, std::move(side)), dim, best_a, best_b,
-                            0, best_imbalance};
-  result.directed_edges = result.cut.directed_cut_size(torus);
-  return result;
+  Lattice(torus).for_each_pos_link(s.dim, [&](NodeId n, NodeId, i32 v) {
+    side[static_cast<std::size_t>(n)] = v > s.a && v <= s.b;
+  });
+  return {Cut(torus, std::move(side)), s.dim, s.a, s.b, s.width, s.imbalance};
+}
+
+}  // namespace
+
+DimensionCutResult dimension_cut(const Torus& torus, const Placement& p,
+                                 i32 dim) {
+  p.check_torus(torus);
+  TP_REQUIRE(dim >= 0 && dim < torus.dims(), "dimension out of range");
+  return cut_along(torus, best_layer_split(torus, p, dim));
 }
 
 DimensionCutResult best_dimension_cut(const Torus& torus, const Placement& p) {
-  std::optional<DimensionCutResult> best;
+  p.check_torus(torus);
+  LayerSplit best;
   for (i32 dim = 0; dim < torus.dims(); ++dim) {
-    auto r = dimension_cut(torus, p, dim);
-    if (!best || r.imbalance < best->imbalance ||
-        (r.imbalance == best->imbalance &&
-         r.directed_edges < best->directed_edges))
-      best.emplace(std::move(r));
+    const LayerSplit s = best_layer_split(torus, p, dim);
+    if (best.imbalance < 0 || s.imbalance < best.imbalance ||
+        (s.imbalance == best.imbalance && s.width < best.width))
+      best = s;
   }
-  return *best;
+  return cut_along(torus, best);
 }
 
 }  // namespace tp

@@ -10,6 +10,11 @@
 // and returns the pair that balances the placement best, so it also yields
 // the best two-boundary cut for placements that are *not* uniform.  For a
 // uniform placement and even k it reproduces the theorem exactly.
+//
+// The width needs no link count: each boundary is N/k wires whichever pair
+// is chosen, so every such cut removes 4·N/k directed links.  The search
+// compares dimensions by layer counts and that closed form, and only the
+// winning dimension's Cut is built.
 
 #pragma once
 

@@ -2,6 +2,7 @@
 
 #include <vector>
 
+#include "src/torus/lattice.h"
 #include "src/util/error.h"
 
 namespace tp {
@@ -13,16 +14,16 @@ ExactBisectionResult exact_bisection(const Torus& torus, const Placement& p) {
   TP_REQUIRE(p.size() >= 1, "cannot bisect an empty placement");
 
   // Precompute undirected adjacency as (u, v) wire list with multiplicity
-  // (radix-2 dimensions have parallel wires).
+  // (radix-2 dimensions have parallel wires): one wire per + link.
   struct Wire {
     i32 u, v;
   };
   std::vector<Wire> wires;
-  for (EdgeId e = 0; e < torus.num_directed_edges(); ++e) {
-    if (torus.undirected_id(e) != e) continue;
-    const Link l = torus.link(e);
-    wires.push_back({static_cast<i32>(l.tail), static_cast<i32>(l.head)});
-  }
+  const Lattice lat(torus);
+  for (i32 dim = 0; dim < torus.dims(); ++dim)
+    lat.for_each_pos_link(dim, [&](NodeId tail, NodeId up, i32) {
+      wires.push_back({static_cast<i32>(tail), static_cast<i32>(up)});
+    });
 
   std::uint32_t proc_mask = 0;
   for (NodeId node : p.nodes()) proc_mask |= (1u << node);

@@ -1,10 +1,12 @@
 #include "src/bisection/hyperplane_sweep.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <numbers>
 #include <vector>
 
+#include "src/torus/lattice.h"
 #include "src/util/error.h"
 
 namespace tp {
@@ -29,21 +31,19 @@ struct Scored {
 
 /// Scores every node by the (unnormalized) sweep direction; returns false
 /// if two nodes collide (γ not generic enough for this torus).
-bool score_nodes(const Torus& torus, long double gamma,
+bool score_nodes(const Lattice& lat, long double gamma,
                  std::vector<Scored>& out) {
-  const i32 d = torus.dims();
-  SmallVec<long double, kMaxDims> weight(static_cast<std::size_t>(d), 1.0L);
-  for (std::size_t i = 1; i < weight.size(); ++i)
-    weight[i] = weight[i - 1] * gamma;
+  std::array<long double, kMaxDims> weight{};
+  weight[0] = 1.0L;
+  for (std::size_t i = 1; i < lat.d; ++i) weight[i] = weight[i - 1] * gamma;
 
   out.clear();
-  out.reserve(static_cast<std::size_t>(torus.num_nodes()));
-  for (NodeId n = 0; n < torus.num_nodes(); ++n) {
+  out.reserve(static_cast<std::size_t>(lat.num_nodes));
+  lat.for_each_node([&](NodeId n, const i32* c) {
     long double s = 0.0L;
-    for (i32 dim = 0; dim < d; ++dim)
-      s += weight[static_cast<std::size_t>(dim)] * torus.coord_of(n, dim);
+    for (std::size_t i = 0; i < lat.d; ++i) s += weight[i] * c[i];
     out.push_back({s, n});
-  }
+  });
   std::sort(out.begin(), out.end(), [](const Scored& a, const Scored& b) {
     return a.score < b.score;
   });
@@ -59,11 +59,12 @@ SweepResult hyperplane_sweep_bisection(const Torus& torus,
   p.check_torus(torus);
   TP_REQUIRE(p.size() >= 1, "cannot bisect an empty placement");
 
+  const Lattice lat(torus);
   std::vector<Scored> scored;
   long double gamma = default_gamma(torus.dims());
   bool ok = false;
   for (int attempt = 0; attempt < 8 && !ok; ++attempt) {
-    ok = score_nodes(torus, gamma, scored);
+    ok = score_nodes(lat, gamma, scored);
     if (!ok) gamma += 1e-7L * static_cast<long double>(attempt + 1);
   }
   TP_REQUIRE(ok, "no collision-free sweep direction found");
@@ -79,19 +80,21 @@ SweepResult hyperplane_sweep_bisection(const Torus& torus,
   }
   TP_ASSERT(seen == half, "sweep failed to collect half of the placement");
 
-  SweepResult result{Cut(torus, std::move(side)), 0, 0, 0, gamma};
-  // Classify each crossed wire as an array edge or a torus wrap edge.
-  for (EdgeId e = 0; e < torus.num_directed_edges(); ++e) {
-    if (torus.undirected_id(e) != e) continue;
-    const Link l = torus.link(e);
-    if (result.cut.side_of(l.tail) == result.cut.side_of(l.head)) continue;
-    const i32 a = torus.coord_of(l.tail, l.dim);
-    const i32 b = torus.coord_of(l.head, l.dim);
-    const bool wrap = (a - b != 1) && (b - a != 1);
-    (wrap ? result.wrap_crossings : result.array_crossings) += 1;
+  // Classify each crossed wire as an array edge or a torus wrap edge: the
+  // wire from layer k-1 back to layer 0 wraps, unless k = 2, where both
+  // wires join adjacent layers.
+  i64 array = 0, wrap = 0;
+  for (i32 dim = 0; dim < torus.dims(); ++dim) {
+    const i32 k = lat.radix[static_cast<std::size_t>(dim)];
+    lat.for_each_pos_link(dim, [&](NodeId n, NodeId up, i32 v) {
+      if (side[static_cast<std::size_t>(n)] ==
+          side[static_cast<std::size_t>(up)])
+        return;
+      (v == k - 1 && k > 2 ? wrap : array) += 1;
+    });
   }
-  result.directed_edges = result.cut.directed_cut_size(torus);
-  return result;
+  // Each crossed wire is crossed in both directions.
+  return {Cut(torus, std::move(side)), array, wrap, 2 * (array + wrap), gamma};
 }
 
 }  // namespace tp

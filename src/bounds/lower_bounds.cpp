@@ -1,6 +1,7 @@
 #include "src/bounds/lower_bounds.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "src/bisection/dimension_cut.h"
 #include "src/bisection/hyperplane_sweep.h"
@@ -29,13 +30,7 @@ BoundValue separator_bound(const Torus& torus, const Placement& p,
       if (p.contains(n)) ++procs_in_s;
     }
   }
-  i64 boundary = 0;
-  for (EdgeId e = 0; e < torus.num_directed_edges(); ++e) {
-    const Link l = torus.link(e);
-    if (in_s[static_cast<std::size_t>(l.tail)] !=
-        in_s[static_cast<std::size_t>(l.head)])
-      ++boundary;
-  }
+  const i64 boundary = Cut(torus, std::move(in_s)).directed_cut_size(torus);
   if (boundary == 0)
     return {"separator", 0.0, false, "subset has empty boundary"};
   return {"separator",

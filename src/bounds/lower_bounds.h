@@ -8,7 +8,8 @@
 //   separator        2|S|(|P|-|S|)/|dS| for a given S     Lemma 1
 //   bisection        2(|P|/2)^2 / |d_b P|                 eq. (8), with
 //                    |d_b P| instantiated by a constructive cut
-//   improved         c^2 k^{d-1}/8 with c = |P|/k^{d-1}   Section 4
+//   improved         c^2 k^{d-1}/8 with c = |P|/k^{d-1}   Section 4 (odd k:
+//                    the half-slab value, see formulas.h)
 //
 // All bounds are valid for every shortest-path routing algorithm; `best`
 // returns the largest applicable one.

@@ -10,6 +10,7 @@
 #include "src/routing/odr.h"
 #include "src/routing/table_router.h"
 #include "src/routing/udr.h"
+#include "src/torus/lattice.h"
 #include "src/util/combinatorics.h"
 #include "src/util/parallel.h"
 #include "src/util/error.h"
@@ -26,50 +27,6 @@ namespace {
 /// stays serial (the BENCH_4 odr_loads_parallel4 regression), while a
 /// 4096-node random placement of T16^3 (16.8M pairs) fans out fully.
 constexpr i64 kMinPairsPerWorker = 4096;
-
-/// Division-free coordinate arithmetic.  Node ids are mixed-radix values
-/// (torus.h), so a translation adds coordinates mod k_i and a ring walk
-/// along a dimension moves by that dimension's stride.
-struct Lattice {
-  explicit Lattice(const Torus& torus)
-      : d(static_cast<std::size_t>(torus.dims())) {
-    i64 s = 1;
-    for (std::size_t i = d; i-- > 0;) {
-      radix[i] = torus.radix(static_cast<i32>(i));
-      stride[i] = s;
-      s *= radix[i];
-    }
-  }
-
-  /// Writes the coordinates of n to c[0..d).
-  void decode(NodeId n, i32* c) const {
-    for (std::size_t i = 0; i < d; ++i)
-      c[i] = static_cast<i32>((n / stride[i]) % radix[i]);
-  }
-
-  /// out = a + b (both rows in range); out may alias a or b.
-  void add(const i32* a, const i32* b, i32* out) const {
-    for (std::size_t i = 0; i < d; ++i) {
-      out[i] = a[i] + b[i];
-      if (out[i] >= radix[i]) out[i] -= radix[i];
-    }
-  }
-
-  /// The node at coordinates a + b (both rows in range).
-  NodeId sum(const i32* a, const i32* b) const {
-    NodeId n = 0;
-    for (std::size_t i = 0; i < d; ++i) {
-      i32 c = a[i] + b[i];
-      if (c >= radix[i]) c -= radix[i];
-      n += c * stride[i];
-    }
-    return n;
-  }
-
-  std::size_t d;
-  std::array<i32, kMaxDims> radix{};
-  std::array<i64, kMaxDims> stride{};
-};
 
 /// Coordinates of every placement node, row i for p.nodes()[i].
 std::vector<i32> node_coords(const Lattice& lat, const Placement& p) {
@@ -141,20 +98,14 @@ TranslationFold translation_fold(const Torus& torus, const Placement& p) {
   // placement node of each orbit.
   fold.num_orbits = torus.num_nodes() / fold.stabilizer_size;
   fold.orbit.assign(static_cast<std::size_t>(torus.num_nodes()), -1);
-  std::array<i32, kMaxDims> c{};  // coordinates of n
   i64 next = 0;
-  for (NodeId n = 0; n < torus.num_nodes(); ++n) {
-    if (fold.orbit[static_cast<std::size_t>(n)] < 0) {
-      for (std::size_t row = 0; row < order; ++row)
-        fold.orbit[static_cast<std::size_t>(
-            lat.sum(c.data(), &h_rows[row * d]))] = next;
-      ++next;
-    }
-    for (std::size_t i = d; i-- > 0;) {
-      if (++c[i] < lat.radix[i]) break;
-      c[i] = 0;
-    }
-  }
+  lat.for_each_node([&](NodeId n, const i32* c) {
+    if (fold.orbit[static_cast<std::size_t>(n)] >= 0) return;
+    for (std::size_t row = 0; row < order; ++row)
+      fold.orbit[static_cast<std::size_t>(lat.sum(c, &h_rows[row * d]))] =
+          next;
+    ++next;
+  });
   TP_ASSERT(next == fold.num_orbits, "stabilizer orbits do not tile the torus");
   fold.reps.clear();
   std::vector<bool> seen(static_cast<std::size_t>(fold.num_orbits), false);
@@ -556,6 +507,44 @@ LoadMap udr_loads_enumerated(const Torus& torus, const Placement& p,
   return reference_loads(torus, p, router);
 }
 
+namespace {
+
+/// C(n, r) for 0 <= r <= n <= max_n, from one Pascal triangle built by
+/// additions, so every entry is the exact binomial.  An entry past i64 is
+/// kept as -1 (both of its children are past i64 too) and, like
+/// binomial(), throws "binomial overflow" when it is read.
+class PascalTable {
+ public:
+  explicit PascalTable(i64 max_n)
+      : c_(static_cast<std::size_t>((max_n + 1) * (max_n + 2) / 2), 1) {
+    for (i64 n = 2; n <= max_n; ++n) {
+      const i64* up = &c_[row(n - 1)];
+      i64* cur = &c_[row(n)];
+      for (i64 r = 1; r < n; ++r) {
+        const auto a = up[static_cast<std::size_t>(r - 1)];
+        const auto b = up[static_cast<std::size_t>(r)];
+        i64& out = cur[static_cast<std::size_t>(r)];
+        if (a < 0 || b < 0 || __builtin_add_overflow(a, b, &out)) out = -1;
+      }
+    }
+  }
+
+  i64 operator()(i64 n, i64 r) const {
+    const i64 c = c_[row(n) + static_cast<std::size_t>(r)];
+    TP_REQUIRE(c >= 0, "binomial overflow");
+    return c;
+  }
+
+ private:
+  static std::size_t row(i64 n) {
+    return static_cast<std::size_t>(n * (n + 1) / 2);
+  }
+
+  std::vector<i64> c_;
+};
+
+}  // namespace
+
 LoadMap adaptive_loads(const Torus& torus, const Placement& p) {
   TP_OBS_SCOPE("load.adaptive");
   p.check_torus(torus);
@@ -564,23 +553,35 @@ LoadMap adaptive_loads(const Torus& torus, const Placement& p) {
   // this is the one kernel that folds into double buckets.
   const Sources sources(torus, p);
   OrbitBuckets<double> loads(sources);
-  const std::size_t d = static_cast<std::size_t>(torus.dims());
+  const Lattice& lat = sources.lat;
+  const std::size_t d = lat.d;
+  i64 diameter = 0;
+  for (std::size_t i = 0; i < d; ++i) diameter += lat.radix[i] / 2;
+  const PascalTable binom(diameter);
 
+  std::array<i32, kMaxDims> cs{};   // source coordinates
+  std::array<i32, kMaxDims> len{};  // arc length per dimension
+  std::array<i32, kMaxDims> way{};  // +1 or -1: the shorter (or tied) arc
+  std::array<std::size_t, kMaxDims> tie_dim{};
+  std::array<i32, kMaxDims> dir{};  // way, with the mask's ties turned -1
+  std::array<i32, kMaxDims> pos{};  // corridor position
+  std::array<i32, kMaxDims> c{};    // coordinates of the node at pos
   for (const NodeId src : sources.fold.reps) {
-    for (NodeId dst : p.nodes()) {
-      if (src == dst) continue;
-      // Per-dimension arc lengths and tie flags.
-      SmallVec<i64> len(d, 0);
-      SmallVec<i32> tie_dim;
+    lat.decode(src, cs.data());
+    for (std::size_t j = 0; j < sources.nodes.size(); ++j) {
+      if (sources.nodes[j] == src) continue;
+      const i32* cd = sources.coord(j);
+      // Per-dimension arc lengths, directions and tie flags.
       i64 total = 0;
+      std::size_t ties = 0;
       for (std::size_t i = 0; i < d; ++i) {
-        const i32 dim = static_cast<i32>(i);
-        len[i] = torus.cyclic_dist(dim, torus.coord_of(src, dim),
-                                   torus.coord_of(dst, dim));
+        const i32 fwd = cd[i] >= cs[i] ? cd[i] - cs[i]
+                                       : cd[i] - cs[i] + lat.radix[i];
+        const i32 bwd = fwd == 0 ? 0 : lat.radix[i] - fwd;
+        len[i] = std::min(fwd, bwd);
+        way[i] = bwd < fwd ? -1 : +1;
+        if (fwd != 0 && fwd == bwd) tie_dim[ties++] = i;
         total += len[i];
-        if (torus.shortest_way(dim, torus.coord_of(src, dim),
-                               torus.coord_of(dst, dim)) == Way::Tie)
-          tie_dim.push_back(dim);
       }
       // Base multinomial: number of interleavings for one direction
       // commitment (identical for every commitment since arc lengths match).
@@ -588,62 +589,43 @@ LoadMap adaptive_loads(const Torus& torus, const Placement& p) {
       {
         i64 remaining = total;
         for (std::size_t i = 0; i < d; ++i) {
-          m_base *= static_cast<double>(binomial(remaining, len[i]));
+          m_base *= static_cast<double>(binom(remaining, len[i]));
           remaining -= len[i];
         }
       }
-      const double commit_w =
-          1.0 / static_cast<double>(powi(2, static_cast<i64>(tie_dim.size())));
+      const double commit_w = 1.0 / static_cast<double>(i64{1} << ties);
 
       // Enumerate direction commitments for tie dims.
-      for_each_subset(static_cast<int>(tie_dim.size()), [&](std::uint32_t mask) {
-        SmallVec<i32> dir(d, 0);
-        for (std::size_t i = 0; i < d; ++i) {
-          if (len[i] == 0) continue;
-          const i32 dim = static_cast<i32>(i);
-          const Way way = torus.shortest_way(dim, torus.coord_of(src, dim),
-                                             torus.coord_of(dst, dim));
-          dir[i] = (way == Way::Neg) ? -1 : +1;
-        }
-        for (std::size_t t = 0; t < tie_dim.size(); ++t)
-          if (mask & (1u << t))
-            dir[static_cast<std::size_t>(tie_dim[t])] = -1;
+      for_each_subset(static_cast<int>(ties), [&](std::uint32_t mask) {
+        dir = way;
+        for (std::size_t t = 0; t < ties; ++t)
+          if (mask & (1u << t)) dir[tie_dim[t]] = -1;
 
-        // Walk the corridor: positions 0..len[i] along each dimension.
-        Radices pos_radix(d, 1);
-        for (std::size_t i = 0; i < d; ++i)
-          pos_radix[i] = static_cast<i32>(len[i] + 1);
-        for (NdRange r(pos_radix); !r.done(); r.next()) {
-          const Coord& pos = r.coord();
-          // Node at this corridor position, and path counts to/from it.
-          Coord c = torus.coord(src);
+        // Walk the corridor: positions 0..len[i] along each dimension, the
+        // last fastest, with c the node at each position.
+        pos.fill(0);
+        c = cs;
+        i64 steps_to = 0;
+        for (bool more = true; more;) {
+          // Path counts to and from the node at this position.
+          const i64 steps_from = total - steps_to;
           double m_to = 1.0, m_from = 1.0;
-          i64 steps_to = 0, steps_from = 0;
-          for (std::size_t i = 0; i < d; ++i) {
-            steps_to += pos[i];
-            steps_from += len[i] - pos[i];
-          }
           {
             i64 rem = steps_to;
             for (std::size_t i = 0; i < d; ++i) {
-              m_to *= static_cast<double>(binomial(rem, pos[i]));
+              m_to *= static_cast<double>(binom(rem, pos[i]));
               rem -= pos[i];
             }
             rem = steps_from;
             for (std::size_t i = 0; i < d; ++i) {
-              m_from *= static_cast<double>(binomial(rem, len[i] - pos[i]));
+              m_from *= static_cast<double>(binom(rem, len[i] - pos[i]));
               rem -= len[i] - pos[i];
             }
           }
-          for (std::size_t i = 0; i < d; ++i) {
-            const i64 k = torus.radix(static_cast<i32>(i));
-            c[i] = static_cast<i32>(
-                mod_norm(c[i] + dir[i] * static_cast<i64>(pos[i]), k));
-          }
-          const NodeId u = torus.node_id(c);
+          const NodeId u = lat.encode(c.data());
           // One outgoing corridor edge per dimension with remaining steps.
           for (std::size_t i = 0; i < d; ++i) {
-            if (pos[i] == len[i] || len[i] == 0) continue;
+            if (pos[i] == len[i]) continue;
             // Fraction of paths using edge u->u+dir_i: paths to u times
             // paths from the edge head to dst, over all paths.  The head's
             // remaining steps differ from u's only in dimension i.
@@ -653,6 +635,21 @@ LoadMap adaptive_loads(const Torus& torus, const Placement& p) {
             const double frac = m_to * m_from_head / m_base;
             loads.add(u, 2 * static_cast<i64>(i) + (dir[i] > 0 ? 0 : 1),
                       commit_w * frac);
+          }
+          more = false;
+          for (std::size_t i = d; i-- > 0;) {
+            if (pos[i] < len[i]) {
+              ++pos[i];
+              ++steps_to;
+              c[i] += dir[i];
+              if (c[i] == lat.radix[i]) c[i] = 0;
+              if (c[i] < 0) c[i] = lat.radix[i] - 1;
+              more = true;
+              break;
+            }
+            steps_to -= pos[i];
+            pos[i] = 0;
+            c[i] = cs[i];
           }
         }
       });

@@ -26,7 +26,13 @@ double bisection_lower_bound(i64 placement_size, i64 bisection_width) {
 
 double improved_lower_bound(double c, i32 k, i32 d) {
   TP_REQUIRE(k >= 2 && d >= 1 && c > 0, "invalid arguments");
-  return c * c * static_cast<double>(powi(k, d - 1)) / 8.0;
+  if (k % 2 == 0) return c * c * static_cast<double>(powi(k, d - 1)) / 8.0;
+  // Odd k: the half slab holds floor(k/2) of the k layers, each with
+  // c·k^{d-2} processors, behind 4·k^{d-1} boundary links (Lemma 1).
+  const double layers =
+      static_cast<double>(k / 2) * static_cast<double>(k - k / 2);
+  return c * c * layers * static_cast<double>(powi(k, d - 1)) /
+         (2.0 * k * k);
 }
 
 i64 bisection_width_upper_bound(i32 k, i32 d) {

@@ -19,7 +19,10 @@ double separator_lower_bound(i64 s_size, i64 placement_size,
 double bisection_lower_bound(i64 placement_size, i64 bisection_width);
 
 /// Section 4 — improved dimension-independent bound for uniform placements
-/// of size c*k^{d-1}:  E_max >= c^2 k^{d-1} / 8.
+/// of size c*k^{d-1}:  E_max >= c^2 k^{d-1} / 8 for even k.  The paper's
+/// half-torus slab needs even k; for odd k the best slab holds floor(k/2)
+/// of the k layers and Lemma 1 gives c^2 floor(k/2) ceil(k/2) k^{d-3} / 2,
+/// slightly below c^2 k^{d-1} / 8 (full T_3^3: 9, not 10.125).
 double improved_lower_bound(double c, i32 k, i32 d);
 
 /// Corollary 1 — upper bound on the bisection width of T_k^d with respect

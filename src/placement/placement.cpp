@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <numeric>
 
+#include "src/torus/lattice.h"
 #include "src/util/error.h"
 #include "src/util/prng.h"
 
@@ -79,12 +80,16 @@ Placement multiple_linear_placement(const Torus& torus, i32 t) {
              "multiple linear placements require a uniform-radix torus");
   const i32 k = torus.radix(0);
   TP_REQUIRE(t >= 1 && t <= k, "t must be in [1, k]");
+  const Lattice lat(torus);
   std::vector<NodeId> nodes;
-  for (NodeId n = 0; n < torus.num_nodes(); ++n) {
-    i64 sum = 0;
-    for (i32 d = 0; d < torus.dims(); ++d) sum += torus.coord_of(n, d);
-    if (mod_norm(sum, k) < t) nodes.push_back(n);
-  }
+  lat.for_each_node([&](NodeId n, const i32* c) {
+    i32 residue = 0;  // coordinate sum mod k
+    for (std::size_t i = 0; i < lat.d; ++i) {
+      residue += c[i];
+      if (residue >= k) residue -= k;
+    }
+    if (residue < t) nodes.push_back(n);
+  });
   return Placement(torus, std::move(nodes),
                    "multiple_linear(t=" + std::to_string(t) + ")");
 }

@@ -146,6 +146,41 @@ TEST(AllBounds, MeasuredLoadsRespectBest) {
     }
 }
 
+TEST(AllBounds, NoneExceedsTheMeasuredLoadOnOddRadixTori) {
+  // With odd k no slab holds half of a uniform placement, so the paper's
+  // c^2 k^{d-1}/8 overshoots (full T_3^3: 10.125 > 9); every bound must
+  // stay at or below the exact E_max of every router.  ODR and UDR loads
+  // are exact; adaptive sums doubles (full T_3^4: 26.999999999999964).
+  for (i32 d = 2; d <= 4; ++d)
+    for (i32 k : {3, 5, 7}) {
+      const Torus torus(d, k);
+      for (i32 t = 1; t <= k; ++t) {
+        const Placement p = multiple_linear_placement(torus, t);
+        const double odr = odr_loads(torus, p).max_load();
+        const double udr = udr_loads(torus, p).max_load();
+        const double adaptive = adaptive_loads(torus, p).max_load();
+        for (const BoundValue& b : all_bounds(torus, p)) {
+          if (!b.applicable) continue;
+          SCOPED_TRACE(testing::Message() << "T" << k << "^" << d << " t="
+                                          << t << " " << b.name);
+          EXPECT_LE(b.value, odr);
+          EXPECT_LE(b.value, udr);
+          EXPECT_LE(b.value, adaptive + 1e-9);
+        }
+      }
+    }
+}
+
+TEST(ImprovedBound, OddRadixUsesTheHalfSlab) {
+  for (i32 d = 2; d <= 4; ++d) {
+    const Torus t(d, 3);
+    EXPECT_EQ(improved_bound(t, full_population(t)).value,
+              static_cast<double>(powi(3, d - 1)));
+  }
+  const Torus t52(2, 5);
+  EXPECT_EQ(improved_bound(t52, full_population(t52)).value, 15.0);
+}
+
 // --- optimal size (eq. 9) -----------------------------------------------------
 
 TEST(OptimalSize, CeilingMatchesFormula) {

@@ -43,6 +43,17 @@ TEST(Formulas, ImprovedBoundValue) {
   EXPECT_DOUBLE_EQ(improved_lower_bound(2.0, 4, 2), 2.0);
 }
 
+TEST(Formulas, ImprovedBoundOddRadixIsTheHalfSlabValue) {
+  // c^2 floor(k/2) ceil(k/2) k^{d-3} / 2: the full T_3^d (c = 3) gives
+  // 3^{d-1}, the full T_5^2 (c = 5) gives 15.
+  EXPECT_EQ(improved_lower_bound(3.0, 3, 2), 3.0);
+  EXPECT_EQ(improved_lower_bound(3.0, 3, 3), 9.0);
+  EXPECT_EQ(improved_lower_bound(3.0, 3, 4), 27.0);
+  EXPECT_EQ(improved_lower_bound(5.0, 5, 2), 15.0);
+  // The linear placement of T_7^3: 3·4·7^0/2 = 6, below 7^2/8 = 6.125.
+  EXPECT_EQ(improved_lower_bound(1.0, 7, 3), 6.0);
+}
+
 TEST(Formulas, ImprovedBeatsBlaumForLargeD) {
   // With |P| = k^{d-1}, Blaum gives (k^{d-1}-1)/2d while improved gives
   // k^{d-1}/8: improved wins once 2d >= 8, i.e. d >= 4 (at d = 4 the -1

@@ -142,12 +142,16 @@ TEST(PhaseInvariance, ParallelForWorkersAdoptCallerPath) {
     obs::profiler().start(phase_only());
     {
       TP_PROF_PHASE("outer");
-      parallel_for_blocks(64, threads, [](i32, i64 lo, i64 hi) {
+      // One sum per worker, combined after the join: workers must not
+      // share a write target.
+      std::vector<double> sums(static_cast<std::size_t>(threads), 0.0);
+      parallel_for_blocks(64, threads, [&sums](i32 worker, i64 lo, i64 hi) {
         for (i64 i = lo; i < hi; ++i) {
           TP_PROF_PHASE("inner");
-          g_sink += static_cast<double>(i);
+          sums[static_cast<std::size_t>(worker)] += static_cast<double>(i);
         }
       });
+      for (const double s : sums) g_sink += s;
     }
     obs::profiler().stop();
     const obs::PhaseReport report = obs::profiler().report();

@@ -5,8 +5,8 @@
 //             [--check]
 //
 // Times a fixed set of representative workloads (load analyzers, the
-// cycle-accurate simulators with and without link probes, the hotspot
-// analyzer) with obs::Stopwatch, writes the results as
+// lower-bound table, the cycle-accurate simulators with and without link
+// probes, the hotspot analyzer) with obs::Stopwatch, writes the results as
 //
 //   {"schema": "torusplace-bench/2",
 //    "benchmarks": {"odr_loads/T8^3": {"mean_ns": ..., "min_ns": ...,
@@ -178,6 +178,30 @@ std::vector<BenchResult> run_benchmarks(int reps) {
     const Placement p = linear_placement(torus);
     results.push_back(time_fn("adaptive_loads/T16^2", reps, [&] {
       g_sink += adaptive_loads(torus, p).max_load();
+    }));
+  }
+  {
+    Torus torus(2, 30);
+    const Placement p = multiple_linear_placement(torus, 2);
+    results.push_back(time_fn("adaptive_loads/T30^2_t2", reps, [&] {
+      g_sink += adaptive_loads(torus, p).max_load();
+    }));
+  }
+  {
+    // The lower-bound table: T64^2's linear placement balances on a
+    // dimension cut; T5^4's (25 processors a layer, 5 layers) cannot, so
+    // its bisection bound falls back to the hyperplane sweep.
+    Torus torus(2, 64);
+    const Placement p = linear_placement(torus);
+    results.push_back(time_fn("all_bounds/T64^2", reps, [&] {
+      g_sink += all_bounds(torus, p).back().value;
+    }));
+  }
+  {
+    Torus torus(4, 5);
+    const Placement p = linear_placement(torus);
+    results.push_back(time_fn("all_bounds/T5^4", reps, [&] {
+      g_sink += all_bounds(torus, p).back().value;
     }));
   }
   {

@@ -65,11 +65,7 @@ DegradationReport degradation_report(const Torus& torus, const Placement& p,
   r.router_name = router.name();
   r.injected = degraded.injected;
   r.delivered = degraded.delivered;
-  r.dropped = degraded.dropped;
-  r.retries = degraded.retries;
-  r.rerouted = degraded.rerouted;
-  r.fail_events = degraded.fail_events;
-  r.repair_events = degraded.repair_events;
+  static_cast<RecoveryStats&>(r) = degraded;
   r.delivered_fraction =
       degraded.injected > 0
           ? static_cast<double>(degraded.delivered) /

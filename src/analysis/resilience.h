@@ -26,7 +26,7 @@
 
 #include "src/placement/placement.h"
 #include "src/routing/router.h"
-#include "src/simulate/fault_schedule.h"
+#include "src/simulate/recovery.h"
 #include "src/torus/torus.h"
 
 namespace tp {
@@ -42,18 +42,14 @@ struct ResilienceConfig {
   i64 horizon = 0;  ///< fault-event window; 0 = the fault-free makespan
 };
 
-/// One degraded run compared against its fault-free baseline.
-struct DegradationReport {
+/// One degraded run compared against its fault-free baseline; the
+/// recovery counters are the degraded run's (dropped == unroutable pairs
+/// when the faults are one permanent wire).
+struct DegradationReport : RecoveryStats {
   std::string router_name;
   double fault_rate = 0.0;  ///< per-wire per-cycle failure probability
   i64 injected = 0;
   i64 delivered = 0;
-  i64 dropped = 0;   ///< retry budgets exhausted (== unroutable pairs
-                     ///< when the faults are one permanent wire)
-  i64 retries = 0;
-  i64 rerouted = 0;
-  i64 fail_events = 0;
-  i64 repair_events = 0;
   double delivered_fraction = 1.0;  ///< delivered / injected
   i64 baseline_cycles = 0;          ///< fault-free makespan
   i64 cycles = 0;                   ///< degraded makespan

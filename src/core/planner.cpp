@@ -87,16 +87,10 @@ LoadMap measure_loads(const Torus& torus, const Placement& p,
 
 LoadMap measure_loads(const Torus& torus, const Placement& p,
                       RouterKind kind, i32 threads) {
-  return measure_loads(torus, p, kind, threads, /*use_table=*/false);
-}
-
-LoadMap measure_loads(const Torus& torus, const Placement& p,
-                      RouterKind kind, i32 threads, bool use_table) {
   TP_OBS_SCOPE("plan.measure");
   TP_REQUIRE(threads >= 1, "need at least one analyzer thread");
   switch (kind) {
     case RouterKind::Odr:
-      if (use_table) return odr_loads_table(torus, p);
       return threads == 1 ? odr_loads(torus, p)
                           : odr_loads_parallel(torus, p, threads);
     case RouterKind::Udr:

@@ -65,13 +65,4 @@ LoadMap measure_loads(const Torus& torus, const Placement& p,
 LoadMap measure_loads(const Torus& torus, const Placement& p,
                       RouterKind kind, i32 threads);
 
-/// As above, optionally routing ODR through a precompiled next-hop table
-/// (odr_loads_table) instead of the segment-walk analyzer.  The results
-/// are identical — the table is an implementation strategy, not a
-/// different router — so cached query results stay valid either way.
-/// Only ODR has a table-driven analyzer; other kinds ignore `use_table`.
-/// The table path is serial (threads is ignored when it is taken).
-LoadMap measure_loads(const Torus& torus, const Placement& p,
-                      RouterKind kind, i32 threads, bool use_table);
-
 }  // namespace tp

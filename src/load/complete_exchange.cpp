@@ -3,12 +3,10 @@
 #include <algorithm>
 #include <array>
 #include <bit>
-#include <memory>
 #include <utility>
 
 #include "src/obs/obs.h"
 #include "src/routing/odr.h"
-#include "src/routing/table_router.h"
 #include "src/routing/udr.h"
 #include "src/torus/lattice.h"
 #include "src/util/combinatorics.h"
@@ -449,55 +447,6 @@ LoadMap udr_loads_parallel(const Torus& torus, const Placement& p,
                            i32 threads, TieBreak tie) {
   TP_OBS_SCOPE("load.udr");
   return folded_exact_loads(torus, p, threads, Walk::Udr, {}, tie);
-}
-
-LoadMap odr_loads_table(const Torus& torus, const Placement& p,
-                        TieBreak tie) {
-  TP_OBS_SCOPE("load.odr_table");
-  p.check_torus(torus);
-  TP_OBS_COUNT("load.pairs_evaluated", p.size() * (p.size() - 1));
-  LoadMap loads(torus);
-  const OdrRouter router(tie);
-  std::unique_ptr<RoutingTable> table;
-  {
-    TP_PROF_PHASE("table.compile");
-    table = std::make_unique<RoutingTable>(torus, p, router);
-  }
-  TP_PROF_PHASE("table.walk");
-  // Per-pair weighted propagation over the next-hop DAG.  Every hop is
-  // Lee-minimal, so a breadth level never revisits a node: processing
-  // level by level is a topological order and reconvergent weights merge
-  // before a node is expanded.
-  std::vector<double> weight(static_cast<std::size_t>(torus.num_nodes()),
-                             0.0);
-  std::vector<NodeId> frontier, next;
-  for (NodeId src : p.nodes()) {
-    for (NodeId dst : p.nodes()) {
-      if (src == dst) continue;
-      weight[static_cast<std::size_t>(src)] = 1.0;
-      frontier.assign(1, src);
-      while (!frontier.empty()) {
-        next.clear();
-        for (const NodeId u : frontier) {
-          const double w = weight[static_cast<std::size_t>(u)];
-          weight[static_cast<std::size_t>(u)] = 0.0;
-          const std::vector<EdgeId>& hops = table->next_hops(u, dst);
-          TP_ASSERT(!hops.empty(), "routing table dead-ends mid-walk");
-          const double share = w / static_cast<double>(hops.size());
-          for (const EdgeId e : hops) {
-            loads.add(e, share);
-            const NodeId v = torus.link(e).head;
-            if (v == dst) continue;
-            if (weight[static_cast<std::size_t>(v)] == 0.0)
-              next.push_back(v);
-            weight[static_cast<std::size_t>(v)] += share;
-          }
-        }
-        frontier.swap(next);
-      }
-    }
-  }
-  return loads;
 }
 
 LoadMap udr_loads_enumerated(const Torus& torus, const Placement& p,

@@ -81,18 +81,6 @@ LoadMap odr_loads_ordered(const Torus& torus, const Placement& p,
                           const SmallVec<i32>& order,
                           TieBreak tie = TieBreak::PositiveOnly);
 
-/// ODR loads via a precompiled RoutingTable (routing/table_router.h):
-/// compiles the router's next-hop tables once, then propagates each
-/// pair's unit of traffic hop by hop, splitting evenly across allowed
-/// next hops.  Produces the same loads as odr_loads — ODR's next hop at
-/// any node depends only on (node, destination), and the per-node even
-/// split reproduces the per-dimension direction weights exactly (all
-/// weights are dyadic, so the sums are exact in double) — while
-/// profiling as table.compile / table.walk instead of odr.route /
-/// odr.walk.  This is the `--router-table` path of the sweeps.
-LoadMap odr_loads_table(const Torus& torus, const Placement& p,
-                        TieBreak tie = TieBreak::PositiveOnly);
-
 /// Loads under Unordered Dimensional Routing (Section 7), computed with
 /// subset weights: correcting dimension j after the subset S of the other
 /// differing dimensions happens in |S|!(s-1-|S|)!/s! of all orders.

@@ -501,8 +501,8 @@ void Engine::execute(const std::shared_ptr<InFlight>& job, std::size_t slot) {
   const Clock::time_point start = Clock::now();
   try {
     TP_PROF_PHASE("service.compute");
-    auto result = std::make_shared<const QueryResult>(compute_query(
-        job->key, config_.measure_threads, config_.use_table_router));
+    auto result = std::make_shared<const QueryResult>(
+        compute_query(job->key, config_.measure_threads));
     response.ok = true;
     response.result = std::move(result);
   } catch (const Error& e) {

@@ -81,10 +81,6 @@ struct EngineConfig {
   i64 default_deadline_ms = 0;  ///< 0 = no deadline unless the request
                                 ///< carries one
   std::size_t slow_log_capacity = 16;  ///< spans per slow/failed ring
-  bool use_table_router = false;  ///< measure ODR loads via precompiled
-                                  ///< next-hop tables (identical results,
-                                  ///< different cost profile; not part of
-                                  ///< the cache key)
 
   // Durability (src/service/snapshot.h, docs/durability.md).  A non-empty
   // snapshot_path names the PlanCache snapshot file.  snapshot_load warms

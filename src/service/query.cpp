@@ -111,8 +111,7 @@ QueryKey make_query_key(const Radices& radices, i32 t, RouterKind router,
   return key;
 }
 
-QueryResult compute_query(const QueryKey& key, i32 measure_threads,
-                          bool use_table) {
+QueryResult compute_query(const QueryKey& key, i32 measure_threads) {
   TP_REQUIRE(!key.radices.empty(), "query needs at least one dimension");
   const Torus torus(key.radices);
 
@@ -129,8 +128,8 @@ QueryResult compute_query(const QueryKey& key, i32 measure_threads,
   r.lower_bound = plan.lower_bound;
 
   if (key.measure) {
-    auto loads = std::make_shared<LoadMap>(measure_loads(
-        torus, plan.placement, key.router, measure_threads, use_table));
+    auto loads = std::make_shared<LoadMap>(
+        measure_loads(torus, plan.placement, key.router, measure_threads));
     r.measured_emax = loads->max_load();
     r.mean_load = loads->mean_load();
     r.loaded_links = loads->num_loaded_edges();

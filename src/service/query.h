@@ -103,13 +103,9 @@ struct QueryResult {
 
 /// Executes a query synchronously — the engine's work function, also
 /// usable directly for a poolless one-shot.  `measure_threads` is the
-/// analyzer width passed to the parallel load analyzers (1 = serial);
-/// `use_table` routes ODR load measurement through the precompiled
-/// next-hop table analyzer (same results, different cost profile — see
-/// measure_loads), so it is an engine configuration, not part of the key.
+/// analyzer width passed to the parallel load analyzers (1 = serial).
 /// Throws tp::Error on invalid parameters (non-uniform radices, t out of
 /// [1, k], ...); the engine converts the throw into an error response.
-QueryResult compute_query(const QueryKey& key, i32 measure_threads = 1,
-                          bool use_table = false);
+QueryResult compute_query(const QueryKey& key, i32 measure_threads = 1);
 
 }  // namespace tp::service

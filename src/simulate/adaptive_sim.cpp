@@ -2,12 +2,8 @@
 
 #include <algorithm>
 #include <deque>
-#include <limits>
-#include <map>
-#include <optional>
 
-#include "src/obs/obs.h"
-#include "src/routing/fault_router.h"
+#include "src/simulate/link_queues.h"
 #include "src/util/error.h"
 #include "src/util/small_vec.h"
 
@@ -28,82 +24,43 @@ AdaptiveNetworkSim::AdaptiveNetworkSim(const Torus& torus,
     for (EdgeId e = 0; e < torus.num_directed_edges(); ++e)
       if (faults->contains(e)) faults_.insert(e);
   }
-  if (probe_ != nullptr)
-    TP_REQUIRE(probe_->num_links() == torus.num_directed_edges(),
-               "link probe sized for a different torus");
-  if (recovery_.enabled()) {
-    TP_REQUIRE(recovery_.reroute_router != nullptr,
-               "a dynamic fault schedule needs recovery.reroute_router");
-    TP_REQUIRE(recovery_.max_retries >= 0, "max_retries must be non-negative");
-    TP_REQUIRE(recovery_.backoff_base >= 1, "backoff_base must be >= 1");
-  }
+  FaultRecovery::validate(recovery_);
 }
 
 SimMetrics AdaptiveNetworkSim::run(const std::vector<Demand>& demands,
                                    u64 seed, i64 max_cycles) {
-  struct MsgState {
-    NodeId node = 0;
-    NodeId src = 0;  ///< original source (retransmission fallback)
-    NodeId dst = 0;
-    i64 inject_cycle = 0;
-    i64 attempts = 0;  ///< backoff waits consumed so far
-  };
-
+  FaultRecovery recovery(torus_, recovery_, demands.size(),
+                         has_faults_ ? &faults_ : nullptr);
   SimMetrics metrics;
-  metrics.link_forwards.assign(
-      static_cast<std::size_t>(torus_.num_directed_edges()), 0);
+  LinkQueues links(torus_, metrics, probe_);
 
-  const bool dynamic = recovery_.enabled();
-  std::optional<FaultClock> clock;
-  std::optional<FaultTolerantRouter> oracle;
-  std::multimap<i64, MsgState> retry_queue;
-  if (dynamic) {
-    clock.emplace(torus_, *recovery_.schedule,
-                  has_faults_ ? &faults_ : nullptr);
-    oracle.emplace(*recovery_.reroute_router, clock->dead(),
-                   clock->epoch_ref());
-  }
-
-  std::vector<const Demand*> by_inject;
-  by_inject.reserve(demands.size());
+  std::vector<std::size_t> by_inject(demands.size());
   i64 total_work = 0;
   i64 last_inject = 0;
-  for (const Demand& d : demands) {
+  for (std::size_t id = 0; id < demands.size(); ++id) {
+    const Demand& d = demands[id];
     TP_REQUIRE(torus_.valid_node(d.src) && torus_.valid_node(d.dst),
                "demand node out of range");
     TP_REQUIRE(d.inject_cycle >= 0, "negative injection cycle");
-    by_inject.push_back(&d);
+    by_inject[id] = id;
     total_work += torus_.lee_distance(d.src, d.dst);
     last_inject = std::max(last_inject, d.inject_cycle);
   }
   std::stable_sort(by_inject.begin(), by_inject.end(),
-                   [](const Demand* a, const Demand* b) {
-                     return a->inject_cycle < b->inject_cycle;
+                   [&](std::size_t a, std::size_t b) {
+                     return demands[a].inject_cycle < demands[b].inject_cycle;
                    });
-  if (max_cycles == 0) {
-    max_cycles = total_work + last_inject + 2;
-    if (dynamic) {
-      const i64 cap = recovery_.backoff_base
-                      << std::min<i64>(recovery_.max_retries, 20);
-      max_cycles += recovery_.schedule->last_cycle() +
-                    2 * (recovery_.max_retries + 1) * cap + 2;
-    }
-  }
+  if (max_cycles == 0)
+    max_cycles = recovery.cycle_budget(total_work + last_inject + 2);
 
-  std::vector<std::deque<MsgState>> queue(
-      static_cast<std::size_t>(torus_.num_directed_edges()));
-  std::vector<EdgeId> active;
-  std::vector<bool> is_active(
-      static_cast<std::size_t>(torus_.num_directed_edges()), false);
+  std::vector<NodeId> at(demands.size());  // node each message sits at
   Xoshiro256SS rng(seed);
 
   // Minimal outgoing links from `node` toward `dst`, skipping dead links
   // (static faults, plus the live dynamic set when a schedule runs).
   SmallVec<i64, 2 * kMaxDims> candidates;
   auto link_alive = [&](EdgeId e) {
-    if (has_faults_ && faults_.contains(e)) return false;
-    if (dynamic && clock->is_dead(e)) return false;
-    return true;
+    return !(has_faults_ && faults_.contains(e)) && !recovery.is_dead(e);
   };
   auto minimal_links = [&](NodeId node, NodeId dst) {
     candidates.clear();
@@ -123,16 +80,14 @@ SimMetrics AdaptiveNetworkSim::run(const std::vector<Demand>& demands,
     }
   };
 
-  obs::Tracer& tr = obs::tracer();
-  const bool trace_on = tr.enabled();
-
   i64 cycle = 0;
   i64 in_flight = 0;
   // Joins the queue the policy picks among the live minimal links; false
   // when every minimal link is currently dead.
-  auto try_route = [&](MsgState s) -> bool {
-    minimal_links(s.node, s.dst);
-    if (dynamic && clock->dead_wires() > 0 && !candidates.empty()) {
+  auto try_route = [&](std::size_t id) -> bool {
+    const NodeId dst = demands[id].dst;
+    minimal_links(at[id], dst);
+    if (recovery.dead_wires() > 0 && !candidates.empty()) {
       // Reachability lookahead: only enter links from whose head the
       // oracle still sees a fault-free path, so a message never wanders
       // into a region the live faults cut off from its destination.
@@ -140,7 +95,7 @@ SimMetrics AdaptiveNetworkSim::run(const std::vector<Demand>& demands,
       for (std::size_t i = 0; i < candidates.size(); ++i) {
         const EdgeId e = static_cast<EdgeId>(candidates[i]);
         const NodeId head = torus_.link(e).head;
-        if (head == s.dst || oracle->num_paths(torus_, head, s.dst) > 0)
+        if (head == dst || recovery.num_paths(head, dst) > 0)
           candidates[keep++] = candidates[i];
       }
       candidates.resize(keep);
@@ -153,186 +108,106 @@ SimMetrics AdaptiveNetworkSim::run(const std::vector<Demand>& demands,
     } else {
       for (std::size_t i = 1; i < candidates.size(); ++i) {
         const EdgeId e = static_cast<EdgeId>(candidates[i]);
-        if (queue[static_cast<std::size_t>(e)].size() <
-            queue[static_cast<std::size_t>(pick)].size())
-          pick = e;
+        if (links.depth(e) < links.depth(pick)) pick = e;
       }
     }
-    queue[static_cast<std::size_t>(pick)].push_back(s);
-    const i64 depth =
-        static_cast<i64>(queue[static_cast<std::size_t>(pick)].size());
-    metrics.max_queue_depth = std::max(metrics.max_queue_depth, depth);
-    if (probe_ != nullptr) probe_->on_queue_depth(pick, cycle, depth);
-    if (!is_active[static_cast<std::size_t>(pick)]) {
-      is_active[static_cast<std::size_t>(pick)] = true;
-      active.push_back(pick);
-    }
+    links.push(pick, id, cycle);
     return true;
   };
 
   // Every minimal link is dead right now.  Statically that is terminal
   // (unroutable); under a dynamic schedule the message waits out a backoff
   // at its node and retries until the budget is spent.
-  auto handle_blocked = [&](MsgState s) {
-    if (!dynamic) {
+  auto handle_blocked = [&](std::size_t id) {
+    if (!recovery.enabled()) {
       ++metrics.unroutable;
       --in_flight;
-      return;
-    }
-    if (s.attempts >= recovery_.max_retries) {
-      ++metrics.dropped;
+    } else if (!recovery.back_off(id, cycle)) {
       --in_flight;
-      if (trace_on) tr.instant("sim.drop", "fault");
-      return;
     }
-    const i64 wait = recovery_.backoff_base
-                     << std::min<i64>(s.attempts, 20);
-    ++s.attempts;
-    ++metrics.retries;
-    if (trace_on) tr.instant("sim.retry", "fault");
-    retry_queue.emplace(cycle + wait, s);
   };
 
   std::size_t next_inject = 0;
-  double latency_sum = 0.0;
-  std::vector<MsgState> arrivals;
-
-  constexpr i64 kCounterWindow = 64;
-  i64 window_forwards = 0;
-
-  auto outstanding = [&] {
-    return next_inject < by_inject.size() || in_flight > 0;
-  };
-
-  while (outstanding()) {
+  std::vector<std::size_t> arrivals;
+  while (next_inject < by_inject.size() || in_flight > 0) {
     TP_REQUIRE(cycle <= max_cycles, "simulation exceeded cycle budget");
-    if (dynamic && clock->advance_to(cycle) && trace_on) {
-      tr.instant("sim.fault_event", "fault");
-      tr.counter("sim.dead_wires", clock->dead_wires(), "sim");
-    }
+    recovery.advance_to(cycle);
     // Wake messages whose backoff expired.
-    while (dynamic && !retry_queue.empty() &&
-           retry_queue.begin()->first <= cycle) {
-      MsgState s = retry_queue.begin()->second;
-      retry_queue.erase(retry_queue.begin());
-      if (try_route(s)) {
-        ++metrics.rerouted;
-        if (trace_on) tr.instant("sim.reroute", "fault");
+    std::size_t id = 0;
+    while (recovery.pop_wake(cycle, id)) {
+      if (try_route(id)) {
+        recovery.count_reroute();
         continue;
       }
       // Cut off where it sits but the pair still connected end-to-end:
       // retransmit from the original source.
-      if (s.node != s.src &&
-          oracle->num_paths(torus_, s.src, s.dst) > 0) {
-        s.node = s.src;
-        if (try_route(s)) {
-          ++metrics.rerouted;
-          if (trace_on) tr.instant("sim.reroute", "fault");
+      const Demand& d = demands[id];
+      if (at[id] != d.src && recovery.num_paths(d.src, d.dst) > 0) {
+        at[id] = d.src;
+        if (try_route(id)) {
+          recovery.count_reroute();
           continue;
         }
       }
-      handle_blocked(s);
+      handle_blocked(id);
     }
     while (next_inject < by_inject.size() &&
-           by_inject[next_inject]->inject_cycle == cycle) {
-      const Demand* d = by_inject[next_inject++];
+           demands[by_inject[next_inject]].inject_cycle == cycle) {
+      id = by_inject[next_inject++];
       ++metrics.injected;
-      if (d->src == d->dst) {
+      if (demands[id].src == demands[id].dst) {
         ++metrics.delivered;
         continue;
       }
       ++in_flight;
-      MsgState s{d->src, d->src, d->dst, d->inject_cycle, 0};
-      if (!try_route(s)) handle_blocked(s);
+      at[id] = demands[id].src;
+      if (!try_route(id)) handle_blocked(id);
     }
 
     arrivals.clear();
-    for (std::size_t ai = 0; ai < active.size();) {
-      const EdgeId e = active[ai];
-      auto& q = queue[static_cast<std::size_t>(e)];
-      if (q.empty()) {
-        is_active[static_cast<std::size_t>(e)] = false;
-        active[ai] = active.back();
-        active.pop_back();
-        continue;
-      }
-      if (dynamic && clock->is_dead(e)) {
+    links.sweep([&](EdgeId e, std::deque<std::size_t>& q) {
+      if (recovery.is_dead(e)) {
         // The wire died with a backlog: the node immediately re-routes
         // each queued message over its other minimal links (native
         // adaptivity), backing off only when all of them are dead too.
         while (!q.empty()) {
-          MsgState s = q.front();
+          const std::size_t queued = q.front();
           q.pop_front();
-          if (!try_route(s)) handle_blocked(s);
+          if (!try_route(queued)) handle_blocked(queued);
         }
-        is_active[static_cast<std::size_t>(e)] = false;
-        active[ai] = active.back();
-        active.pop_back();
-        continue;
+        return false;
       }
-      MsgState s = q.front();
+      const std::size_t sent = q.front();
       q.pop_front();
-      ++metrics.link_forwards[static_cast<std::size_t>(e)];
-      if (probe_ != nullptr) {
-        probe_->on_forward(e, cycle);
-        // One message crosses per cycle; the rest of the backlog waits.
-        if (!q.empty())
-          probe_->on_stall(e, cycle, static_cast<i64>(q.size()));
-      }
-      ++window_forwards;
-      s.node = torus_.link(e).head;
-      if (s.node == s.dst) {
-        ++metrics.delivered;
+      links.forward(e, cycle);
+      // One message crosses per cycle; the rest of the backlog waits.
+      if (probe_ != nullptr && !q.empty())
+        probe_->on_stall(e, cycle, static_cast<i64>(q.size()));
+      at[sent] = torus_.link(e).head;
+      if (at[sent] == demands[sent].dst) {
         --in_flight;
-        latency_sum += static_cast<double>(cycle + 1 - s.inject_cycle);
-        metrics.cycles = std::max(metrics.cycles, cycle + 1);
+        metrics.record_delivery(demands[sent].inject_cycle, cycle + 1);
       } else {
-        arrivals.push_back(s);
+        arrivals.push_back(sent);
       }
-      ++ai;
-    }
-    for (const MsgState& s : arrivals)
-      if (!try_route(s)) handle_blocked(s);
-    if (trace_on && cycle % kCounterWindow == kCounterWindow - 1) {
-      tr.counter("sim.forwards_per_window", window_forwards, "sim");
-      tr.counter("sim.active_links", static_cast<i64>(active.size()), "sim");
-      if (dynamic)
-        tr.counter("sim.retries_pending",
-                   static_cast<i64>(retry_queue.size()), "sim");
-      window_forwards = 0;
-    }
+      return true;
+    });
+    for (std::size_t arrived : arrivals)
+      if (!try_route(arrived)) handle_blocked(arrived);
+    links.window_counters(cycle, recovery);
     ++cycle;
     // Nothing queued anywhere: jump to the next injection or retry wake
     // instead of spinning through backoff waits.
-    if (dynamic && active.empty()) {
-      i64 next = std::numeric_limits<i64>::max();
-      if (next_inject < by_inject.size())
-        next = by_inject[next_inject]->inject_cycle;
-      if (!retry_queue.empty())
-        next = std::min(next, retry_queue.begin()->first);
-      if (next != std::numeric_limits<i64>::max() && next > cycle)
-        cycle = next;
-    }
+    if (links.idle())
+      cycle = recovery.resume_at(
+          cycle, next_inject < by_inject.size()
+                     ? demands[by_inject[next_inject]].inject_cycle
+                     : FaultRecovery::kNever);
   }
-  if (trace_on) {
-    if (window_forwards > 0)
-      tr.counter("sim.forwards_per_window", window_forwards, "sim");
-    tr.counter("sim.active_links", 0, "sim");
-  }
+  links.last_counters();
 
-  metrics.max_link_forwards =
-      metrics.link_forwards.empty()
-          ? 0
-          : *std::max_element(metrics.link_forwards.begin(),
-                              metrics.link_forwards.end());
-  metrics.mean_latency =
-      metrics.delivered > 0
-          ? latency_sum / static_cast<double>(metrics.delivered)
-          : 0.0;
-  if (dynamic) {
-    metrics.fail_events = clock->fails_applied();
-    metrics.repair_events = clock->repairs_applied();
-  }
+  metrics.finish();
+  static_cast<RecoveryStats&>(metrics) = recovery.stats();
   return metrics;
 }
 

@@ -3,7 +3,7 @@
 #include <string>
 #include <vector>
 
-#include "src/simulate/traffic.h"
+#include "src/routing/fault_router.h"
 #include "src/util/error.h"
 #include "src/util/parallel.h"
 #include "src/util/prng.h"
@@ -51,6 +51,7 @@ i64 count_unroutable_pairs(const Torus& torus, const Placement& p,
   // identical for every thread count.
   const i32 workers =
       static_cast<i32>(std::min<i64>(threads, std::max<i64>(n, 1)));
+  const FaultTolerantRouter fault_free(router, faults);
   std::vector<i64> tally(static_cast<std::size_t>(workers), 0);
   parallel_for_blocks(n * n, workers, [&](i32 worker, i64 begin, i64 end) {
     i64 bad = 0;
@@ -58,7 +59,7 @@ i64 count_unroutable_pairs(const Torus& torus, const Placement& p,
       const NodeId src = nodes[static_cast<std::size_t>(i / n)];
       const NodeId dst = nodes[static_cast<std::size_t>(i % n)];
       if (src == dst) continue;
-      if (fault_free_paths(torus, router, src, dst, faults).empty()) ++bad;
+      if (fault_free.paths(torus, src, dst).empty()) ++bad;
     }
     tally[static_cast<std::size_t>(worker)] = bad;
   });

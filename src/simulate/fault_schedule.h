@@ -129,20 +129,21 @@ class FaultClock {
   i64 repairs_ = 0;
 };
 
-/// Shared recovery knobs for the simulators' dynamic-fault mode.  The
-/// schedule pointer is not owned; null (or an empty schedule) disables the
-/// dynamic machinery entirely — the hot loops then run their fault-free
-/// code paths bit-for-bit.
+/// Shared recovery knobs for the simulators' dynamic-fault mode, validated
+/// and applied by FaultRecovery (recovery.h).  The schedule pointer is not
+/// owned; null (or an empty schedule) disables the dynamic machinery
+/// entirely — the hot loops then run their fault-free code paths
+/// bit-for-bit.
 struct RecoveryConfig {
   const FaultSchedule* schedule = nullptr;
 
   /// Router used to find replacement paths when a message's next hop
-  /// crosses a dead wire (source-routed simulators only; the adaptive
-  /// simulator reroutes natively).  Wrapped in a FaultTolerantRouter over
-  /// the live fault set at reroute time.
+  /// crosses a dead wire; the adaptive simulator, which reroutes natively,
+  /// uses it as its reachability oracle.  Wrapped in a FaultTolerantRouter
+  /// over the live fault set.
   const Router* reroute_router = nullptr;
 
-  /// Reroute attempts per message before it is counted as dropped.
+  /// Backoff waits per message before it is counted as dropped.
   i64 max_retries = 8;
 
   /// First retry waits this many cycles; each further attempt doubles the

@@ -2,13 +2,9 @@
 
 #include <algorithm>
 #include <deque>
-#include <limits>
-#include <map>
-#include <optional>
-#include <tuple>
 
 #include "src/obs/obs.h"
-#include "src/routing/fault_router.h"
+#include "src/simulate/link_queues.h"
 #include "src/util/error.h"
 
 namespace tp {
@@ -22,23 +18,22 @@ NetworkSim::NetworkSim(const Torus& torus, const EdgeSet* faults,
     for (EdgeId e = 0; e < torus.num_directed_edges(); ++e)
       if (faults->contains(e)) faults_.insert(e);
   }
-  if (config_.recovery.enabled()) {
-    TP_REQUIRE(config_.recovery.reroute_router != nullptr,
-               "a dynamic fault schedule needs recovery.reroute_router");
-    TP_REQUIRE(config_.recovery.max_retries >= 0,
-               "max_retries must be non-negative");
-    TP_REQUIRE(config_.recovery.backoff_base >= 1,
-               "backoff_base must be >= 1");
-  }
+  FaultRecovery::validate(config_.recovery);
 }
 
 SimMetrics NetworkSim::run(const std::vector<SimMessage>& messages,
                            i64 max_cycles) {
+  // Where a message is: the path it follows (original or reroute) and the
+  // hops it has taken.  Indexed like `messages`.
   struct MsgState {
-    const SimMessage* msg = nullptr;
-    const Path* path = nullptr;  ///< current path (original or reroute)
+    const Path* path = nullptr;
     std::size_t hop = 0;
-    i64 attempts = 0;  ///< backoff waits consumed so far
+  };
+  // A message crossing a link, arriving at `arrive`.
+  struct Transit {
+    i64 arrive = 0;
+    EdgeId edge = 0;
+    std::size_t id = 0;
   };
 
   TP_OBS_SCOPE("sim.run");
@@ -54,112 +49,51 @@ SimMetrics NetworkSim::run(const std::vector<SimMessage>& messages,
   obs::Tracer& tr = obs::tracer();
   const bool trace_on = tr.enabled();
   obs::LinkProbe* const probe = config_.probe;
-  if (probe != nullptr)
-    TP_REQUIRE(probe->num_links() == torus_.num_directed_edges(),
-               "link probe sized for a different torus");
-
-  // Dynamic fault replay: the clock owns the live fault set (seeded with
-  // the static faults), the decorator caches fault-free path sets per
-  // epoch, and the retry queue holds messages waiting out a backoff.
-  const bool dynamic = config_.recovery.enabled();
-  std::optional<FaultClock> clock;
-  std::optional<FaultTolerantRouter> live_router;
-  std::optional<Xoshiro256SS> reroute_rng;
-  std::deque<Path> reroutes;  // owned replacement paths; deque = stable ptrs
-  std::multimap<i64, MsgState> retry_queue;
-  if (dynamic) {
-    clock.emplace(torus_, *config_.recovery.schedule,
-                  has_faults_ ? &faults_ : nullptr);
-    live_router.emplace(*config_.recovery.reroute_router, clock->dead(),
-                        clock->epoch_ref());
-    reroute_rng.emplace(config_.recovery.seed);
-  }
-
+  FaultRecovery recovery(torus_, config_.recovery, messages.size(),
+                         has_faults_ ? &faults_ : nullptr);
   SimMetrics metrics;
   metrics.flits_per_message = config_.flits_per_message;
-  metrics.link_forwards.assign(
-      static_cast<std::size_t>(torus_.num_directed_edges()), 0);
+  LinkQueues links(torus_, metrics, probe);
 
   // Sort injections by cycle (stable: FIFO among same-cycle injections).
-  std::vector<const SimMessage*> by_inject;
-  by_inject.reserve(messages.size());
+  std::vector<std::size_t> by_inject(messages.size());
   i64 total_work = 0;
   i64 last_inject = 0;
   {
     TP_PROF_PHASE("sim.prepare");
-    for (const SimMessage& m : messages) {
+    for (std::size_t id = 0; id < messages.size(); ++id) {
+      const SimMessage& m = messages[id];
       TP_REQUIRE(m.inject_cycle >= 0, "negative injection cycle");
       m.path.verify_connected(torus_);
-      by_inject.push_back(&m);
+      by_inject[id] = id;
       total_work += m.path.length();
       last_inject = std::max(last_inject, m.inject_cycle);
     }
     std::stable_sort(by_inject.begin(), by_inject.end(),
-                     [](const SimMessage* a, const SimMessage* b) {
-                       return a->inject_cycle < b->inject_cycle;
+                     [&](std::size_t a, std::size_t b) {
+                       return messages[a].inject_cycle <
+                              messages[b].inject_cycle;
                      });
   }
   const i64 flits = config_.flits_per_message;
-  if (max_cycles == 0) {
-    max_cycles = total_work * flits + last_inject + 2;
-    if (dynamic) {
-      // Livelock guard only: generous slack for backoff waits (retries of
-      // distinct messages overlap, so per-message slack suffices) plus the
-      // schedule's tail.
-      const i64 cap = config_.recovery.backoff_base
-                      << std::min<i64>(config_.recovery.max_retries, 20);
-      max_cycles += config_.recovery.schedule->last_cycle() +
-                    2 * (config_.recovery.max_retries + 1) * cap + 2;
-    }
-  }
+  if (max_cycles == 0)
+    max_cycles = recovery.cycle_budget(total_work * flits + last_inject + 2);
 
-  std::vector<std::deque<MsgState>> queue(
-      static_cast<std::size_t>(torus_.num_directed_edges()));
-  std::vector<EdgeId> active;
-  std::vector<bool> is_active(
-      static_cast<std::size_t>(torus_.num_directed_edges()), false);
+  std::vector<MsgState> state(messages.size());
   i64 cycle = 0;
   i64 in_flight = 0;
-  auto enqueue = [&](EdgeId e, MsgState s) {
-    queue[static_cast<std::size_t>(e)].push_back(s);
-    const i64 depth =
-        static_cast<i64>(queue[static_cast<std::size_t>(e)].size());
-    metrics.max_queue_depth = std::max(metrics.max_queue_depth, depth);
+  auto enqueue = [&](EdgeId e, std::size_t id) {
+    const i64 depth = links.push(e, id, cycle);
     if (obs_on) reg.record(h_qdepth, depth);
-    if (probe != nullptr) probe->on_queue_depth(e, cycle, depth);
-    if (!is_active[static_cast<std::size_t>(e)]) {
-      is_active[static_cast<std::size_t>(e)] = true;
-      active.push_back(e);
-    }
   };
-
-  // A message whose next hop is dead waits out an exponential backoff,
-  // then (re)samples a fault-free path; the retry budget bounds the loop.
-  auto schedule_retry = [&](MsgState s) {
-    if (s.attempts >= config_.recovery.max_retries) {
-      ++metrics.dropped;
-      --in_flight;
-      if (trace_on) tr.instant("sim.drop", "fault");
-      return;
-    }
-    const i64 wait = config_.recovery.backoff_base
-                     << std::min<i64>(s.attempts, 20);
-    ++s.attempts;
-    ++metrics.retries;
-    if (trace_on) tr.instant("sim.retry", "fault");
-    retry_queue.emplace(cycle + wait, s);
+  auto back_off = [&](std::size_t id) {
+    if (!recovery.back_off(id, cycle)) --in_flight;
   };
 
   std::vector<i64> busy_until(
       static_cast<std::size_t>(torus_.num_directed_edges()), 0);
   std::size_t next_inject = 0;
-  double latency_sum = 0.0;
-  // Messages in transit across a link, arriving at (cycle + flits).
-  std::deque<std::tuple<i64, EdgeId, MsgState>> in_transit;
-
-  // Per-window counter-track samples for the trace timeline.
-  constexpr i64 kCounterWindow = 64;
-  i64 window_forwards = 0;
+  std::deque<Transit> in_transit;
 
   // Phase spans: "sim.inject" while sources still have messages to issue,
   // "sim.drain" once the network is only emptying.
@@ -172,72 +106,57 @@ SimMetrics NetworkSim::run(const std::vector<SimMessage>& messages,
     const i64 injected_before = metrics.injected;
     const i64 delivered_before = metrics.delivered;
     // Apply this cycle's fault/repair events before any link transmits.
-    if (dynamic && clock->advance_to(cycle) && trace_on) {
-      tr.instant("sim.fault_event", "fault");
-      tr.counter("sim.dead_wires", clock->dead_wires(), "sim");
-    }
+    recovery.advance_to(cycle);
     // Land messages whose link traversal completes now.
-    while (!in_transit.empty() && std::get<0>(in_transit.front()) <= cycle) {
-      const EdgeId e = std::get<1>(in_transit.front());
-      const MsgState s = std::get<2>(in_transit.front());
+    while (!in_transit.empty() && in_transit.front().arrive <= cycle) {
+      const Transit landed = in_transit.front();
       in_transit.pop_front();
-      enqueue(e, s);
+      enqueue(landed.edge, landed.id);
     }
     // Wake messages whose backoff expired: reroute from where they sit,
     // against the live fault set, or back off again.
-    while (dynamic && !retry_queue.empty() &&
-           retry_queue.begin()->first <= cycle) {
-      MsgState s = retry_queue.begin()->second;
-      retry_queue.erase(retry_queue.begin());
-      const NodeId at = s.hop == 0
-                            ? s.path->source
-                            : torus_.link(s.path->edges[s.hop - 1]).head;
+    std::size_t id = 0;
+    while (recovery.pop_wake(cycle, id)) {
+      MsgState& s = state[id];
+      const NodeId at = s.hop == 0 ? s.path->source
+                                   : torus_.link(s.path->edges[s.hop - 1]).head;
       const NodeId dst = s.path->target;
       NodeId from = at;
-      if (live_router->num_paths(torus_, at, dst) == 0) {
+      if (recovery.num_paths(at, dst) == 0) {
         // Cornered: no fault-free path from where the message sits, but
         // the pair may still be connected end-to-end — fall back to a
         // retransmission from the original source.  A pair is dropped
         // only once its source-to-target path set is (still) dead when
         // the budget runs out.
-        from = s.msg->path.source;
-        if (from == at || live_router->num_paths(torus_, from, dst) == 0) {
-          schedule_retry(s);
+        from = messages[id].path.source;
+        if (from == at || recovery.num_paths(from, dst) == 0) {
+          back_off(id);
           continue;
         }
       }
-      reroutes.push_back(
-          live_router->sample_path(torus_, from, dst, *reroute_rng));
-      s.path = &reroutes.back();
-      s.hop = 0;
-      ++metrics.rerouted;
-      if (trace_on) tr.instant("sim.reroute", "fault");
-      enqueue(s.path->edges.front(), s);
+      s = {&recovery.reroute(from, dst), 0};
+      enqueue(s.path->edges.front(), id);
     }
     // Inject this cycle's messages.
     while (next_inject < by_inject.size() &&
-           by_inject[next_inject]->inject_cycle == cycle) {
-      const SimMessage* m = by_inject[next_inject++];
+           messages[by_inject[next_inject]].inject_cycle == cycle) {
+      id = by_inject[next_inject++];
+      const Path& path = messages[id].path;
       ++metrics.injected;
-      if (m->path.edges.empty()) {
+      if (path.edges.empty()) {
         ++metrics.delivered;  // self-delivery (not generated normally)
         continue;
       }
       // With dynamic recovery the static pre-check is skipped: a blocked
       // hop is discovered at forward time and rerouted, not dropped.
-      if (!dynamic && has_faults_) {
-        bool routable = true;
-        for (EdgeId e : m->path.edges)
-          if (faults_.contains(e)) {
-            routable = false;
-            break;
-          }
-        if (!routable) {
-          ++metrics.unroutable;
-          continue;
-        }
+      if (!recovery.enabled() && has_faults_ &&
+          std::any_of(path.edges.begin(), path.edges.end(),
+                      [&](EdgeId e) { return faults_.contains(e); })) {
+        ++metrics.unroutable;
+        continue;
       }
-      enqueue(m->path.edges.front(), MsgState{m, &m->path, 0, 0});
+      state[id] = {&path, 0};
+      enqueue(path.edges.front(), id);
       ++in_flight;
     }
     if (trace_on && !draining && next_inject == by_inject.size()) {
@@ -248,99 +167,55 @@ SimMetrics NetworkSim::run(const std::vector<SimMessage>& messages,
 
     // Every free active link starts forwarding one message; the traversal
     // completes `flits` cycles later.
-    for (std::size_t ai = 0; ai < active.size();) {
-      const EdgeId e = active[ai];
-      auto& q = queue[static_cast<std::size_t>(e)];
-      if (q.empty()) {
-        is_active[static_cast<std::size_t>(e)] = false;
-        active[ai] = active.back();
-        active.pop_back();
-        continue;
-      }
-      if (dynamic && clock->is_dead(e)) {
+    links.sweep([&](EdgeId e, std::deque<std::size_t>& q) {
+      if (recovery.is_dead(e)) {
         // The wire died with a backlog: every queued message backs off and
         // reroutes (an in-progress transmission already left the wire).
-        while (!q.empty()) {
-          schedule_retry(q.front());
-          q.pop_front();
-        }
-        is_active[static_cast<std::size_t>(e)] = false;
-        active[ai] = active.back();
-        active.pop_back();
-        continue;
+        for (std::size_t queued : q) back_off(queued);
+        q.clear();
+        return false;
       }
       if (busy_until[static_cast<std::size_t>(e)] > cycle) {
         // Still transmitting an earlier message: everything queued here
         // waits the cycle out.
         if (probe != nullptr)
           probe->on_stall(e, cycle, static_cast<i64>(q.size()));
-        ++ai;
-        continue;
+        return true;
       }
-      MsgState s = q.front();
+      const std::size_t sent = q.front();
       q.pop_front();
       busy_until[static_cast<std::size_t>(e)] = cycle + flits;
-      ++metrics.link_forwards[static_cast<std::size_t>(e)];
-      if (probe != nullptr) probe->on_forward(e, cycle, flits);
-      ++window_forwards;
-      ++s.hop;
-      if (s.hop == s.path->edges.size()) {
-        ++metrics.delivered;
+      links.forward(e, cycle, flits);
+      MsgState& s = state[sent];
+      if (++s.hop == s.path->edges.size()) {
         --in_flight;
-        const i64 latency = cycle + flits - s.msg->inject_cycle;
-        latency_sum += static_cast<double>(latency);
-        metrics.latency.record(latency);
+        const i64 latency = metrics.record_delivery(
+            messages[sent].inject_cycle, cycle + flits);
         if (obs_on) reg.record(h_latency, latency);
-        metrics.cycles = std::max(metrics.cycles, cycle + flits);
       } else {
-        in_transit.emplace_back(cycle + flits, s.path->edges[s.hop], s);
+        in_transit.push_back({cycle + flits, s.path->edges[s.hop], sent});
       }
-      ++ai;
-    }
+      return true;
+    });
     if (obs_on) {
       reg.record(h_inj_cycle, metrics.injected - injected_before);
       reg.record(h_del_cycle, metrics.delivered - delivered_before);
     }
-    if (trace_on && cycle % kCounterWindow == kCounterWindow - 1) {
-      tr.counter("sim.forwards_per_window", window_forwards, "sim");
-      tr.counter("sim.active_links", static_cast<i64>(active.size()), "sim");
-      if (dynamic)
-        tr.counter("sim.retries_pending",
-                   static_cast<i64>(retry_queue.size()), "sim");
-      window_forwards = 0;
-    }
+    links.window_counters(cycle, recovery);
     ++cycle;
     // Nothing moving and nothing in transit: jump to the next injection
     // or retry wake instead of spinning through backoff waits.
-    if (dynamic && active.empty() && in_transit.empty()) {
-      i64 next = std::numeric_limits<i64>::max();
-      if (next_inject < by_inject.size())
-        next = by_inject[next_inject]->inject_cycle;
-      if (!retry_queue.empty())
-        next = std::min(next, retry_queue.begin()->first);
-      if (next != std::numeric_limits<i64>::max() && next > cycle)
-        cycle = next;
-    }
+    if (links.idle() && in_transit.empty())
+      cycle = recovery.resume_at(
+          cycle, next_inject < by_inject.size()
+                     ? messages[by_inject[next_inject]].inject_cycle
+                     : FaultRecovery::kNever);
   }
-  if (trace_on) {
-    if (window_forwards > 0)
-      tr.counter("sim.forwards_per_window", window_forwards, "sim");
-    tr.counter("sim.active_links", 0, "sim");
-    tr.end(draining ? "sim.drain" : "sim.inject");
-  }
+  links.last_counters();
+  if (trace_on) tr.end(draining ? "sim.drain" : "sim.inject");
 
-  metrics.max_link_forwards = metrics.link_forwards.empty()
-                                  ? 0
-                                  : *std::max_element(
-                                        metrics.link_forwards.begin(),
-                                        metrics.link_forwards.end());
-  metrics.mean_latency = metrics.delivered > 0
-                             ? latency_sum / static_cast<double>(metrics.delivered)
-                             : 0.0;
-  if (dynamic) {
-    metrics.fail_events = clock->fails_applied();
-    metrics.repair_events = clock->repairs_applied();
-  }
+  metrics.finish();
+  static_cast<RecoveryStats&>(metrics) = recovery.stats();
   if (obs_on) {
     reg.add(reg.counter("sim.cycles"), metrics.cycles);
     reg.add(reg.counter("sim.injected"), metrics.injected);
@@ -349,7 +224,7 @@ SimMetrics NetworkSim::run(const std::vector<SimMessage>& messages,
     reg.set_max(reg.gauge("sim.max_queue_depth"), metrics.max_queue_depth);
     reg.set_max(reg.gauge("sim.max_link_forwards"),
                 metrics.max_link_forwards);
-    if (dynamic) {
+    if (recovery.enabled()) {
       reg.add(reg.counter("sim.dropped"), metrics.dropped);
       reg.add(reg.counter("sim.retries"), metrics.retries);
       reg.add(reg.counter("sim.rerouted"), metrics.rerouted);

@@ -15,7 +15,9 @@
 // a FaultTolerantRouter against the live fault set, waiting out an
 // exponential backoff between attempts; messages that exhaust the retry
 // budget (or whose surviving path set is empty on the final attempt) are
-// counted as dropped, never crashed.
+// counted as dropped, never crashed.  The shared recovery machinery is
+// FaultRecovery (recovery.h); the link queues are LinkQueues
+// (link_queues.h).
 
 #pragma once
 
@@ -49,9 +51,9 @@ struct SimConfig {
   obs::LinkProbe* probe = nullptr;
 
   /// Dynamic fault injection and retry/reroute recovery.  With a null or
-  /// empty schedule the dynamic machinery is compiled out of the run
-  /// behind one predicted branch and results match the fault-free path
-  /// bit-for-bit.  A non-empty schedule requires recovery.reroute_router.
+  /// empty schedule the dynamic machinery stays dormant and results match
+  /// the fault-free path bit-for-bit.  A non-empty schedule requires
+  /// recovery.reroute_router.
   RecoveryConfig recovery;
 };
 

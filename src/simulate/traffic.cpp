@@ -1,24 +1,10 @@
 #include "src/simulate/traffic.h"
 
+#include "src/routing/fault_router.h"
 #include "src/util/error.h"
 #include "src/util/prng.h"
 
 namespace tp {
-
-std::vector<Path> fault_free_paths(const Torus& torus, const Router& router,
-                                   NodeId p, NodeId q, const EdgeSet& faults) {
-  std::vector<Path> ok;
-  for (Path& path : router.paths(torus, p, q)) {
-    bool clean = true;
-    for (EdgeId e : path.edges)
-      if (faults.contains(e)) {
-        clean = false;
-        break;
-      }
-    if (clean) ok.push_back(std::move(path));
-  }
-  return ok;
-}
 
 namespace {
 
@@ -30,7 +16,7 @@ bool draw_path(const Torus& torus, const Router& router, NodeId p, NodeId q,
     out = router.sample_path(torus, p, q, rng);
     return true;
   }
-  auto ok = fault_free_paths(torus, router, p, q, *faults);
+  auto ok = FaultTolerantRouter(router, *faults).paths(torus, p, q);
   if (ok.empty()) return false;
   out = std::move(ok[rng.below(ok.size())]);
   return true;

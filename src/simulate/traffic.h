@@ -63,8 +63,4 @@ TrafficResult random_rate_traffic(const Torus& torus, const Placement& p,
                                   i64 horizon, u64 seed,
                                   const EdgeSet* faults = nullptr);
 
-/// Paths of C_{p->q} that avoid every failed link.
-std::vector<Path> fault_free_paths(const Torus& torus, const Router& router,
-                                   NodeId p, NodeId q, const EdgeSet& faults);
-
 }  // namespace tp

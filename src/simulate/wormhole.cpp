@@ -1,14 +1,9 @@
 #include "src/simulate/wormhole.h"
 
 #include <algorithm>
-#include <deque>
-#include <limits>
-#include <optional>
 
-#include "src/obs/obs.h"
-#include "src/routing/fault_router.h"
 #include "src/util/error.h"
-#include "src/util/prng.h"
+#include "src/util/small_vec.h"
 
 namespace tp {
 
@@ -37,14 +32,7 @@ WormholeSim::WormholeSim(const Torus& torus, WormholeConfig config)
   if (config_.probe != nullptr)
     TP_REQUIRE(config_.probe->num_links() == torus.num_directed_edges(),
                "link probe sized for a different torus");
-  if (config_.recovery.enabled()) {
-    TP_REQUIRE(config_.recovery.reroute_router != nullptr,
-               "a dynamic fault schedule needs recovery.reroute_router");
-    TP_REQUIRE(config_.recovery.max_retries >= 0,
-               "max_retries must be non-negative");
-    TP_REQUIRE(config_.recovery.backoff_base >= 1,
-               "backoff_base must be >= 1");
-  }
+  FaultRecovery::validate(config_.recovery);
 }
 
 WormholeResult WormholeSim::run(const std::vector<Path>& messages) {
@@ -61,8 +49,7 @@ WormholeResult WormholeSim::run(const std::vector<Path>& messages) {
     i32 tail_idx = 0;   // earliest path link still allocated
     std::vector<i32> vc_of;  // allocated VC index per path link
     bool done = false;
-    i64 attempts = 0;   // backoff waits consumed (dynamic faults only)
-    i64 retry_at = -1;  // cycle the next retry wakes at; -1 = not waiting
+    bool waiting = false;  // parked on a backoff wait (dynamic faults only)
   };
 
   const i32 V = config_.vcs_per_link;
@@ -118,26 +105,14 @@ WormholeResult WormholeSim::run(const std::vector<Path>& messages) {
 
   WormholeResult result;
   obs::LinkProbe* const probe = config_.probe;
-  obs::Tracer& tr = obs::tracer();
-  const bool trace_on = tr.enabled();
   i64 cycle = 0;
   i64 last_progress = 0;
   std::vector<std::size_t> rr(
       static_cast<std::size_t>(torus_.num_directed_edges()), 0);
 
-  // Dynamic-fault machinery; entirely dormant without a schedule, so the
-  // fault-free run is reproduced bit-for-bit.
-  const bool dynamic = config_.recovery.enabled();
-  std::optional<FaultClock> clock;
-  std::optional<FaultTolerantRouter> live_router;
-  std::optional<Xoshiro256SS> reroute_rng;
-  std::deque<Path> reroutes;  // deque: re-sampled paths keep stable addresses
-  if (dynamic) {
-    clock.emplace(torus_, *config_.recovery.schedule);
-    live_router.emplace(*config_.recovery.reroute_router, clock->dead(),
-                        clock->epoch_ref());
-    reroute_rng.emplace(config_.recovery.seed);
-  }
+  // Dormant without a schedule, so the fault-free run is reproduced
+  // bit-for-bit.
+  FaultRecovery recovery(torus_, config_.recovery, messages.size());
 
   // Frees every VC the worm holds and discards all its flits; the message
   // is back at its source with the full payload to retransmit.
@@ -156,49 +131,38 @@ WormholeResult WormholeSim::run(const std::vector<Path>& messages) {
     std::fill(m.vc_of.begin(), m.vc_of.end(), -1);
   };
 
-  // Charges one retry attempt: schedules a backoff wake, or drops the
-  // message once the budget is spent.
+  // Charges one retry attempt: parks the message on a backoff wait, or
+  // drops it once the budget is spent.
   auto handle_blocked = [&](std::size_t mi) {
     Msg& m = msgs[mi];
-    if (m.attempts >= config_.recovery.max_retries) {
+    m.waiting = recovery.back_off(mi, cycle);
+    if (!m.waiting) {
       m.done = true;
-      m.retry_at = -1;
       --outstanding;
-      ++result.dropped;
-      if (trace_on) tr.instant("sim.drop", "fault");
-      return;
     }
-    const i64 wait = config_.recovery.backoff_base
-                     << std::min<i64>(m.attempts, 20);
-    ++m.attempts;
-    ++result.retries;
-    if (trace_on) tr.instant("sim.retry", "fault");
-    m.retry_at = cycle + wait;
   };
 
+  std::vector<std::size_t> due;
   while (outstanding > 0) {
     bool moved = false;
     bool recovered = false;
-    if (dynamic) {
-      if (clock->advance_to(cycle) && trace_on) {
-        tr.instant("sim.fault_event", "fault");
-        tr.counter("sim.dead_wires", clock->dead_wires(), "sim");
-      }
+    if (recovery.enabled()) {
+      recovery.advance_to(cycle);
       // Tear down every worm cut by a dead wire: any link of its
       // allocated chain, the head's next hop, or (if still at the
       // source) its first link.
       for (std::size_t mi = 0; mi < msgs.size(); ++mi) {
         Msg& m = msgs[mi];
-        if (m.done || m.retry_at >= 0) continue;
+        if (m.done || m.waiting) continue;
         const auto& edges = m.path->edges;
         bool cut = false;
         if (m.head_idx < 0) {
-          cut = m.at_source > 0 && clock->is_dead(edges[0]);
+          cut = m.at_source > 0 && recovery.is_dead(edges[0]);
         } else {
           for (i32 j = m.tail_idx; j <= m.head_idx && !cut; ++j)
-            cut = clock->is_dead(edges[static_cast<std::size_t>(j)]);
+            cut = recovery.is_dead(edges[static_cast<std::size_t>(j)]);
           const auto next = static_cast<std::size_t>(m.head_idx) + 1;
-          if (!cut && next < edges.size()) cut = clock->is_dead(edges[next]);
+          if (!cut && next < edges.size()) cut = recovery.is_dead(edges[next]);
         }
         if (cut) {
           teardown(m);
@@ -206,26 +170,26 @@ WormholeResult WormholeSim::run(const std::vector<Path>& messages) {
           recovered = true;
         }
       }
-      // Wake messages whose backoff expired: re-inject over a path
-      // sampled against the live fault set (or charge another attempt
-      // when no path survives right now).
-      for (std::size_t mi = 0; mi < msgs.size(); ++mi) {
+      // Wake messages whose backoff expired, in message-index order (each
+      // wake draws from the reroute RNG, so the order is part of the
+      // result): each re-injects over a path sampled against the live
+      // fault set, or is charged another attempt when no path survives.
+      due.clear();
+      for (std::size_t mi = 0; recovery.pop_wake(cycle, mi);)
+        due.push_back(mi);
+      std::sort(due.begin(), due.end());
+      for (std::size_t mi : due) {
         Msg& m = msgs[mi];
-        if (m.done || m.retry_at < 0 || m.retry_at > cycle) continue;
-        m.retry_at = -1;
+        m.waiting = false;
         recovered = true;
         const NodeId src = m.path->source;
         const NodeId dst = torus_.link(m.path->edges.back()).head;
-        if (live_router->num_paths(torus_, src, dst) == 0) {
+        if (recovery.num_paths(src, dst) == 0) {
           handle_blocked(mi);
           continue;
         }
-        reroutes.push_back(
-            live_router->sample_path(torus_, src, dst, *reroute_rng));
-        m.path = &reroutes.back();
+        m.path = &recovery.reroute(src, dst);
         m.vc_of.assign(m.path->edges.size(), -1);
-        ++result.rerouted;
-        if (trace_on) tr.instant("sim.reroute", "fault");
       }
     }
     for (auto& vc : vcs) vc.fresh = 0;
@@ -256,7 +220,7 @@ WormholeResult WormholeSim::run(const std::vector<Path>& messages) {
 
     // One flit transfer per physical link.
     for (EdgeId e = 0; e < torus_.num_directed_edges(); ++e) {
-      if (dynamic && clock->is_dead(e)) continue;  // dead wires never transmit
+      if (recovery.is_dead(e)) continue;  // dead wires never transmit
       // Candidates: (message, source position) pairs whose next hop is e.
       // Positions: -1 = injection from the source node.
       struct Candidate {
@@ -268,7 +232,7 @@ WormholeResult WormholeSim::run(const std::vector<Path>& messages) {
            mi < msgs.size() && candidates.size() < candidates.capacity();
            ++mi) {
         Msg& m = msgs[mi];
-        if (m.done || m.retry_at >= 0) continue;
+        if (m.done || m.waiting) continue;
         const auto& edges = m.path->edges;
         // Injection into link 0.
         if (m.at_source > 0 && edges[0] == e) {
@@ -353,18 +317,10 @@ WormholeResult WormholeSim::run(const std::vector<Path>& messages) {
     if (moved || recovered) last_progress = cycle;
     // Every live message parked on a backoff wait: jump straight to the
     // earliest wake instead of spinning (and spuriously "stalling").
-    if (dynamic && !moved && !recovered) {
-      i64 next_wake = std::numeric_limits<i64>::max();
-      bool any_active = false;
-      for (const Msg& m : msgs) {
-        if (m.done) continue;
-        if (m.retry_at >= 0)
-          next_wake = std::min(next_wake, m.retry_at);
-        else
-          any_active = true;
-      }
-      if (!any_active && next_wake != std::numeric_limits<i64>::max() &&
-          next_wake > cycle) {
+    if (!moved && !recovered &&
+        recovery.waiting() == static_cast<std::size_t>(outstanding)) {
+      const i64 next_wake = recovery.resume_at(cycle);
+      if (next_wake > cycle) {
         cycle = next_wake;
         last_progress = cycle;
         continue;
@@ -375,19 +331,12 @@ WormholeResult WormholeSim::run(const std::vector<Path>& messages) {
       result.cycles = cycle;
       for (const Msg& m : msgs)
         if (!m.done) ++result.stuck_messages;
-      if (dynamic) {
-        result.fail_events = clock->fails_applied();
-        result.repair_events = clock->repairs_applied();
-      }
-      return result;
+      break;
     }
     ++cycle;
     TP_REQUIRE(cycle < (1 << 26), "wormhole simulation runaway");
   }
-  if (dynamic) {
-    result.fail_events = clock->fails_applied();
-    result.repair_events = clock->repairs_applied();
-  }
+  static_cast<RecoveryStats&>(result) = recovery.stats();
   return result;
 }
 

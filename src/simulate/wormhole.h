@@ -27,7 +27,7 @@
 
 #include "src/obs/linkprobe.h"
 #include "src/routing/path.h"
-#include "src/simulate/fault_schedule.h"
+#include "src/simulate/recovery.h"
 #include "src/torus/torus.h"
 
 namespace tp {
@@ -64,19 +64,14 @@ struct WormholeConfig {
   RecoveryConfig recovery;
 };
 
-struct WormholeResult {
+/// Wormhole results; the recovery counters come from RecoveryStats
+/// (rerouted counts re-injections over a fresh path).
+struct WormholeResult : RecoveryStats {
   bool deadlocked = false;
   i64 cycles = 0;          ///< cycle of last flit ejection (or of the stall)
   i64 delivered = 0;       ///< messages fully ejected
   i64 stuck_messages = 0;  ///< in flight when deadlock was declared
   i64 flits_moved = 0;     ///< total flit transfers (excludes ejections)
-
-  // Dynamic-fault recovery accounting (zero unless a FaultSchedule ran).
-  i64 dropped = 0;         ///< messages that exhausted their retry budget
-  i64 retries = 0;         ///< backoff waits scheduled after a teardown
-  i64 rerouted = 0;        ///< successful re-injections over a fresh path
-  i64 fail_events = 0;     ///< wire failures applied during the run
-  i64 repair_events = 0;   ///< wire repairs applied during the run
 };
 
 class WormholeSim {

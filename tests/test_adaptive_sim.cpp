@@ -44,6 +44,14 @@ TEST(AdaptiveSim, DeliversTheCompleteExchange) {
   EXPECT_EQ(m.unroutable, 0);
   // Every delivery took at least its Lee distance; mean latency too.
   EXPECT_GE(m.mean_latency, 1.0);
+  // The latency histogram holds one sample per delivery (none is a
+  // self-delivery here), and its sum is what mean_latency averages.
+  EXPECT_EQ(m.latency.count, m.delivered);
+  EXPECT_DOUBLE_EQ(static_cast<double>(m.latency.sum),
+                   m.mean_latency * static_cast<double>(m.delivered));
+  EXPECT_GE(static_cast<double>(m.latency_max()), m.latency_p95());
+  EXPECT_GE(m.latency_p95(), m.latency_p50());
+  EXPECT_GT(m.latency_p50(), 0.0);
 }
 
 TEST(AdaptiveSim, TotalForwardsEqualTotalLeeDistance) {

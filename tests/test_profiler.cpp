@@ -1,7 +1,6 @@
 // Tests for the in-process profiler (src/obs/phase_stack.h + profiler.h):
 // phase attribution, thread-count invariance of paths/calls (the
-// parallel_for adoption hooks and the engine pool), the table-driven ODR
-// analyzer's equivalence to the enumerating one, the SIGPROF sampler's
+// parallel_for adoption hooks and the engine pool), the SIGPROF sampler's
 // lifecycle, and the collapsed-stack / JSON output formats.
 //
 // The profiler is process-global; every test that starts it stops and
@@ -201,49 +200,6 @@ TEST(PhaseInvariance, EnginePoolWidthDoesNotChangeAttribution) {
   const std::vector<std::string> compute{"service.compute"};
   ASSERT_TRUE(b.count(compute));
   EXPECT_EQ(b.at(compute), 3);  // one per distinct key
-}
-
-// --- table-driven ODR analyzer --------------------------------------------
-
-TEST(TableAnalyzer, MatchesEnumeratingAnalyzerExactly) {
-  for (const Radices& radices :
-       {Radices{6, 6}, Radices{4, 4, 4}, Radices{3, 4, 5}}) {
-    Torus torus(radices);
-    const Placement p = torus.is_uniform_radix()
-                            ? multiple_linear_placement(torus, 2)
-                            : full_population(torus);
-    const LoadMap a = odr_loads(torus, p);
-    const LoadMap b = odr_loads_table(torus, p);
-    EXPECT_EQ(a.max_abs_diff(b), 0.0)
-        << "table analyzer diverged on the " << torus.num_nodes()
-        << "-node torus";
-    EXPECT_EQ(a.max_load(), b.max_load());
-  }
-}
-
-TEST(TableAnalyzer, MatchesUnderBothDirectionsTieBreak) {
-  Torus torus(2, 4);  // even radix: antipodal ties exist
-  const Placement p = full_population(torus);
-  const LoadMap a = odr_loads(torus, p, TieBreak::BothDirections);
-  const LoadMap b = odr_loads_table(torus, p, TieBreak::BothDirections);
-  EXPECT_EQ(a.max_abs_diff(b), 0.0);
-}
-
-TEST(TableAnalyzer, MeasureLoadsRoutesThroughTable) {
-  Torus torus(3, 6);
-  const Placement p = linear_placement(torus);
-  const LoadMap a = measure_loads(torus, p, RouterKind::Odr, 1, false);
-  const LoadMap b = measure_loads(torus, p, RouterKind::Odr, 1, true);
-  EXPECT_EQ(a.max_abs_diff(b), 0.0);
-}
-
-TEST(TableAnalyzer, EngineConfigFlagYieldsIdenticalResults) {
-  const service::QueryKey key = service::make_query_key(
-      Radices{6, 6, 6}, 1, RouterKind::Odr, service::QueryOp::Load);
-  const service::QueryResult plain = service::compute_query(key, 1, false);
-  const service::QueryResult table = service::compute_query(key, 1, true);
-  EXPECT_EQ(plain.measured_emax, table.measured_emax);
-  EXPECT_EQ(plain.loads->max_abs_diff(*table.loads), 0.0);
 }
 
 // --- sampler ---------------------------------------------------------------

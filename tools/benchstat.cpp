@@ -6,7 +6,8 @@
 //
 // Times a fixed set of representative workloads (load analyzers, the
 // lower-bound table, the cycle-accurate simulators with and without link
-// probes, the hotspot analyzer) with obs::Stopwatch, writes the results as
+// probes and under a fault schedule, the hotspot analyzer) with
+// obs::Stopwatch, writes the results as
 //
 //   {"schema": "torusplace-bench/2",
 //    "benchmarks": {"odr_loads/T8^3": {"mean_ns": ..., "min_ns": ...,
@@ -139,9 +140,6 @@ std::vector<BenchResult> run_benchmarks(int reps) {
     results.push_back(time_fn("odr_loads_parallel4/T8^3", reps, [&] {
       g_sink += odr_loads_parallel(torus, p, 4).max_load();
     }));
-    results.push_back(time_fn("odr_loads_table/T8^3", reps, [&] {
-      g_sink += odr_loads_table(torus, p).max_load();
-    }));
   }
   {
     // The same size unfolded: a random placement's stabilizer is trivial,
@@ -220,6 +218,18 @@ std::vector<BenchResult> run_benchmarks(int reps) {
       NetworkSim sim(torus, nullptr, config);
       g_sink += static_cast<double>(sim.run(traffic.messages).cycles);
       g_sink += static_cast<double>(probe.total_forwards());
+    }));
+    // Fault recovery: a fault-free and a degraded UDR exchange under a
+    // seeded Bernoulli timeline with repairs over the fault-free makespan.
+    const UdrRouter udr;
+    ResilienceConfig recovery;
+    recovery.repair_prob = 0.1;
+    const FaultSchedule schedule = FaultSchedule::bernoulli(
+        torus, 0.02, recovery.repair_prob,
+        resilience_horizon(torus, p, udr, recovery), 7);
+    results.push_back(time_fn("sim_degraded_exchange/T8^2", reps, [&] {
+      g_sink +=
+          degradation_report(torus, p, udr, schedule, recovery).delivered_fraction;
     }));
     const LoadMap loads = odr_loads(torus, p);
     results.push_back(time_fn("analyze_imbalance/T8^2", reps, [&] {

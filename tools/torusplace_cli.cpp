@@ -105,7 +105,6 @@ service::EngineConfig engine_config(const Args& args) {
   config.default_deadline_ms = args.get_int("deadline-ms", 0);
   config.slow_log_capacity =
       static_cast<std::size_t>(args.get_int("slow-log", 16));
-  config.use_table_router = args.has("router-table");
   // Durability (docs/durability.md): --cache-file names the snapshot,
   // --cache-load warms the boot, --cache-save[=ms] arms the shutdown save
   // (and, with a value, periodic background saves during serve).
@@ -228,8 +227,7 @@ int cmd_analyze(const Args& args) {
             << " on T_" << k << "^" << d << ", |P| = " << placement.size()
             << "\n\n";
 
-  const LoadMap loads =
-      measure_loads(torus, placement, kind, 1, args.has("router-table"));
+  const LoadMap loads = measure_loads(torus, placement, kind, 1);
   Table table({"quantity", "value"});
   table.add_row({"measured E_max", fmt(loads.max_load())});
   table.add_row({"E_max / |P|", fmt(loads.max_load() /
@@ -1089,8 +1087,6 @@ int usage() {
       "                       stderr, optional collapsed-stack (flamegraph)\n"
       "                       file; `torusplace profile <command> ...` is\n"
       "                       shorthand for the same\n"
-      "  --router-table       measure ODR loads via precompiled next-hop\n"
-      "                       tables (identical results, different cost)\n"
       "\n"
       "link telemetry (simulate):\n"
       "  --link-stats[=N]     per-link probes: top-N hotspot table (default\n"
@@ -1175,8 +1171,8 @@ int run(int argc, char** argv) {
       "mode", "clients", "rate", "duration-ms", "warmup-ms", "skew",
       "zipf-s", "universe"};
   const std::set<std::string> flags{"link-stats", "measured", "criticality",
-                                    "stdio", "profile", "router-table",
-                                    "cache-load", "cache-save"};
+                                    "stdio", "profile", "cache-load",
+                                    "cache-save"};
   const Args args(argc, argv, first, known, flags);
 
   // Global observability flags: turn the registry/tracer on before the

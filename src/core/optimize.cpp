@@ -13,7 +13,7 @@ namespace {
 double emax_of(const Torus& torus, const std::vector<NodeId>& nodes,
                RouterKind kind) {
   const Placement p(torus, nodes, "candidate");
-  return measure_loads(torus, p, kind).max_load();
+  return measure_orbit_loads(torus, p, kind).max_load();
 }
 
 }  // namespace

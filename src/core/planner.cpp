@@ -2,7 +2,6 @@
 
 #include <optional>
 
-#include "src/load/complete_exchange.h"
 #include "src/obs/obs.h"
 #include "src/load/formulas.h"
 #include "src/routing/adaptive.h"
@@ -45,8 +44,11 @@ PlacementPlan plan_placement(const Torus& torus, i32 t, RouterKind kind) {
     plan.router = make_router(kind);
     switch (kind) {
       case RouterKind::Odr:
-        if (t == 1 && d >= 3) {
-          plan.predicted_emax = odr_linear_emax(k, d);
+        // The paper's Section 6.1 count (odr_linear_emax) is the maximum
+        // over interior dimensions only; the measured maximum over every
+        // link is the overall form.
+        if (t == 1 && d >= 2) {
+          plan.predicted_emax = odr_linear_emax_overall(k, d);
           plan.prediction_exact = true;
         } else {
           plan.predicted_emax = multiple_odr_upper(t, k, d);
@@ -87,23 +89,27 @@ LoadMap measure_loads(const Torus& torus, const Placement& p,
 
 LoadMap measure_loads(const Torus& torus, const Placement& p,
                       RouterKind kind, i32 threads) {
+  return measure_orbit_loads(torus, p, kind, threads).broadcast(torus);
+}
+
+FoldedLoads measure_orbit_loads(const Torus& torus, const Placement& p,
+                                RouterKind kind, i32 threads) {
   TP_OBS_SCOPE("plan.measure");
   TP_REQUIRE(threads >= 1, "need at least one analyzer thread");
   switch (kind) {
     case RouterKind::Odr:
-      return threads == 1 ? odr_loads(torus, p)
-                          : odr_loads_parallel(torus, p, threads);
+      return odr_orbit_loads(torus, p, TieBreak::PositiveOnly, threads);
     case RouterKind::Udr:
-      return threads == 1 ? udr_loads(torus, p)
-                          : udr_loads_parallel(torus, p, threads);
+      return udr_orbit_loads(torus, p, TieBreak::PositiveOnly, threads);
     case RouterKind::Adaptive:
-      return adaptive_loads(torus, p);
+      return adaptive_orbit_loads(torus, p);
   }
   TP_ASSERT(false, "unknown router kind");
 }
 
 double measure_emax(const Torus& torus, const PlacementPlan& plan) {
-  return measure_loads(torus, plan.placement, plan.router_kind).max_load();
+  return measure_orbit_loads(torus, plan.placement, plan.router_kind)
+      .max_load();
 }
 
 }  // namespace tp

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "src/bounds/lower_bounds.h"
+#include "src/load/complete_exchange.h"
 #include "src/load/load_map.h"
 #include "src/placement/placement.h"
 #include "src/routing/router.h"
@@ -34,8 +35,8 @@ struct PlacementPlan {
   RouterKind router_kind;
   std::unique_ptr<Router> router;
 
-  double predicted_emax = 0.0;     ///< paper's closed form / upper bound
-  bool prediction_exact = false;   ///< closed form (true) vs upper bound
+  double predicted_emax = 0.0;     ///< exact E_max or an upper bound
+  bool prediction_exact = false;   ///< exact (ODR, t = 1, d >= 2) vs bound
   double lower_bound = 0.0;        ///< best applicable lower bound
   /// Every lower bound (all_bounds); .back() is the best, lower_bound.
   std::vector<BoundValue> bounds;
@@ -52,16 +53,21 @@ PlacementPlan plan_placement(const Torus& torus, i32 t = 1,
 /// exchange, Definition 4) using the fast load analyzers.
 double measure_emax(const Torus& torus, const PlacementPlan& plan);
 
-/// Exact loads for any router kind on any placement.
+/// Exact loads per link orbit for any router kind on any placement — what
+/// E_max, the mean and the loaded-link count are read from — computed
+/// with `threads` analyzer workers.  Callers that own a worker pool (the
+/// service engine) pass their configured width instead of sizing each
+/// call off hardware_concurrency.  ODR and UDR results are bit-identical
+/// at any width, and Adaptive has no parallel analyzer (threads is
+/// ignored).
+FoldedLoads measure_orbit_loads(const Torus& torus, const Placement& p,
+                                RouterKind kind, i32 threads = 1);
+
+/// Exact per-link loads: measure_orbit_loads, broadcast to every link.
 LoadMap measure_loads(const Torus& torus, const Placement& p,
                       RouterKind kind);
 
-/// Exact loads computed with `threads` analyzer workers.  Callers that own
-/// a worker pool (the service engine) pass their configured width instead
-/// of sizing each call off hardware_concurrency.  threads == 1 is the
-/// serial path; ODR and UDR parallel results are bit-identical to serial
-/// at any width, and Adaptive has no parallel analyzer (threads is
-/// ignored).
+/// Exact per-link loads computed with `threads` analyzer workers.
 LoadMap measure_loads(const Torus& torus, const Placement& p,
                       RouterKind kind, i32 threads);
 

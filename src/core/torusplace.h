@@ -12,7 +12,7 @@
 //   tp::Torus torus(/*d=*/3, /*k=*/8);
 //   tp::PlacementPlan plan = tp::plan_placement(torus, /*t=*/1,
 //                                               tp::RouterKind::Odr);
-//   double emax = tp::measure_emax(torus, plan);   // exact, == k^2/8 + k/4
+//   double emax = tp::measure_emax(torus, plan);   // 32 == plan.predicted_emax
 //
 // See examples/ for complete programs.
 

@@ -15,8 +15,8 @@ VerificationReport verify_linear_load(i32 d, const std::vector<i32>& ks,
     const Torus torus(d, k);
     const Placement p = family(torus);
     if (report.family_name.empty()) report.family_name = p.name();
-    const LoadMap loads = measure_loads(torus, p, kind);
-    report.points.push_back(ScalingPoint{k, p.size(), loads.max_load()});
+    report.points.push_back(ScalingPoint{
+        k, p.size(), measure_orbit_loads(torus, p, kind).max_load()});
   }
   report.router_name = make_router(kind)->name();
   report.c1 = fitted_load_coefficient(report.points);

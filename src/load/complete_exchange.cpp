@@ -8,7 +8,6 @@
 #include "src/obs/obs.h"
 #include "src/routing/odr.h"
 #include "src/routing/udr.h"
-#include "src/torus/lattice.h"
 #include "src/util/combinatorics.h"
 #include "src/util/parallel.h"
 #include "src/util/error.h"
@@ -26,6 +25,13 @@ namespace {
 /// 4096-node random placement of T16^3 (16.8M pairs) fans out fully.
 constexpr i64 kMinPairsPerWorker = 4096;
 
+/// A coset of the stabilizer H: its label and its components, packed
+/// as TranslationFold::offset and width lay them out.
+struct Coset {
+  i64 label = 0;
+  u64 digits = 0;
+};
+
 /// Coordinates of every placement node, row i for p.nodes()[i].
 std::vector<i32> node_coords(const Lattice& lat, const Placement& p) {
   std::vector<i32> coords(p.nodes().size() * lat.d);
@@ -34,29 +40,225 @@ std::vector<i32> node_coords(const Lattice& lat, const Placement& p) {
   return coords;
 }
 
-}  // namespace
+/// Component i of c, possibly not yet wrapped below modulus[i].
+u64 component(const TranslationFold& fold, const Coset& c, std::size_t i) {
+  return (c.digits >> fold.offset[i]) & ((u64{1} << fold.width[i]) - 1);
+}
 
-TranslationFold translation_fold(const Torus& torus, const Placement& p) {
+/// Brings component i of c back below modulus[i] after one add.  Without
+/// a branch: whether a sum wraps follows the data, not a pattern.
+void wrap(const TranslationFold& fold, Coset& c, std::size_t i) {
+  const i64 s = fold.modulus[i];
+  const bool over = component(fold, c, i) >= static_cast<u64>(s);
+  c.digits -= over ? static_cast<u64>(s) << fold.offset[i] : 0;
+  c.label -= over ? s * fold.weight[i] : 0;
+}
+
+/// Adds a, in [0, modulus[i]), to component i of c.
+void add_to(const TranslationFold& fold, Coset& c, std::size_t i, i64 a) {
+  c.digits += static_cast<u64>(a) << fold.offset[i];
+  c.label += a * fold.weight[i];
+  wrap(fold, c, i);
+}
+
+/// c += the coset of v·e_dim, 0 <= v < k_dim.
+void shift(const TranslationFold& fold, Coset& c, std::size_t dim, i64 v) {
+  for (std::uint32_t m = fold.moves[dim]; m != 0; m &= m - 1) {
+    const auto i = static_cast<std::size_t>(std::countr_zero(m));
+    i64 a = v * fold.unit[dim][i];
+    if (a >= fold.modulus[i]) a %= fold.modulus[i];
+    add_to(fold, c, i, a);
+  }
+}
+
+/// c += delta, where delta is the coset of a multiple of e_dim.
+void add_along(const TranslationFold& fold, Coset& c, const Coset& delta,
+               std::size_t dim) {
+  c.digits += delta.digits;
+  c.label += delta.label;
+  for (std::uint32_t m = fold.moves[dim]; m != 0; m &= m - 1)
+    wrap(fold, c, static_cast<std::size_t>(std::countr_zero(m)));
+}
+
+/// c moves one step along dim in direction dir.
+void step(const TranslationFold& fold, Coset& c, std::size_t dim, Dir dir) {
+  for (std::uint32_t m = fold.moves[dim]; m != 0; m &= m - 1) {
+    const auto i = static_cast<std::size_t>(std::countr_zero(m));
+    const i64 u = fold.unit[dim][i];
+    add_to(fold, c, i, dir == Dir::Pos ? u : fold.modulus[i] - u);
+  }
+}
+
+/// The coset of the node at coordinates c (in range).
+Coset coset_of(const TranslationFold& fold, const i32* c) {
+  Coset coset;
+  for (std::size_t dim = 0; dim < fold.lat.d; ++dim)
+    shift(fold, coset, dim, c[dim]);
+  return coset;
+}
+
+/// Sets `moves` from `unit`, and lays the components out in a word.
+void finish_labels(TranslationFold& fold) {
+  i32 bits = 0;
+  for (std::size_t i = 0; i < fold.num_factors; ++i) {
+    fold.offset[i] = bits;
+    fold.width[i] =
+        static_cast<i32>(std::bit_width(static_cast<u64>(fold.modulus[i] - 1))) + 1;
+    bits += fold.width[i];
+  }
+  TP_REQUIRE(bits <= 64, "too many cosets to label");
+  fold.moves = {};
+  for (std::size_t j = 0; j < fold.lat.d; ++j)
+    for (std::size_t i = 0; i < fold.num_factors; ++i)
+      if (fold.unit[j][i] != 0) fold.moves[j] |= std::uint32_t{1} << i;
+}
+
+/// Calls fn(n, label) for every node n in id order: an odometer over the
+/// coordinates, the last dimension fastest, where base[i] is the coset of
+/// the node whose coordinates after i are 0.
+template <typename Fn>
+void for_each_label(const TranslationFold& fold, Fn&& fn) {
+  const Lattice& lat = fold.lat;
+  std::array<Coset, kMaxDims> base{};
+  std::array<i32, kMaxDims> c{};
+  for (NodeId n = 0; n < lat.num_nodes; ++n) {
+    fn(n, base[lat.d - 1].label);
+    std::size_t i = lat.d;
+    while (i-- > 0 && ++c[i] == lat.radix[i]) c[i] = 0;
+    if (i >= lat.d) break;
+    step(fold, base[i], i, Dir::Pos);
+    for (std::size_t m = i + 1; m < lat.d; ++m) base[m] = base[i];
+  }
+}
+
+/// H trivial: one coset per node, the components its coordinates.
+void label_by_node(TranslationFold& fold) {
+  const Lattice& lat = fold.lat;
+  fold.stabilizer_size = 1;
+  fold.num_factors = lat.d;
+  fold.unit = {};
+  for (std::size_t i = 0; i < lat.d; ++i) {
+    fold.modulus[i] = lat.radix[i];
+    fold.weight[i] = lat.stride[i];
+    fold.unit[i][i] = 1;
+  }
+  fold.num_orbits = lat.num_nodes;
+  finish_labels(fold);
+}
+
+using Row = std::array<i64, kMaxDims>;
+
+/// Labels the cosets of the H generated by `rows`.  Row and column
+/// operations diagonalize the lattice L = H + diag(k)·Z^d spanned by the
+/// rows plus the rows k_j·e_j; the column operations accumulate in C, so
+/// L·C = s_0·Z x ... x s_{d-1}·Z and x -> ((x·C)_t mod s_t)_t is onto
+/// with kernel L.  L contains e·Z^d for the exponent e = lcm(k_j) of G:
+/// every entry is kept mod e (the implicit rows e·e_j absorb the
+/// reductions, and stay e·e_j under unimodular column operations), and a
+/// final pivot r_t, 0 when its block vanished, gives s_t = gcd(r_t, e).
+/// The product of the s_t is the index N/|H|.
+void label_cosets(TranslationFold& fold, std::vector<Row> rows) {
+  const Lattice& lat = fold.lat;
+  const std::size_t d = lat.d;
+  i64 exponent = 1;
+  for (std::size_t j = 0; j < d; ++j)
+    exponent = exponent / gcd(exponent, lat.radix[j]) * lat.radix[j];
+  TP_REQUIRE(exponent < (i64{1} << 31), "too many cosets to label");
+  const auto reduce = [exponent](i64 x) {
+    x %= exponent;
+    return x < 0 ? x + exponent : x;
+  };
+  for (std::size_t j = 0; j < d; ++j) {
+    Row row{};
+    row[j] = lat.radix[j];
+    rows.push_back(row);
+  }
+  for (Row& row : rows)
+    for (std::size_t j = 0; j < d; ++j) row[j] = reduce(row[j]);
+  std::array<Row, kMaxDims> c{};  // C, row j for dimension j
+  for (std::size_t j = 0; j < d; ++j) c[j][j] = 1;
+
+  Row pivot{};
+  for (std::size_t t = 0; t < d; ++t) {
+    for (bool clean = false; !clean;) {
+      // The smallest nonzero entry of the block rows >= t, columns >= t
+      // becomes the pivot; Euclid's remainders shrink it until its row
+      // and column are clear.
+      std::size_t pi = rows.size(), pj = t;
+      for (std::size_t i = t; i < rows.size(); ++i)
+        for (std::size_t j = t; j < d; ++j)
+          if (rows[i][j] != 0 &&
+              (pi == rows.size() || rows[i][j] < rows[pi][pj])) {
+            pi = i;
+            pj = j;
+          }
+      if (pi == rows.size()) break;
+      std::swap(rows[t], rows[pi]);
+      for (Row& row : rows) std::swap(row[t], row[pj]);
+      for (std::size_t j = 0; j < d; ++j) std::swap(c[j][t], c[j][pj]);
+      pivot[t] = rows[t][t];
+      clean = true;
+      for (std::size_t i = t + 1; i < rows.size(); ++i) {
+        const i64 q = rows[i][t] / pivot[t];
+        for (std::size_t j = t; j < d; ++j)
+          rows[i][j] = reduce(rows[i][j] - q * rows[t][j]);
+        clean = clean && rows[i][t] == 0;
+      }
+      for (std::size_t j = t + 1; j < d; ++j) {
+        const i64 q = rows[t][j] / pivot[t];
+        for (Row& row : rows) row[j] = reduce(row[j] - q * row[t]);
+        for (std::size_t m = 0; m < d; ++m)
+          c[m][j] = reduce(c[m][j] - q * c[m][t]);
+        clean = clean && rows[t][j] == 0;
+      }
+    }
+  }
+
+  fold.num_factors = 0;
+  fold.unit = {};
+  for (std::size_t t = 0; t < d; ++t) {
+    const i64 s = gcd(pivot[t], exponent);
+    if (s == 1) continue;
+    const std::size_t i = fold.num_factors++;
+    fold.modulus[i] = s;
+    // Negating a component keeps its kernel.  Taking the sign that makes
+    // the first nonzero step at most s/2 makes every step +1 on the
+    // (multiple) linear placements, whose congruence is on sum_i x_i.
+    std::size_t first = d;
+    for (std::size_t j = 0; j < d; ++j) {
+      fold.unit[j][i] = c[j][t] % s;
+      if (first == d && fold.unit[j][i] != 0) first = j;
+    }
+    if (first < d && 2 * fold.unit[first][i] > s)
+      for (std::size_t j = 0; j < d; ++j)
+        if (fold.unit[j][i] != 0) fold.unit[j][i] = s - fold.unit[j][i];
+  }
+  i64 orbits = 1;
+  for (std::size_t i = fold.num_factors; i-- > 0;) {
+    fold.weight[i] = orbits;
+    orbits *= fold.modulus[i];
+  }
+  TP_ASSERT(lat.num_nodes % orbits == 0,
+            "stabilizer orbits do not tile the torus");
+  fold.num_orbits = orbits;
+  fold.stabilizer_size = lat.num_nodes / orbits;
+  finish_labels(fold);
+}
+
+/// translation_fold on the lattice and coordinates its caller holds.
+TranslationFold fold_placement(const Lattice& lat, const Placement& p,
+                               const std::vector<i32>& pc) {
   TP_PROF_PHASE("fold.detect");
-  p.check_torus(torus);
-  const Lattice lat(torus);
   const std::size_t d = lat.d;
   const std::vector<NodeId>& nodes = p.nodes();
-  TranslationFold fold;
-  fold.num_orbits = torus.num_nodes();
+  TranslationFold fold(lat);
+  label_by_node(fold);
   fold.reps = nodes;
   if (nodes.size() < 2) return fold;
-
-  const std::vector<i32> pc = node_coords(lat, p);
+  // Every h in H is q - p0 for some q in P, and q - p0 is in H when q's
+  // coset is p0's under the labels of the H found so far.  A candidate
+  // outside it that is a period of P extends H, and relabels.
   const i32* p0 = pc.data();
-  // H as coordinate rows, the identity first.  Every h in H is q - p0 for
-  // some q in P; in_h marks those q, i.e. the set p0 + H.
-  std::vector<i32> h_rows(d, 0);
-  std::vector<bool> in_h(static_cast<std::size_t>(torus.num_nodes()), false);
-  in_h[static_cast<std::size_t>(nodes[0])] = true;
-  const auto member = [&](const i32* h) {
-    return in_h[static_cast<std::size_t>(lat.sum(p0, h))];
-  };
   // Nodes are tested last first: a near-period, such as a shift of a
   // clustered block, fails at the block's far boundary on its first test.
   const auto is_period = [&](const i32* h) {
@@ -64,79 +266,176 @@ TranslationFold translation_fold(const Torus& torus, const Placement& p) {
       if (!p.contains(lat.sum(&pc[i * d], h))) return false;
     return true;
   };
+  std::vector<Row> gens;
+  // label[i] is node i's label under the H of its test; those taken after
+  // the last relabel are final.
+  std::vector<i64> label(nodes.size());
+  std::size_t last = 0;
+  label[0] = coset_of(fold, p0).label;
   std::array<i32, kMaxDims> g{};
-  std::array<i32, kMaxDims> m{};
-  std::array<i32, kMaxDims> e{};
   for (std::size_t qi = 1; qi < nodes.size(); ++qi) {
-    if (in_h[static_cast<std::size_t>(nodes[qi])]) continue;
+    label[qi] = coset_of(fold, &pc[qi * d]).label;
+    if (label[qi] == label[0]) continue;
     for (std::size_t i = 0; i < d; ++i) {
       g[i] = pc[qi * d + i] - p0[i];
       if (g[i] < 0) g[i] += lat.radix[i];
     }
     if (!is_period(g.data())) continue;
-    // H + <g> is the union of the cosets H + j·g, j below g's order
-    // modulo H: the first j·g already in the growing H.
-    const std::size_t old = h_rows.size() / d;
-    m = g;
-    while (!member(m.data())) {
-      for (std::size_t row = 0; row < old; ++row) {
-        lat.add(&h_rows[row * d], m.data(), e.data());
-        h_rows.insert(h_rows.end(), e.begin(),
-                      e.begin() + static_cast<std::ptrdiff_t>(d));
-        in_h[static_cast<std::size_t>(lat.sum(p0, e.data()))] = true;
-      }
-      lat.add(m.data(), g.data(), m.data());
-    }
+    gens.emplace_back();
+    std::copy_n(g.begin(), d, gens.back().begin());
+    label_cosets(fold, gens);
+    label[0] = coset_of(fold, p0).label;
+    last = qi;
   }
-  const std::size_t order = h_rows.size() / d;
-  fold.stabilizer_size = static_cast<i64>(order);
-  if (order == 1) return fold;
-
-  // Orbit ids in order of their smallest node; reps are the first
-  // placement node of each orbit.
-  fold.num_orbits = torus.num_nodes() / fold.stabilizer_size;
-  fold.orbit.assign(static_cast<std::size_t>(torus.num_nodes()), -1);
-  i64 next = 0;
-  lat.for_each_node([&](NodeId n, const i32* c) {
-    if (fold.orbit[static_cast<std::size_t>(n)] >= 0) return;
-    for (std::size_t row = 0; row < order; ++row)
-      fold.orbit[static_cast<std::size_t>(lat.sum(c, &h_rows[row * d]))] =
-          next;
-    ++next;
-  });
-  TP_ASSERT(next == fold.num_orbits, "stabilizer orbits do not tile the torus");
+  if (fold.stabilizer_size == 1) return fold;
   fold.reps.clear();
   std::vector<bool> seen(static_cast<std::size_t>(fold.num_orbits), false);
-  for (const NodeId q : nodes) {
-    const auto o = static_cast<std::size_t>(fold.orbit_of(q));
+  for (std::size_t i = 0; i < nodes.size(); ++i) {
+    if (i <= last) label[i] = coset_of(fold, &pc[i * d]).label;
+    const auto o = static_cast<std::size_t>(label[i]);
     if (seen[o]) continue;
     seen[o] = true;
-    fold.reps.push_back(q);
+    fold.reps.push_back(nodes[i]);
   }
   return fold;
 }
 
+}  // namespace
+
+i64 TranslationFold::orbit_of(NodeId n) const {
+  std::array<i32, kMaxDims> c{};
+  lat.decode(n, c.data());
+  return coset_of(*this, c.data()).label;
+}
+
+TranslationFold translation_fold(const Torus& torus, const Placement& p) {
+  p.check_torus(torus);
+  const Lattice lat(torus);
+  return fold_placement(lat, p, node_coords(lat, p));
+}
+
+double FoldedLoads::max_load() const {
+  double m = 0.0;
+  for (const double v : orbit_load) m = std::max(m, v);
+  return m;
+}
+
+double FoldedLoads::mean_load() const {
+  const i64 links = static_cast<i64>(orbit_load.size()) * fold.stabilizer_size;
+  return links == 0 ? 0.0
+                    : static_cast<double>(lee_total) / static_cast<double>(links);
+}
+
+i64 FoldedLoads::num_loaded_edges(double tol) const {
+  i64 n = 0;
+  for (const double v : orbit_load)
+    if (v > tol) ++n;
+  return n * fold.stabilizer_size;
+}
+
+LoadMap FoldedLoads::broadcast(const Torus& torus) const {
+  TP_PROF_PHASE("fold.broadcast");
+  TP_REQUIRE(torus.num_nodes() == fold.lat.num_nodes &&
+                 static_cast<std::size_t>(torus.dims()) == fold.lat.d,
+             "loads were folded on a different torus");
+  const auto total = static_cast<double>(lee_total);
+  if (fold.stabilizer_size == 1) return LoadMap(torus, orbit_load, total);
+  const std::size_t slots = 2 * fold.lat.d;
+  std::vector<double> loads(
+      static_cast<std::size_t>(torus.num_directed_edges()));
+  for_each_label(fold, [&](NodeId n, i64 label) {
+    std::copy_n(&orbit_load[static_cast<std::size_t>(label) * slots], slots,
+                &loads[static_cast<std::size_t>(n) * slots]);
+  });
+  return LoadMap(torus, std::move(loads), total);
+}
+
 namespace {
 
-/// The placement, its fold and its coordinates: what every routed source
+/// The placement, its coordinates and its fold: what every routed source
 /// reads.
 struct Sources {
+  /// One dimension as the route passes move along it: the cosets of its
+  /// multiples and, when its steps move a single component of the
+  /// quotient, that component's place and wrap.  The route loops copy
+  /// their axes, so that their stores cannot force these to be reloaded.
+  struct Axis {
+    std::size_t dim = 0;
+    i32 radix = 0;
+    const Coset* multiple = nullptr;  ///< [v]: the coset of v·e_dim
+    std::size_t lone = kMaxDims;  ///< the one component it moves, if one
+    i32 offset = 0;     ///< lone's bits in Coset::digits
+    u64 field = 0;
+    i64 modulus = 0;    ///< lone's s, its step and its label weight
+    i64 unit = 0;
+    i64 weight = 0;
+  };
+
   Sources(const Torus& torus, const Placement& p)
       : lat(torus),
-        fold(translation_fold(torus, p)),
         nodes(p.nodes()),
-        coords(node_coords(lat, p)) {}
+        coords(node_coords(lat, p)),
+        fold(fold_placement(lat, p, coords)) {
+    std::array<std::size_t, kMaxDims> first{};
+    for (std::size_t dim = 0; dim < lat.d; ++dim) {
+      first[dim] = multiples.size();
+      for (i32 v = 0; v < lat.radix[dim]; ++v) {
+        multiples.emplace_back();
+        shift(fold, multiples.back(), dim, v);
+      }
+    }
+    for (std::size_t dim = 0; dim < lat.d; ++dim) {
+      Axis& x = axis[dim];
+      x.dim = dim;
+      x.radix = lat.radix[dim];
+      x.multiple = &multiples[first[dim]];
+      if (std::popcount(fold.moves[dim]) != 1) continue;
+      const auto i = static_cast<std::size_t>(std::countr_zero(fold.moves[dim]));
+      x.lone = i;
+      x.offset = fold.offset[i];
+      x.field = (u64{1} << fold.width[i]) - 1;
+      x.modulus = fold.modulus[i];
+      x.unit = fold.unit[dim][i];
+      x.weight = fold.weight[i];
+    }
+  }
+
+  // Each Axis points into `multiples`.
+  Sources(const Sources&) = delete;
+  Sources& operator=(const Sources&) = delete;
 
   const i32* coord(std::size_t i) const { return &coords[i * lat.d]; }
 
+  /// c += delta, the coset of a multiple of x's unit vector.
+  void add(const Axis& x, Coset& c, const Coset& delta) const {
+    if (x.lone == kMaxDims) return add_along(fold, c, delta, x.dim);
+    c.label += delta.label;
+    c.digits += delta.digits;
+    const bool over =
+        static_cast<i64>((c.digits >> x.offset) & x.field) >= x.modulus;
+    c.digits -= over ? static_cast<u64>(x.modulus) << x.offset : 0;
+    c.label -= over ? x.modulus * x.weight : 0;
+  }
+
+  /// c moves from coordinate a to b along x.
+  void move(const Axis& x, Coset& c, i32 a, i32 b) const {
+    add(x, c, x.multiple[b >= a ? b - a : b - a + x.radix]);
+  }
+
+  /// c moves one step along x in direction dir.
+  void step(const Axis& x, Coset& c, Dir dir) const {
+    add(x, c, x.multiple[dir == Dir::Pos ? 1 : x.radix - 1]);
+  }
+
   Lattice lat;
-  TranslationFold fold;
   const std::vector<NodeId>& nodes;
   std::vector<i32> coords;
+  TranslationFold fold;
+  std::vector<Coset> multiples;  ///< Axis::multiple, dimension by dimension
+  std::array<Axis, kMaxDims> axis{};
 };
 
-/// One worker's load per link orbit: slot 2·dim + (dir == Neg) of orbit o
-/// sits at o·2d + slot — a LoadMap's layout when H is trivial.
+/// One worker's load per link orbit, in FoldedLoads' layout.
 template <typename W>
 class OrbitBuckets {
  public:
@@ -146,52 +445,89 @@ class OrbitBuckets {
         sums_(static_cast<std::size_t>(sources.fold.num_orbits * slots_),
               W{0}) {}
 
-  void add(NodeId tail, i64 slot, W w) {
-    sums_[static_cast<std::size_t>(sources_->fold.orbit_of(tail) * slots_ +
-                                   slot)] += w;
+  void add(i64 label, i64 slot, W w) {
+    sums_[static_cast<std::size_t>(label * slots_ + slot)] += w;
   }
 
-  /// Adds w to the `steps` links of the ring walk leaving `node`, whose
-  /// coordinate in `dim` is `from`, in direction `dir`.
-  void walk(NodeId node, i32 dim, Dir dir, i32 from, i32 steps, W w) {
-    const auto u = static_cast<std::size_t>(dim);
-    const i32 k = sources_->lat.radix[u];
-    const bool pos = dir == Dir::Pos;
-    const i64 slot = 2 * dim + (pos ? 0 : 1);
-    const i64 step = pos ? sources_->lat.stride[u] : -sources_->lat.stride[u];
-    const i32 last = pos ? k - 1 : 0;  // the coordinate the ring wraps after
-    NodeId cur = node;
-    i32 c = from;
-    for (i32 s = 0; s < steps; ++s) {
-      add(cur, slot, w);
-      if (c == last) {
-        c = k - 1 - last;
-        cur -= (k - 1) * step;
-      } else {
-        c += pos ? 1 : -1;
-        cur += step;
+  /// Ring walks along one dimension and direction, set up once: each call
+  /// adds w to the `steps` links leaving a node of coset `at`.
+  class Ring {
+   public:
+    Ring() = default;
+    Ring(OrbitBuckets& out, const typename Sources::Axis& x, Dir dir)
+        : fold_(&out.sources_->fold),
+          base_(out.sums_.data() + 2 * static_cast<i64>(x.dim) +
+                (dir == Dir::Pos ? 0 : 1)),
+          stride_(out.slots_),
+          dim_(x.dim),
+          dir_(dir),
+          lone_(x.lone),
+          offset_(x.offset),
+          field_(x.field),
+          modulus_(x.modulus) {
+      // A hop moves the component by ±unit; it leaves [0, s) only where
+      // it passes the factor's own wrap-around.
+      const i64 sign = dir == Dir::Pos ? 1 : -1;
+      inc_ = sign * x.unit;
+      jump_ = inc_ * x.weight;
+      wrap_ = sign * x.modulus;
+      wrap_label_ = wrap_ * x.weight;
+    }
+
+    void operator()(Coset at, i32 steps, W w) const {
+      if (lone_ == kMaxDims) {
+        for (i32 hop = 0; hop < steps; ++hop) {
+          base_[at.label * stride_] += w;
+          step(*fold_, at, dim_, dir_);
+        }
+        return;
+      }
+      // One component moves: by inc per hop, wrapping into [0, s).
+      auto z = static_cast<i64>((at.digits >> offset_) & field_);
+      i64 label = at.label;
+      for (i32 hop = 0; hop < steps; ++hop) {
+        base_[label * stride_] += w;
+        z += inc_;
+        label += jump_;
+        if (static_cast<u64>(z) >= static_cast<u64>(modulus_)) {
+          z -= wrap_;
+          label -= wrap_label_;
+        }
       }
     }
-  }
+
+   private:
+    const TranslationFold* fold_ = nullptr;
+    W* base_ = nullptr;  ///< the buckets of this dimension and direction
+    i64 stride_ = 0;
+    std::size_t dim_ = 0;
+    Dir dir_ = Dir::Pos;
+    std::size_t lone_ = kMaxDims;  ///< Sources::Axis::lone
+    i32 offset_ = 0;
+    u64 field_ = 0;
+    i64 modulus_ = 0;
+    i64 inc_ = 0;
+    i64 jump_ = 0;
+    i64 wrap_ = 0;
+    i64 wrap_label_ = 0;
+  };
 
   void merge(const OrbitBuckets& other) {
     for (std::size_t i = 0; i < sums_.size(); ++i) sums_[i] += other.sums_[i];
   }
 
-  /// Every link gets its orbit's bucket divided by `unit`.
-  LoadMap broadcast(const Torus& torus, double unit) const {
-    TP_PROF_PHASE("fold.broadcast");
-    std::vector<double> value(sums_.size());
+  W sum() const {
+    W total{0};
+    for (const W v : sums_) total += v;
+    return total;
+  }
+
+  /// Every bucket divided by `unit`.
+  std::vector<double> values(double unit) const {
+    std::vector<double> out(sums_.size());
     for (std::size_t i = 0; i < sums_.size(); ++i)
-      value[i] = static_cast<double>(sums_[i]) / unit;
-    const auto slots = static_cast<std::size_t>(slots_);
-    std::vector<double> loads(
-        static_cast<std::size_t>(torus.num_directed_edges()));
-    for (NodeId n = 0; n < torus.num_nodes(); ++n)
-      std::copy_n(
-          &value[static_cast<std::size_t>(sources_->fold.orbit_of(n)) * slots],
-          slots, &loads[static_cast<std::size_t>(n) * slots]);
-    return LoadMap(torus, std::move(loads));
+      out[i] = static_cast<double>(sums_[i]) / unit;
+    return out;
   }
 
  private:
@@ -230,29 +566,33 @@ Correction correction(i32 k, i32 a, i32 b, TieBreak tie) {
 
 /// One weighted correction segment produced by the route pass.
 struct OdrSegment {
-  NodeId node;  ///< entry node
-  i32 dim;
-  Dir dir;
-  i32 from;   ///< entry node's coordinate in dim
+  Coset at;  ///< entry node's coset
   i32 steps;
-  i64 weight;
+  i32 weight;  ///< at most 2·d!
 };
 
-/// Routes representatives [lo, hi) under ODR.  Two passes per source, so
-/// route enumeration and the link-load walk profile as separate phases
-/// (odr.route / odr.walk) at a grain coarse enough that the attribution
-/// does not distort what it measures.
-void route_odr(const Sources& src_set, const SmallVec<i32>& order,
-               TieBreak tie, i64 unit, OrbitBuckets<i64>& out, i64 lo,
-               i64 hi) {
+/// Routes representatives [lo, hi) under ODR and returns the sum of their
+/// pairs' Lee distances.  Two passes per source, so route enumeration and
+/// the link-load walk profile as separate phases (odr.route / odr.walk)
+/// at a grain coarse enough that the attribution does not distort what it
+/// measures.  Segments are kept per dimension and direction, each list
+/// walked with one Ring: integer adds, so the order is free.
+i64 route_odr(const Sources& src_set, const SmallVec<i32>& order,
+              TieBreak tie, i64 unit, OrbitBuckets<i64>& out, i64 lo,
+              i64 hi) {
   const Lattice& lat = src_set.lat;
-  std::vector<OdrSegment> segs;
-  segs.reserve(src_set.nodes.size() * order.size());
+  const TranslationFold& fold = src_set.fold;
+  const std::array<Sources::Axis, kMaxDims> axis = src_set.axis;
+  std::array<std::vector<OdrSegment>, 2 * kMaxDims> segs;
+  for (std::size_t slot = 0; slot < 2 * lat.d; ++slot)
+    segs[slot].reserve(src_set.nodes.size());  // one per pair at most
   std::array<i32, kMaxDims> cs{};
+  i64 lee = 0;
   for (i64 r = lo; r < hi; ++r) {
-    const NodeId src = src_set.fold.reps[static_cast<std::size_t>(r)];
+    const NodeId src = fold.reps[static_cast<std::size_t>(r)];
     lat.decode(src, cs.data());
-    segs.clear();
+    const Coset start = coset_of(fold, cs.data());
+    for (auto& list : segs) list.clear();
     {
       TP_PROF_PHASE("odr.route");
       for (std::size_t j = 0; j < src_set.nodes.size(); ++j) {
@@ -262,36 +602,47 @@ void route_odr(const Sources& src_set, const SmallVec<i32>& order,
         // dimension is deterministic (earlier dims at dst, later at src)
         // regardless of any tie direction taken earlier, so each
         // dimension's segment(s) can be enumerated without walking links.
-        NodeId node = src;
+        Coset at = start;
         for (const i32 dim : order) {
           const auto u = static_cast<std::size_t>(dim);
           const Correction c = correction(lat.radix[u], cs[u], cd[u], tie);
+          if (c.count == 0) continue;
+          lee += c.steps[0];
           for (std::size_t i = 0; i < static_cast<std::size_t>(c.count); ++i)
-            segs.push_back(OdrSegment{node, dim, c.dir[i], cs[u], c.steps[i],
-                                      unit / c.count});
-          node += (cd[u] - cs[u]) * lat.stride[u];
+            segs[2 * u + (c.dir[i] == Dir::Pos ? 0 : 1)].push_back(
+                OdrSegment{at, c.steps[i], static_cast<i32>(unit / c.count)});
+          src_set.move(axis[u], at, cs[u], cd[u]);
         }
-        TP_ASSERT(node == src_set.nodes[j],
-                  "ODR load walk did not reach destination");
       }
     }
     {
       TP_PROF_PHASE("odr.walk");
-      for (const OdrSegment& s : segs)
-        out.walk(s.node, s.dim, s.dir, s.from, s.steps, s.weight);
+      for (std::size_t slot = 0; slot < 2 * lat.d; ++slot) {
+        const OrbitBuckets<i64>::Ring ring(out, axis[slot / 2],
+                                           slot % 2 == 0 ? Dir::Pos : Dir::Neg);
+        for (const OdrSegment& seg : segs[slot]) ring(seg.at, seg.steps, seg.weight);
+      }
     }
   }
+  return lee;
 }
 
-/// Routes representatives [lo, hi) under UDR with subset weights:
-/// correcting dimension j after the subset S of the other s-1 differing
-/// dimensions happens in |S|!(s-1-|S|)!/s! of all orders, and the walk
-/// then enters j's segment at the node whose S-dims sit at dst and the
-/// rest at src — whatever directions S took.
-void route_udr(const Sources& src_set, TieBreak tie, i64 unit,
-               OrbitBuckets<i64>& out, i64 lo, i64 hi) {
+/// Routes representatives [lo, hi) under UDR with subset weights and
+/// returns the sum of their pairs' Lee distances: correcting dimension j
+/// after the subset S of the other s-1 differing dimensions happens in
+/// |S|!(s-1-|S|)!/s! of all orders, and the walk then enters j's segment
+/// at the node whose S-dims sit at dst and the rest at src — whatever
+/// directions S took.
+i64 route_udr(const Sources& src_set, TieBreak tie, i64 unit,
+              OrbitBuckets<i64>& out, i64 lo, i64 hi) {
   const Lattice& lat = src_set.lat;
+  const TranslationFold& fold = src_set.fold;
+  const std::array<Sources::Axis, kMaxDims> axis = src_set.axis;
   const auto d = static_cast<i64>(lat.d);
+  std::array<OrbitBuckets<i64>::Ring, 2 * kMaxDims> ring;
+  for (std::size_t slot = 0; slot < 2 * lat.d; ++slot)
+    ring[slot] = OrbitBuckets<i64>::Ring(out, axis[slot / 2],
+                                         slot % 2 == 0 ? Dir::Pos : Dir::Neg);
   // order_weight[s][m] = unit · m!(s-1-m)!/s!, an integer for s <= d.
   std::array<std::array<i64, kMaxDims>, kMaxDims + 1> order_weight{};
   for (i64 s = 1; s <= d; ++s)
@@ -300,66 +651,84 @@ void route_udr(const Sources& src_set, TieBreak tie, i64 unit,
           unit / factorial(s) * factorial(m) * factorial(s - 1 - m);
 
   std::array<i32, kMaxDims> cs{};
-  std::array<i32, kMaxDims> diff{};
+  std::array<std::size_t, kMaxDims> diff{};
   std::array<Correction, kMaxDims> corr{};
-  std::array<i64, kMaxDims> delta{};
-  std::array<i64, kMaxDims> others{};
-  std::array<NodeId, std::size_t{1} << (kMaxDims - 1)> entry{};
+  std::array<std::size_t, kMaxDims> others{};
+  std::array<Coset, std::size_t{1} << (kMaxDims - 1)> entry{};
+  i64 lee = 0;
   for (i64 r = lo; r < hi; ++r) {
-    const NodeId src = src_set.fold.reps[static_cast<std::size_t>(r)];
+    const NodeId src = fold.reps[static_cast<std::size_t>(r)];
     lat.decode(src, cs.data());
+    const Coset start = coset_of(fold, cs.data());
     for (std::size_t j = 0; j < src_set.nodes.size(); ++j) {
       if (src_set.nodes[j] == src) continue;
       const i32* cd = src_set.coord(j);
       std::size_t s = 0;
       for (std::size_t u = 0; u < lat.d; ++u) {
         if (cs[u] == cd[u]) continue;
-        diff[s] = static_cast<i32>(u);
+        diff[s] = u;
         corr[s] = correction(lat.radix[u], cs[u], cd[u], tie);
-        delta[s] = (cd[u] - cs[u]) * lat.stride[u];
+        lee += corr[s].steps[0];
         ++s;
       }
       for (std::size_t ji = 0; ji < s; ++ji) {
         std::size_t n_others = 0;
         for (std::size_t i = 0; i < s; ++i)
-          if (i != ji) others[n_others++] = delta[i];
+          if (i != ji) others[n_others++] = i;
         // entry[mask]: src with the dims in mask moved to dst.
         const std::uint32_t subsets = 1u << n_others;
-        entry[0] = src;
+        entry[0] = start;
         for (std::uint32_t mask = 1; mask < subsets; ++mask) {
-          const auto low = static_cast<std::size_t>(std::countr_zero(mask));
-          entry[mask] = entry[mask & (mask - 1)] + others[low];
+          const std::size_t low =
+              others[static_cast<std::size_t>(std::countr_zero(mask))];
+          const std::size_t u = diff[low];
+          entry[mask] = entry[mask & (mask - 1)];
+          src_set.move(axis[u], entry[mask], cs[u], cd[u]);
         }
         const Correction& c = corr[ji];
-        const i32 dim = diff[ji];
-        const i32 from = cs[static_cast<std::size_t>(dim)];
-        for (std::uint32_t mask = 0; mask < subsets; ++mask) {
-          const i64 w =
-              order_weight[s][static_cast<std::size_t>(std::popcount(mask))] /
-              c.count;
-          for (std::size_t i = 0; i < static_cast<std::size_t>(c.count); ++i)
-            out.walk(entry[mask], dim, c.dir[i], from, c.steps[i], w);
+        for (std::size_t i = 0; i < static_cast<std::size_t>(c.count); ++i) {
+          const auto& walk =
+              ring[2 * diff[ji] + (c.dir[i] == Dir::Pos ? 0 : 1)];
+          for (std::uint32_t mask = 0; mask < subsets; ++mask)
+            walk(entry[mask], c.steps[i],
+                 order_weight[s][static_cast<std::size_t>(std::popcount(mask))] /
+                     c.count);
         }
       }
     }
   }
+  return lee;
 }
 
 enum class Walk { Odr, Udr };
 
-/// Routes every coset representative into int64 link-orbit buckets,
-/// spread over up to `threads` workers when the routed pairs,
-/// reps·(|P|-1), are enough to pay for them; sums the workers' buckets
-/// (integer adds: exact in any order, so every width agrees bit for bit)
-/// and broadcasts.  Counts are in units of 1/(2·d!), which every ODR and
-/// UDR link weight is a multiple of.  Every bucket holds at most the total
+SmallVec<i32> identity_order(const Torus& torus) {
+  SmallVec<i32> order;
+  for (i32 dim = 0; dim < torus.dims(); ++dim) order.push_back(dim);
+  return order;
+}
+
+/// The ODR and UDR kernel.  Routes every coset representative into int64
+/// link-orbit buckets, spread over up to `threads` workers when the routed
+/// pairs, reps·(|P|-1), are enough to pay for them, and sums the workers'
+/// buckets (integer adds: exact in any order, so every width agrees bit
+/// for bit).  Counts are in units of 1/(2·d!), which every ODR and UDR
+/// link weight is a multiple of.  Every bucket holds at most the total
 /// load, sum over ordered pairs of Lee distances <= |P|(|P|-1)·Σ⌊k_i/2⌋;
-/// below 2^53 units it is exact both as an int64 and as the double the
-/// broadcast divides, so each load is the correctly rounded rational.
-LoadMap folded_exact_loads(const Torus& torus, const Placement& p,
-                           i32 threads, Walk walk, const SmallVec<i32>& order,
-                           TieBreak tie) {
+/// below 2^53 units it is exact both as an int64 and as the double it is
+/// divided as, so each load is the correctly rounded rational.  Each pair
+/// puts exactly its Lee distance in units on the links, which the sum of
+/// the buckets must show.
+FoldedLoads exact_orbit_loads(const Torus& torus, const Placement& p,
+                              i32 threads, Walk walk, SmallVec<i32> order,
+                              TieBreak tie) {
   p.check_torus(torus);
+  if (walk == Walk::Odr) {
+    if (order.empty())
+      order = identity_order(torus);
+    else
+      OdrRouter(order, tie).correction_order(torus);  // validate permutation
+  }
   const i64 unit = 2 * factorial(torus.dims());
   i64 diameter = 0;
   for (i32 dim = 0; dim < torus.dims(); ++dim) diameter += torus.radix(dim) / 2;
@@ -371,36 +740,49 @@ LoadMap folded_exact_loads(const Torus& torus, const Placement& p,
              "placement too large for exact int64 load accumulation");
   TP_OBS_COUNT("load.pairs_evaluated", pairs);
 
-  const Sources sources(torus, p);
+  Sources sources(torus, p);
   const auto reps = static_cast<i64>(sources.fold.reps.size());
   const i32 workers = effective_workers(
       reps * std::max<i64>(p.size() - 1, 0), threads, kMinPairsPerWorker);
   std::vector<OrbitBuckets<i64>> partial(static_cast<std::size_t>(workers),
                                          OrbitBuckets<i64>(sources));
-  const auto route = [&](OrbitBuckets<i64>& out, i64 lo, i64 hi) {
-    if (walk == Walk::Odr)
-      route_odr(sources, order, tie, unit, out, lo, hi);
-    else
-      route_udr(sources, tie, unit, out, lo, hi);
+  std::vector<i64> lee(static_cast<std::size_t>(workers), 0);
+  const auto route = [&](i32 worker, i64 lo, i64 hi) {
+    const auto w = static_cast<std::size_t>(worker);
+    lee[w] = walk == Walk::Odr
+                 ? route_odr(sources, order, tie, unit, partial[w], lo, hi)
+                 : route_udr(sources, tie, unit, partial[w], lo, hi);
   };
-  if (workers == 1) {
-    route(partial[0], 0, reps);
-  } else {
-    parallel_for_blocks(reps, workers, [&](i32 worker, i64 lo, i64 hi) {
-      route(partial[static_cast<std::size_t>(worker)], lo, hi);
-    });
+  if (workers == 1)
+    route(0, 0, reps);
+  else
+    parallel_for_blocks(reps, workers, route);
+  for (std::size_t w = 1; w < partial.size(); ++w) {
+    partial[0].merge(partial[w]);
+    lee[0] += lee[w];
   }
-  for (std::size_t w = 1; w < partial.size(); ++w) partial[0].merge(partial[w]);
-  return partial[0].broadcast(torus, static_cast<double>(unit));
-}
-
-SmallVec<i32> identity_order(const Torus& torus) {
-  SmallVec<i32> order;
-  for (i32 dim = 0; dim < torus.dims(); ++dim) order.push_back(dim);
-  return order;
+  const i64 lee_total = lee[0] * sources.fold.stabilizer_size;
+  TP_ASSERT(partial[0].sum() * sources.fold.stabilizer_size ==
+                unit * lee_total,
+            "link loads do not add up to the Lee distances");
+  return FoldedLoads{std::move(sources.fold),
+                     partial[0].values(static_cast<double>(unit)), lee_total};
 }
 
 }  // namespace
+
+FoldedLoads odr_orbit_loads(const Torus& torus, const Placement& p,
+                            TieBreak tie, i32 threads,
+                            const SmallVec<i32>& order) {
+  TP_OBS_SCOPE("load.odr");
+  return exact_orbit_loads(torus, p, threads, Walk::Odr, order, tie);
+}
+
+FoldedLoads udr_orbit_loads(const Torus& torus, const Placement& p,
+                            TieBreak tie, i32 threads) {
+  TP_OBS_SCOPE("load.udr");
+  return exact_orbit_loads(torus, p, threads, Walk::Udr, {}, tie);
+}
 
 LoadMap reference_loads(const Torus& torus, const Placement& p,
                         const Router& router) {
@@ -419,7 +801,6 @@ LoadMap reference_loads(const Torus& torus, const Placement& p,
   return loads;
 }
 
-
 LoadMap odr_loads(const Torus& torus, const Placement& p, TieBreak tie) {
   return odr_loads_ordered(torus, p, identity_order(torus), tie);
 }
@@ -427,26 +808,27 @@ LoadMap odr_loads(const Torus& torus, const Placement& p, TieBreak tie) {
 LoadMap odr_loads_ordered(const Torus& torus, const Placement& p,
                           const SmallVec<i32>& order, TieBreak tie) {
   TP_OBS_SCOPE("load.odr");
-  OdrRouter(order, tie).correction_order(torus);  // validate permutation
-  return folded_exact_loads(torus, p, 1, Walk::Odr, order, tie);
+  return exact_orbit_loads(torus, p, 1, Walk::Odr, order, tie)
+      .broadcast(torus);
 }
 
 LoadMap odr_loads_parallel(const Torus& torus, const Placement& p,
                            i32 threads, TieBreak tie) {
   TP_OBS_SCOPE("load.odr");
-  return folded_exact_loads(torus, p, threads, Walk::Odr,
-                            identity_order(torus), tie);
+  return exact_orbit_loads(torus, p, threads, Walk::Odr, {}, tie)
+      .broadcast(torus);
 }
 
 LoadMap udr_loads(const Torus& torus, const Placement& p, TieBreak tie) {
   TP_OBS_SCOPE("load.udr");
-  return folded_exact_loads(torus, p, 1, Walk::Udr, {}, tie);
+  return exact_orbit_loads(torus, p, 1, Walk::Udr, {}, tie).broadcast(torus);
 }
 
 LoadMap udr_loads_parallel(const Torus& torus, const Placement& p,
                            i32 threads, TieBreak tie) {
   TP_OBS_SCOPE("load.udr");
-  return folded_exact_loads(torus, p, threads, Walk::Udr, {}, tie);
+  return exact_orbit_loads(torus, p, threads, Walk::Udr, {}, tie)
+      .broadcast(torus);
 }
 
 LoadMap udr_loads_enumerated(const Torus& torus, const Placement& p,
@@ -492,17 +874,17 @@ class PascalTable {
   std::vector<i64> c_;
 };
 
-}  // namespace
-
-LoadMap adaptive_loads(const Torus& torus, const Placement& p) {
-  TP_OBS_SCOPE("load.adaptive");
+/// The adaptive kernel.
+FoldedLoads adaptive_kernel(const Torus& torus, const Placement& p) {
   p.check_torus(torus);
   TP_OBS_COUNT("load.pairs_evaluated", p.size() * (p.size() - 1));
   // Adaptive weights are multinomial ratios with no fixed denominator, so
   // this is the one kernel that folds into double buckets.
-  const Sources sources(torus, p);
+  Sources sources(torus, p);
   OrbitBuckets<double> loads(sources);
   const Lattice& lat = sources.lat;
+  const TranslationFold& fold = sources.fold;
+  const std::array<Sources::Axis, kMaxDims> axis = sources.axis;
   const std::size_t d = lat.d;
   i64 diameter = 0;
   for (std::size_t i = 0; i < d; ++i) diameter += lat.radix[i] / 2;
@@ -514,9 +896,13 @@ LoadMap adaptive_loads(const Torus& torus, const Placement& p) {
   std::array<std::size_t, kMaxDims> tie_dim{};
   std::array<i32, kMaxDims> dir{};  // way, with the mask's ties turned -1
   std::array<i32, kMaxDims> pos{};  // corridor position
-  std::array<i32, kMaxDims> c{};    // coordinates of the node at pos
-  for (const NodeId src : sources.fold.reps) {
+  // level[i]: coset of the corridor node at pos with the positions after
+  // i at 0; level[d-1] is the node at pos.
+  std::array<Coset, kMaxDims> level{};
+  i64 lee = 0;
+  for (const NodeId src : fold.reps) {
     lat.decode(src, cs.data());
+    const Coset start = coset_of(fold, cs.data());
     for (std::size_t j = 0; j < sources.nodes.size(); ++j) {
       if (sources.nodes[j] == src) continue;
       const i32* cd = sources.coord(j);
@@ -532,6 +918,8 @@ LoadMap adaptive_loads(const Torus& torus, const Placement& p) {
         if (fwd != 0 && fwd == bwd) tie_dim[ties++] = i;
         total += len[i];
       }
+      TP_REQUIRE(!__builtin_add_overflow(lee, total, &lee),
+                 "total load overflows int64");
       // Base multinomial: number of interleavings for one direction
       // commitment (identical for every commitment since arc lengths match).
       double m_base = 1.0;
@@ -551,9 +939,9 @@ LoadMap adaptive_loads(const Torus& torus, const Placement& p) {
           if (mask & (1u << t)) dir[tie_dim[t]] = -1;
 
         // Walk the corridor: positions 0..len[i] along each dimension, the
-        // last fastest, with c the node at each position.
+        // last fastest.
         pos.fill(0);
-        c = cs;
+        level.fill(start);
         i64 steps_to = 0;
         for (bool more = true; more;) {
           // Path counts to and from the node at this position.
@@ -571,7 +959,7 @@ LoadMap adaptive_loads(const Torus& torus, const Placement& p) {
               rem -= len[i] - pos[i];
             }
           }
-          const NodeId u = lat.encode(c.data());
+          const i64 u = level[d - 1].label;
           // One outgoing corridor edge per dimension with remaining steps.
           for (std::size_t i = 0; i < d; ++i) {
             if (pos[i] == len[i]) continue;
@@ -590,21 +978,34 @@ LoadMap adaptive_loads(const Torus& torus, const Placement& p) {
             if (pos[i] < len[i]) {
               ++pos[i];
               ++steps_to;
-              c[i] += dir[i];
-              if (c[i] == lat.radix[i]) c[i] = 0;
-              if (c[i] < 0) c[i] = lat.radix[i] - 1;
+              sources.step(axis[i], level[i], dir[i] > 0 ? Dir::Pos : Dir::Neg);
+              for (std::size_t m = i + 1; m < d; ++m) level[m] = level[i];
               more = true;
               break;
             }
             steps_to -= pos[i];
             pos[i] = 0;
-            c[i] = cs[i];
           }
         }
       });
     }
   }
-  return loads.broadcast(torus, 1.0);
+  i64 lee_total = 0;
+  TP_REQUIRE(!__builtin_mul_overflow(lee, fold.stabilizer_size, &lee_total),
+             "total load overflows int64");
+  return FoldedLoads{std::move(sources.fold), loads.values(1.0), lee_total};
+}
+
+}  // namespace
+
+FoldedLoads adaptive_orbit_loads(const Torus& torus, const Placement& p) {
+  TP_OBS_SCOPE("load.adaptive");
+  return adaptive_kernel(torus, p);
+}
+
+LoadMap adaptive_loads(const Torus& torus, const Placement& p) {
+  TP_OBS_SCOPE("load.adaptive");
+  return adaptive_kernel(torus, p).broadcast(torus);
 }
 
 double expected_total_load(const Torus& torus, const Placement& p) {

@@ -8,8 +8,11 @@
 
 namespace tp {
 
-LoadMap::LoadMap(const Torus& torus, std::vector<double> loads)
-    : loads_(std::move(loads)), dims_(torus.dims()) {
+LoadMap::LoadMap(const Torus& torus, std::vector<double> loads,
+                 std::optional<double> exact_total)
+    : loads_(std::move(loads)),
+      exact_total_(exact_total),
+      dims_(torus.dims()) {
   TP_REQUIRE(static_cast<i64>(loads_.size()) == torus.num_directed_edges(),
              "one load per directed link required");
 }
@@ -29,6 +32,7 @@ std::vector<EdgeId> LoadMap::argmax(double tol) const {
 }
 
 double LoadMap::total_load() const {
+  if (exact_total_) return *exact_total_;
   double sum = 0.0;
   for (double v : loads_) sum += v;
   return sum;

@@ -6,9 +6,16 @@
 // exactly, as integers over 2·d!, and store each as the correctly rounded
 // double; adaptive_loads and reference_loads sum doubles, accurate to a
 // few ulps at the sizes this library targets.
+//
+// The exact total: a map broadcast by the load analyzers carries the sum of
+// its loads as the exact integer ΣLee (the Lee distances over ordered
+// processor pairs, complete_exchange.h), so total_load() and mean_load()
+// are that integer and ΣLee / 2dN rounded once, not a double sum of
+// rounded loads.  add() drops it; a map built link by link sums doubles.
 
 #pragma once
 
+#include <optional>
 #include <vector>
 
 #include "src/torus/torus.h"
@@ -22,10 +29,15 @@ class LoadMap {
       : loads_(static_cast<std::size_t>(torus.num_directed_edges()), 0.0),
         dims_(torus.dims()) {}
 
-  /// Adopts one load per directed link, in EdgeId order.
-  LoadMap(const Torus& torus, std::vector<double> loads);
+  /// Adopts one load per directed link, in EdgeId order, and optionally
+  /// their exact sum.
+  LoadMap(const Torus& torus, std::vector<double> loads,
+          std::optional<double> exact_total = std::nullopt);
 
-  void add(EdgeId e, double w) { loads_.at(static_cast<std::size_t>(e)) += w; }
+  void add(EdgeId e, double w) {
+    exact_total_.reset();
+    loads_.at(static_cast<std::size_t>(e)) += w;
+  }
   double operator[](EdgeId e) const {
     return loads_.at(static_cast<std::size_t>(e));
   }
@@ -39,10 +51,12 @@ class LoadMap {
   std::vector<EdgeId> argmax(double tol = 1e-9) const;
 
   /// Sum of E(l) over all links.  Equals the sum of (expected) path lengths
-  /// over ordered processor pairs — see expected_total_load().
+  /// over ordered processor pairs — see expected_total_load().  The exact
+  /// total when the map carries one, else a double sum.
   double total_load() const;
 
-  /// Mean load over all links (used links and idle ones alike).
+  /// Mean load over all links (used links and idle ones alike):
+  /// total_load() / 2dN.
   double mean_load() const;
 
   /// Number of links with load > tol.
@@ -62,6 +76,7 @@ class LoadMap {
 
  private:
   std::vector<double> loads_;
+  std::optional<double> exact_total_;
   i32 dims_;
 };
 

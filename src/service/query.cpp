@@ -128,12 +128,11 @@ QueryResult compute_query(const QueryKey& key, i32 measure_threads) {
   r.lower_bound = plan.lower_bound;
 
   if (key.measure) {
-    auto loads = std::make_shared<LoadMap>(
-        measure_loads(torus, plan.placement, key.router, measure_threads));
-    r.measured_emax = loads->max_load();
-    r.mean_load = loads->mean_load();
-    r.loaded_links = loads->num_loaded_edges();
-    r.loads = std::move(loads);
+    const FoldedLoads loads = measure_orbit_loads(torus, plan.placement,
+                                                  key.router, measure_threads);
+    r.measured_emax = loads.max_load();
+    r.mean_load = loads.mean_load();
+    r.loaded_links = loads.num_loaded_edges();
   }
 
   if (key.bounds) {

@@ -32,7 +32,7 @@ namespace tp::service {
 enum class QueryOp {
   Plan,     ///< placement + router + predicted E_max + best lower bound
   Bounds,   ///< Plan plus every lower bound and the slab search
-  Load,     ///< Plan plus the exact load map (measured E_max)
+  Load,     ///< Plan plus the exact loads' E_max, mean and loaded links
   Analyze,  ///< Load plus Bounds
 };
 
@@ -47,7 +47,7 @@ struct QueryKey {
   Radices radices;                     ///< sorted ascending
   i32 t = 1;                           ///< placement multiplicity
   RouterKind router = RouterKind::Odr;
-  bool measure = false;                ///< compute the exact load map
+  bool measure = false;                ///< measure the exact loads
   bool bounds = false;                 ///< compute the full bound table
 
   i32 dims() const { return static_cast<i32>(radices.size()); }
@@ -89,10 +89,13 @@ struct QueryResult {
   bool prediction_exact = false;
   double lower_bound = 0.0;
 
-  // Exact loads (present iff key.measure).
+  // Exact loads (present iff key.measure), read off the link-orbit
+  // buckets: mean_load is exactly ΣLee / 2dN, rounded once.
   double measured_emax = 0.0;
   double mean_load = 0.0;
   i64 loaded_links = 0;
+  /// Always null: answers keep no per-link map.  Kept for the benchmark's
+  /// in-process replay (tpbench/replay.cpp), which still assigns one.
   std::shared_ptr<const LoadMap> loads;
 
   // Bound table (present iff key.bounds).

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "src/torus/torus.h"
 #include "src/util/build_info.h"
 #include "src/util/checked_io.h"
 #include "src/util/error.h"
@@ -68,12 +67,6 @@ std::string encode_query_result(const QueryResult& result) {
   buf.put_f64(result.measured_emax);
   buf.put_f64(result.mean_load);
   buf.put_i64(result.loaded_links);
-  buf.put_u8(result.loads ? 1 : 0);
-  if (result.loads) {
-    const auto& raw = result.loads->raw();
-    buf.put_u64(static_cast<u64>(raw.size()));
-    for (double w : raw) buf.put_f64(w);
-  }
 
   buf.put_u32(static_cast<std::uint32_t>(result.bound_table.size()));
   for (const auto& b : result.bound_table) {
@@ -114,17 +107,6 @@ QueryResult decode_query_result(std::string_view payload) {
   result.measured_emax = view.get_f64();
   result.mean_load = view.get_f64();
   result.loaded_links = view.get_i64();
-  const bool has_loads = view.get_u8() != 0;
-  if (has_loads) {
-    const Torus torus(result.key.radices);
-    const u64 n = view.get_u64();
-    TP_REQUIRE(n == static_cast<u64>(torus.num_directed_edges()),
-               "snapshot entry: load map size disagrees with the torus");
-    auto loads = std::make_shared<LoadMap>(torus);
-    for (EdgeId e = 0; e < static_cast<EdgeId>(n); ++e)
-      loads->add(e, view.get_f64());
-    result.loads = std::move(loads);
-  }
 
   const std::uint32_t nbounds = view.get_u32();
   TP_REQUIRE(nbounds <= 64, "snapshot entry: implausible bound table size");

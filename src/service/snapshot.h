@@ -47,7 +47,9 @@ namespace tp::service {
 /// Bumped whenever the record layout, or the meaning of the stored raw
 /// IEEE bits, changes; old files are refused.  Version 2: UDR loads are
 /// the correctly rounded exact rationals, no longer double sums.
-constexpr std::uint32_t kSnapshotFormatVersion = 2;
+/// Version 3: entries carry no per-link load map, and mean_load is the
+/// exact ΣLee / 2dN.
+constexpr std::uint32_t kSnapshotFormatVersion = 3;
 
 /// The compatibility key baked into every snapshot: "<version> <git>".
 /// `torusplace version` prints the same fields (docs/durability.md).

@@ -3,10 +3,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <set>
+#include <utility>
+#include <vector>
+
 #include "src/core/planner.h"
 #include "src/core/verifier.h"
 #include "src/load/complete_exchange.h"
 #include "src/load/formulas.h"
+#include "src/service/query.h"
 #include "src/util/error.h"
 
 namespace tp {
@@ -18,12 +25,15 @@ TEST(Planner, MakeRouterNames) {
   EXPECT_EQ(make_router(RouterKind::Adaptive)->name(), "ADAPTIVE");
 }
 
-TEST(Planner, OdrPlanPredictsInteriorFormAt3D) {
+TEST(Planner, OdrPlanPredictsOverallFormAt3D) {
+  // The paper's Section 6.1 count, odr_linear_emax(8, 3) = 10, is the
+  // interior-dimension maximum only; the exact E_max is 4·8 = 32.
   Torus t(3, 8);
   const PlacementPlan plan = plan_placement(t, 1, RouterKind::Odr);
   EXPECT_EQ(plan.placement.size(), 64);
   EXPECT_TRUE(plan.prediction_exact);
-  EXPECT_DOUBLE_EQ(plan.predicted_emax, odr_linear_emax(8, 3));
+  EXPECT_EQ(plan.predicted_emax, odr_linear_emax_overall(8, 3));
+  EXPECT_EQ(plan.predicted_emax, measure_emax(t, plan));
   EXPECT_GT(plan.lower_bound, 0.0);
   EXPECT_FALSE(plan.summary.empty());
 }
@@ -42,11 +52,16 @@ TEST(Planner, MeasuredLoadWithinPredictedBound) {
   }
 }
 
-TEST(Planner, TwoDimensionalPlanUsesUpperBound) {
+TEST(Planner, TwoDimensionalOdrPlanIsExact) {
   Torus t(2, 6);
   const PlacementPlan plan = plan_placement(t, 1, RouterKind::Odr);
-  EXPECT_FALSE(plan.prediction_exact);  // closed form needs d >= 3
-  EXPECT_DOUBLE_EQ(plan.predicted_emax, odr_linear_emax_upper(6, 2));
+  EXPECT_TRUE(plan.prediction_exact);  // floor(k/2)·k^{d-2} holds for d = 2
+  EXPECT_EQ(plan.predicted_emax, odr_linear_emax_overall(6, 2));
+  EXPECT_EQ(plan.predicted_emax, measure_emax(t, plan));
+  // Multiplicity t > 1 keeps Theorem 3's upper bound.
+  const PlacementPlan multiple = plan_placement(t, 2, RouterKind::Odr);
+  EXPECT_FALSE(multiple.prediction_exact);
+  EXPECT_EQ(multiple.predicted_emax, multiple_odr_upper(2, 6, 2));
 }
 
 TEST(Planner, AdaptiveKindMeasures) {
@@ -75,6 +90,80 @@ TEST(Planner, MeasureLoadsMatchesDirectCalls) {
   EXPECT_LT(measure_loads(t, p, RouterKind::Adaptive)
                 .max_abs_diff(adaptive_loads(t, p)),
             1e-12);
+}
+
+// --- answers ------------------------------------------------------------
+
+/// Sum of Lee distances over ordered pairs of P, dimension by dimension
+/// from coordinate histograms: independent of the load kernels.
+i64 sum_of_lee_distances(const Torus& torus, const Placement& p) {
+  i64 sum = 0;
+  for (i32 dim = 0; dim < torus.dims(); ++dim) {
+    const i32 k = torus.radix(dim);
+    std::vector<i64> count(static_cast<std::size_t>(k), 0);
+    for (const NodeId n : p.nodes())
+      ++count[static_cast<std::size_t>(torus.coord_of(n, dim))];
+    for (i32 a = 0; a < k; ++a)
+      for (i32 b = 0; b < k; ++b)
+        sum += count[static_cast<std::size_t>(a)] *
+               count[static_cast<std::size_t>(b)] * torus.cyclic_dist(dim, a, b);
+  }
+  return sum;
+}
+
+TEST(Answers, ExactClaimsHoldAndBoundsBracketTheMeasurement) {
+  // `analyze` over d = 2..4, k = 2..12, t = 1..3 (t <= k) and the tori of
+  // the benchmark's cold sweep, under every router.  Identities are
+  // checked with ==; inequalities with 1e-9 relative slack.
+  std::set<std::pair<i32, i32>> tori;  // (d, k)
+  for (i32 d = 2; d <= 4; ++d)
+    for (i32 k = 2; k <= 12; ++k) tori.insert({d, k});
+  for (const auto& dk : {std::pair{2, 32}, std::pair{2, 64}, std::pair{3, 12},
+                         std::pair{4, 5}})
+    tori.insert(dk);
+  const auto at_most = [](double a, double b) {
+    return a <= b + 1e-9 * std::abs(b);
+  };
+  i64 answers = 0;
+  for (const auto& [d, k] : tori) {
+    const Torus torus(d, k);
+    for (i32 t = 1; t <= std::min(3, k); ++t) {
+      const double links = static_cast<double>(torus.num_directed_edges());
+      const double mean =
+          static_cast<double>(sum_of_lee_distances(
+              torus, multiple_linear_placement(torus, t))) /
+          links;
+      for (const RouterKind kind :
+           {RouterKind::Odr, RouterKind::Udr, RouterKind::Adaptive}) {
+        const service::QueryResult r = service::compute_query(
+            service::make_query_key(torus.radices(), t, kind,
+                                    service::QueryOp::Analyze));
+        SCOPED_TRACE(r.key.str());
+        if (r.prediction_exact)
+          EXPECT_EQ(r.measured_emax, r.predicted_emax);
+        else
+          EXPECT_TRUE(at_most(r.measured_emax, r.predicted_emax))
+              << r.measured_emax << " > " << r.predicted_emax;
+        EXPECT_EQ(r.mean_load, mean);
+        EXPECT_TRUE(at_most(r.lower_bound, r.measured_emax))
+            << r.lower_bound << " > " << r.measured_emax;
+        EXPECT_TRUE(at_most(r.lower_bound, r.predicted_emax))
+            << r.lower_bound << " > " << r.predicted_emax;
+        for (const BoundValue& b : r.bound_table) {
+          if (b.applicable) {
+            EXPECT_TRUE(at_most(b.value, r.measured_emax))
+                << b.name << " " << b.value << " > " << r.measured_emax;
+          }
+        }
+        if (r.has_slab) {
+          EXPECT_TRUE(at_most(r.slab.value, r.measured_emax))
+              << "slab " << r.slab.value << " > " << r.measured_emax;
+        }
+        ++answers;
+      }
+    }
+  }
+  EXPECT_EQ(answers, 3 * (3 * (3 * 11 - 1) + 2 * 3));
 }
 
 TEST(Verifier, CertifiesLinearPlacementFamily) {

@@ -1,6 +1,7 @@
 // Randomized differential suite for the folded, integer-exact load
 // kernels (src/load/complete_exchange.h), plus unit tests of the
-// stabilizer detection they fold over.
+// stabilizer detection they fold over, of its arithmetic coset labels,
+// and of the summaries read off the link-orbit buckets.
 //
 // Seeded tori of d = 1..4 with uniform and mixed radices 2..7 carry every
 // placement family: linear with random coefficients and offset, multiple
@@ -16,6 +17,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <set>
 #include <string>
 #include <vector>
@@ -258,8 +260,271 @@ TEST(TranslationFold, RandomAndClusteredAreAperiodic) {
     const TranslationFold fold = translation_fold(torus, p);
     EXPECT_EQ(fold.stabilizer_size, 1) << p.name();
     EXPECT_EQ(fold.reps, p.nodes()) << p.name();
-    EXPECT_TRUE(fold.orbit.empty()) << p.name();
     EXPECT_EQ(fold.num_orbits, torus.num_nodes());
+    for (NodeId n = 0; n < torus.num_nodes(); ++n)
+      ASSERT_EQ(fold.orbit_of(n), n) << p.name();  // the label is the node id
+  }
+}
+
+// --- coset labels ------------------------------------------------------
+
+/// {x : x_i even for every i}: a subgroup of T_k^d for even k whose
+/// quotient is Z_2^d, not cyclic.
+Placement even_sublattice(const Torus& torus) {
+  std::vector<NodeId> nodes;
+  for (NodeId n = 0; n < torus.num_nodes(); ++n) {
+    bool even = true;
+    for (i32 i = 0; i < torus.dims(); ++i)
+      even = even && torus.coord_of(n, i) % 2 == 0;
+    if (even) nodes.push_back(n);
+  }
+  return Placement(torus, std::move(nodes), "even");
+}
+
+/// One torus and placement of every family the labels must handle,
+/// small enough to check by brute force.
+std::vector<std::pair<Torus, Placement>> label_cases() {
+  std::vector<std::pair<Torus, Placement>> out;
+  const auto add = [&out](const Radices& r, auto make) {
+    const Torus torus(r);
+    out.emplace_back(torus, make(torus));
+  };
+  add(Radices{8, 8, 8}, [](const Torus& t) { return linear_placement(t); });
+  add(Radices{6, 6, 6}, [](const Torus& t) {
+    return multiple_linear_placement(t, 3);
+  });
+  add(Radices{5, 5, 5, 5}, [](const Torus& t) {
+    return multiple_linear_placement(t, 2);
+  });
+  add(Radices{4, 6}, [](const Torus& t) {
+    return modular_placement(t, SmallVec<i32>{1, 1}, 2, 1);
+  });
+  add(Radices{10, 10}, [](const Torus& t) { return perfect_lee_placement(t); });
+  add(Radices{3, 4, 5}, [](const Torus& t) {
+    return subtorus_placement(t, 1, 2);
+  });
+  add(Radices{4, 4}, [](const Torus& t) { return full_population(t); });
+  add(Radices{5, 6, 7}, [](const Torus& t) {
+    return random_placement(t, 40, 3);
+  });
+  add(Radices{6, 6, 6}, [](const Torus& t) {
+    return clustered_placement(t, 25);
+  });
+  add(Radices{4, 4}, [](const Torus& t) { return even_sublattice(t); });
+  add(Radices{6, 6, 6}, [](const Torus& t) { return even_sublattice(t); });
+  add(Radices{3, 5}, [](const Torus& t) {
+    return diagonal_placement_mixed(t, 1, 2);
+  });
+  add(Radices{7, 7, 7}, [](const Torus& t) {
+    return linear_placement(t, SmallVec<i32>{2, 3, 1}, 4);
+  });
+  add(Radices{6, 6}, [](const Torus& t) {
+    return linear_placement(t, SmallVec<i32>{4, 1}, 3);
+  });
+  add(Radices{2, 6, 4}, [](const Torus& t) {
+    return modular_placement(t, SmallVec<i32>{1, 1, 0}, 2, 0);
+  });
+  return out;
+}
+
+TEST(CosetLabels, ShareALabelExactlyWhenTheDifferenceIsInH) {
+  for (const auto& [torus, p] : label_cases()) {
+    SCOPED_TRACE(label(torus, p, TieBreak::PositiveOnly));
+    const TranslationFold fold = translation_fold(torus, p);
+    const i64 n = torus.num_nodes();
+    // H by brute force: every translation that maps P onto itself.
+    std::vector<bool> in_h(static_cast<std::size_t>(n), false);
+    i64 order = 0;
+    for (NodeId h = 0; h < n; ++h) {
+      const Coord hc = torus.coord(h);
+      bool period = true;
+      for (const NodeId q : p.nodes()) {
+        Coord c = torus.coord(q);
+        for (i32 i = 0; i < torus.dims(); ++i)
+          c[static_cast<std::size_t>(i)] =
+              (c[static_cast<std::size_t>(i)] + hc[static_cast<std::size_t>(i)]) %
+              torus.radix(i);
+        period = period && p.contains(torus.node_id(c));
+      }
+      in_h[static_cast<std::size_t>(h)] = period;
+      order += period ? 1 : 0;
+    }
+    ASSERT_EQ(fold.stabilizer_size, order);
+    ASSERT_EQ(fold.num_orbits * order, n);
+    std::vector<i64> labels(static_cast<std::size_t>(n));
+    std::set<i64> distinct;
+    for (NodeId a = 0; a < n; ++a) {
+      labels[static_cast<std::size_t>(a)] = fold.orbit_of(a);
+      ASSERT_GE(labels[static_cast<std::size_t>(a)], 0);
+      ASSERT_LT(labels[static_cast<std::size_t>(a)], fold.num_orbits);
+      distinct.insert(labels[static_cast<std::size_t>(a)]);
+    }
+    EXPECT_EQ(static_cast<i64>(distinct.size()), fold.num_orbits);
+    for (NodeId a = 0; a < n; ++a) {
+      const Coord ac = torus.coord(a);
+      for (NodeId b = 0; b < n; ++b) {
+        Coord diff = torus.coord(b);
+        for (i32 i = 0; i < torus.dims(); ++i) {
+          const auto u = static_cast<std::size_t>(i);
+          diff[u] = (diff[u] - ac[u] + torus.radix(i)) % torus.radix(i);
+        }
+        const bool same = labels[static_cast<std::size_t>(a)] ==
+                          labels[static_cast<std::size_t>(b)];
+        ASSERT_EQ(same, static_cast<bool>(
+                            in_h[static_cast<std::size_t>(torus.node_id(diff))]))
+            << torus.node_str(a) << " " << torus.node_str(b);
+      }
+    }
+    // Reps: the first placement node of each coset, in P order.
+    std::vector<NodeId> reps;
+    std::set<i64> seen;
+    for (const NodeId q : p.nodes())
+      if (seen.insert(labels[static_cast<std::size_t>(q)]).second)
+        reps.push_back(q);
+    EXPECT_EQ(fold.reps, reps);
+    if (order == 1) {
+      for (NodeId a = 0; a < n; ++a)
+        EXPECT_EQ(labels[static_cast<std::size_t>(a)], a);  // the node id
+    }
+  }
+}
+
+TEST(CosetLabels, EvenSublatticeQuotientIsNotCyclic) {
+  for (const Radices& r : {Radices{4, 4}, Radices{6, 6, 6}}) {
+    const Torus torus(r);
+    const TranslationFold fold = translation_fold(torus, even_sublattice(torus));
+    EXPECT_EQ(fold.num_orbits, i64{1} << r.size());
+    ASSERT_EQ(fold.num_factors, r.size());
+    for (std::size_t i = 0; i < fold.num_factors; ++i)
+      EXPECT_EQ(fold.modulus[i], 2);
+  }
+}
+
+// --- summaries ----------------------------------------------------------
+
+TEST(FoldedLoads, SummaryMatchesTheBroadcastMap) {
+  // E_max and the loaded-link count equal the broadcast map's under ==,
+  // and the mean is ΣLee / 2dN rounded once, for both tie-breaks at
+  // widths 1..4 and for adaptive routing.
+  Xoshiro256SS rng(20261017);
+  i64 compared = 0;
+  for (int i = 0; i < kTori; ++i) {
+    const Torus torus(draw_radices(rng, 1 + i % 4, (i / 4) % 2 == 0));
+    for (const Placement& p : placements_for(torus, rng)) {
+      if (p.size() > kMaxProcessors) continue;
+      i64 lee = 0;
+      for (const NodeId a : p.nodes())
+        for (const NodeId b : p.nodes()) lee += torus.lee_distance(a, b);
+      const double mean = static_cast<double>(lee) /
+                          static_cast<double>(torus.num_directed_edges());
+      const auto check = [&](const FoldedLoads& f, const LoadMap& map) {
+        EXPECT_EQ(f.lee_total, lee);
+        EXPECT_EQ(f.max_load(), map.max_load());
+        EXPECT_EQ(f.num_loaded_edges(), map.num_loaded_edges());
+        EXPECT_EQ(f.mean_load(), mean);
+        EXPECT_EQ(map.mean_load(), mean);
+        EXPECT_EQ(map.total_load(), static_cast<double>(lee));
+        ++compared;
+      };
+      for (const TieBreak tie :
+           {TieBreak::PositiveOnly, TieBreak::BothDirections}) {
+        SCOPED_TRACE(label(torus, p, tie));
+        for (i32 width = 1; width <= 4; ++width) {
+          check(odr_orbit_loads(torus, p, tie, width),
+                odr_loads_parallel(torus, p, width, tie));
+          check(udr_orbit_loads(torus, p, tie, width),
+                udr_loads_parallel(torus, p, width, tie));
+        }
+      }
+      if (p.size() <= 32 && torus.num_nodes() <= 100) {
+        SCOPED_TRACE(label(torus, p, TieBreak::BothDirections));
+        check(adaptive_orbit_loads(torus, p), adaptive_loads(torus, p));
+      }
+    }
+  }
+  EXPECT_GT(compared, 2000);
+}
+
+TEST(FoldedLoads, AddDropsTheExactTotal) {
+  const Torus torus(3, 8);
+  LoadMap map = udr_loads(torus, linear_placement(torus));
+  EXPECT_EQ(map.total_load(), expected_total_load(torus, linear_placement(torus)));
+  map.add(0, 1.0);
+  double sum = 0.0;
+  for (const double v : map.raw()) sum += v;
+  EXPECT_EQ(map.total_load(), sum);
+}
+
+/// FNV-1a over each load's IEEE-754 bits, low byte first.
+u64 fnv1a_bits(const std::vector<double>& loads) {
+  u64 h = 14695981039346656037ull;
+  for (const double x : loads) {
+    u64 bits = 0;
+    std::memcpy(&bits, &x, sizeof bits);
+    for (int byte = 0; byte < 8; ++byte) {
+      h ^= (bits >> (8 * byte)) & 0xff;
+      h *= 1099511628211ull;
+    }
+  }
+  return h;
+}
+
+TEST(FoldedLoads, BroadcastMapsKeepTheirBits) {
+  // Hashes recorded from the maps computed with a node-label table, before
+  // the labels became arithmetic, for the first 13 label_cases(): ODR and
+  // UDR under both tie-breaks (serial, and at widths 2..4), and adaptive.
+  struct Pinned {
+    u64 odr_pos, odr_both, udr_pos, udr_both, adaptive;
+  };
+  const Pinned pinned[] = {
+      {0xc320f6b7332cbb25ull, 0xe7e7fa8729c6fb25ull, 0xec19e2790c7a2c65ull,
+       0xb2733c163585a1a5ull, 0x8daed46541c75d85ull},
+      {0xa0ce215af93cbb25ull, 0xfeeec193ece8d725ull, 0x761f9fa88e60f825ull,
+       0x7d1fa9c5d8a2d925ull, 0x573e6929f3b2c725ull},
+      {0x164caa711d2212a5ull, 0x164caa711d2212a5ull, 0xc8f0e6a6bfaf37a5ull,
+       0xc8f0e6a6bfaf37a5ull, 0x952fcbb0b943fb8ull},
+      {0xf8020d90db33a925ull, 0x286e7b0ad7004de5ull, 0x665c76210410d595ull,
+       0x18b4d6e15a472d25ull, 0x18b4d6e15a472d25ull},
+      {0xb24f309577143f25ull, 0x8b3954ea2cd50365ull, 0xa2ca62bd69a03b25ull,
+       0xaa6a13bb0c940925ull, 0xb128d906ca31dba5ull},
+      {0x5cd6ddf63bcd0aa5ull, 0x5cd6ddf63bcd0aa5ull, 0x5cd6ddf63bcd0aa5ull,
+       0x5cd6ddf63bcd0aa5ull, 0xc4626f572f89ffa5ull},
+      {0xbb456958b3499b25ull, 0x58cc2bea35258325ull, 0xbb456958b3499b25ull,
+       0x58cc2bea35258325ull, 0xf153ba0cdad58325ull},
+      {0x79499980983a85acull, 0x163a8732ab8491cbull, 0xfdbd2f5fc61e3187ull,
+       0xbaf0ea630259a8e5ull, 0xf156560e77aa22a5ull},
+      {0xfaa373dc46cc56adull, 0xf99832fcc39a74e0ull, 0xa050508a92966646ull,
+       0x3d283bb88cf0b6c5ull, 0x68099cf679ab7767ull},
+      {0xc1a30019d9584b25ull, 0xedc70f521c003525ull, 0xc1a30019d9584b25ull,
+       0xedc70f521c003525ull, 0xf903d94c38a7bf25ull},
+      {0x6738e3f9c62bad25ull, 0x6738e3f9c62bad25ull, 0x6738e3f9c62bad25ull,
+       0x6738e3f9c62bad25ull, 0x87ab81022b4fbacdull},
+      {0x173a3b8facdb1105ull, 0x173a3b8facdb1105ull, 0x3c988ea16aec65e5ull,
+       0x3c988ea16aec65e5ull, 0x85bdb1cc1e836885ull},
+      {0x2d60a77da1722865ull, 0x2d60a77da1722865ull, 0x20805d06b6ead9f9ull,
+       0x20805d06b6ead9f9ull, 0x63a08a28de683621ull}};
+  const auto cases = label_cases();
+  for (std::size_t c = 0; c < std::size(pinned); ++c) {
+    const auto& [torus, p] = cases[c];
+    SCOPED_TRACE(label(torus, p, TieBreak::PositiveOnly));
+    const Pinned& want = pinned[c];
+    for (i32 width = 1; width <= 4; ++width) {
+      EXPECT_EQ(fnv1a_bits(odr_loads_parallel(torus, p, width).raw()),
+                want.odr_pos);
+      EXPECT_EQ(fnv1a_bits(odr_loads_parallel(torus, p, width,
+                                              TieBreak::BothDirections)
+                               .raw()),
+                want.odr_both);
+      EXPECT_EQ(fnv1a_bits(udr_loads_parallel(torus, p, width).raw()),
+                want.udr_pos);
+      EXPECT_EQ(fnv1a_bits(udr_loads_parallel(torus, p, width,
+                                              TieBreak::BothDirections)
+                               .raw()),
+                want.udr_both);
+    }
+    EXPECT_EQ(fnv1a_bits(odr_loads(torus, p).raw()), want.odr_pos);
+    EXPECT_EQ(fnv1a_bits(udr_loads(torus, p).raw()), want.udr_pos);
+    EXPECT_EQ(fnv1a_bits(adaptive_loads(torus, p).raw()), want.adaptive);
   }
 }
 

@@ -296,10 +296,11 @@ TEST(SnapshotCodec, FullAnalyzeResultRoundTripsBitExact) {
   EXPECT_EQ(copy.measured_emax, original.measured_emax);
   EXPECT_EQ(copy.mean_load, original.mean_load);
   EXPECT_EQ(copy.loaded_links, original.loaded_links);
-  ASSERT_EQ(copy.loads != nullptr, original.loads != nullptr);
-  if (original.loads != nullptr) {
-    EXPECT_EQ(copy.loads->raw(), original.loads->raw());  // bit-exact
-  }
+  // Format 3 stores no per-link map; the record is every remaining field,
+  // and re-encoding the copy gives the same bytes.
+  EXPECT_EQ(original.loads, nullptr);
+  EXPECT_EQ(copy.loads, nullptr);
+  EXPECT_EQ(encode_query_result(copy), encode_query_result(original));
   ASSERT_EQ(copy.bound_table.size(), original.bound_table.size());
   for (std::size_t i = 0; i < original.bound_table.size(); ++i) {
     EXPECT_EQ(copy.bound_table[i].name, original.bound_table[i].name);
@@ -426,6 +427,29 @@ TEST(Snapshot, FormatVersionMismatchRefused) {
   const SnapshotLoadInfo info = load_cache_snapshot(warmed, path);
   EXPECT_FALSE(info.ok);
   EXPECT_NE(info.error.find("format version"), std::string::npos);
+  EXPECT_EQ(warmed.size(), 0u);
+  std::remove(path.c_str());
+}
+
+TEST(Snapshot, FormatVersion2BootsCold) {
+  // Version 2 entries carried a per-link load map; they are refused whole.
+  const std::string path = temp_path("tp_snapshot_version2.snap");
+  std::remove(path.c_str());
+  PlanCache cache(8, 2);
+  const QueryKey key = key_dk(2, 4, 1, RouterKind::Odr, QueryOp::Load);
+  cache.put(key, std::make_shared<QueryResult>(compute_query(key)));
+
+  SnapshotIdentity old;
+  old.format_version = 2;
+  save_cache_snapshot(cache, path, old);
+
+  PlanCache warmed(8, 2);
+  const SnapshotLoadInfo info = load_cache_snapshot(warmed, path);
+  EXPECT_FALSE(info.ok);
+  EXPECT_NE(info.error.find("snapshot format version 2 != supported 3"),
+            std::string::npos)
+      << info.error;
+  EXPECT_EQ(info.entries, 0);
   EXPECT_EQ(warmed.size(), 0u);
   std::remove(path.c_str());
 }

@@ -248,6 +248,13 @@ std::vector<BenchResult> run_benchmarks(int reps) {
       service::Engine engine;
       g_sink += engine.run({key}).result->measured_emax;
     }));
+    // A cold miss at N = 262144 read off the link-orbit buckets: no
+    // per-link map is built.
+    const service::QueryKey big = service::make_query_key(
+        Radices{64, 64, 64}, 1, RouterKind::Odr, service::QueryOp::Load);
+    results.push_back(time_fn("service_cold_miss/T64^3", reps, [&] {
+      g_sink += service::compute_query(big).measured_emax;
+    }));
     service::Engine warm;
     warm.run({key});
     results.push_back(time_fn("service_warm_hit/T16^2", reps, [&] {

@@ -210,11 +210,12 @@ int cmd_analyze(const Args& args) {
     bounds.print(std::cout);
 
     if (d == 2 && k <= 12) {
-      // The grid render needs the Placement object; rebuild the (cheap,
-      // deterministic) default design for it.
+      // Answers keep no per-link map; the grid render re-measures the
+      // (small, deterministic) default design.
+      const Placement placement = multiple_linear_placement(torus, t);
       std::cout << "\n"
-                << render_loads(torus, multiple_linear_placement(torus, t),
-                                *r.loads);
+                << render_loads(torus, placement,
+                                measure_loads(torus, placement, kind, 1));
     }
     engine.publish_stats();
     return 0;

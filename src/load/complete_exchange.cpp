@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <bit>
+#include <cmath>
 #include <utility>
 
 #include "src/obs/obs.h"
@@ -26,7 +27,7 @@ namespace {
 constexpr i64 kMinPairsPerWorker = 4096;
 
 /// A coset of the stabilizer H: its label and its components, packed
-/// as TranslationFold::offset and width lay them out.
+/// as TranslationFold::offset and field lay them out.
 struct Coset {
   i64 label = 0;
   u64 digits = 0;
@@ -40,18 +41,13 @@ std::vector<i32> node_coords(const Lattice& lat, const Placement& p) {
   return coords;
 }
 
-/// Component i of c, possibly not yet wrapped below modulus[i].
-u64 component(const TranslationFold& fold, const Coset& c, std::size_t i) {
-  return (c.digits >> fold.offset[i]) & ((u64{1} << fold.width[i]) - 1);
-}
-
 /// Brings component i of c back below modulus[i] after one add.  Without
-/// a branch: whether a sum wraps follows the data, not a pattern.
+/// a branch: whether a sum wraps follows the data, not a pattern.  The
+/// field is compared in place, so the digits are not shifted.
 void wrap(const TranslationFold& fold, Coset& c, std::size_t i) {
-  const i64 s = fold.modulus[i];
-  const bool over = component(fold, c, i) >= static_cast<u64>(s);
-  c.digits -= over ? static_cast<u64>(s) << fold.offset[i] : 0;
-  c.label -= over ? s * fold.weight[i] : 0;
+  const bool over = (c.digits & fold.field[i]) >= fold.wrap_digits[i];
+  c.digits -= over ? fold.wrap_digits[i] : 0;
+  c.label -= over ? fold.wrap_label[i] : 0;
 }
 
 /// Adds a, in [0, modulus[i]), to component i of c.
@@ -71,22 +67,14 @@ void shift(const TranslationFold& fold, Coset& c, std::size_t dim, i64 v) {
   }
 }
 
-/// c += delta, where delta is the coset of a multiple of e_dim.
+/// c += delta, where delta is the coset of a multiple of e_dim: every move
+/// and every hop.
 void add_along(const TranslationFold& fold, Coset& c, const Coset& delta,
                std::size_t dim) {
   c.digits += delta.digits;
   c.label += delta.label;
   for (std::uint32_t m = fold.moves[dim]; m != 0; m &= m - 1)
     wrap(fold, c, static_cast<std::size_t>(std::countr_zero(m)));
-}
-
-/// c moves one step along dim in direction dir.
-void step(const TranslationFold& fold, Coset& c, std::size_t dim, Dir dir) {
-  for (std::uint32_t m = fold.moves[dim]; m != 0; m &= m - 1) {
-    const auto i = static_cast<std::size_t>(std::countr_zero(m));
-    const i64 u = fold.unit[dim][i];
-    add_to(fold, c, i, dir == Dir::Pos ? u : fold.modulus[i] - u);
-  }
 }
 
 /// The coset of the node at coordinates c (in range).
@@ -101,12 +89,15 @@ Coset coset_of(const TranslationFold& fold, const i32* c) {
 void finish_labels(TranslationFold& fold) {
   i32 bits = 0;
   for (std::size_t i = 0; i < fold.num_factors; ++i) {
-    fold.offset[i] = bits;
-    fold.width[i] =
+    const auto width =
         static_cast<i32>(std::bit_width(static_cast<u64>(fold.modulus[i] - 1))) + 1;
-    bits += fold.width[i];
+    TP_REQUIRE(bits + width <= 64, "too many cosets to label");
+    fold.offset[i] = bits;
+    fold.field[i] = ((u64{1} << width) - 1) << bits;
+    fold.wrap_digits[i] = static_cast<u64>(fold.modulus[i]) << bits;
+    fold.wrap_label[i] = fold.modulus[i] * fold.weight[i];
+    bits += width;
   }
-  TP_REQUIRE(bits <= 64, "too many cosets to label");
   fold.moves = {};
   for (std::size_t j = 0; j < fold.lat.d; ++j)
     for (std::size_t i = 0; i < fold.num_factors; ++i)
@@ -119,6 +110,8 @@ void finish_labels(TranslationFold& fold) {
 template <typename Fn>
 void for_each_label(const TranslationFold& fold, Fn&& fn) {
   const Lattice& lat = fold.lat;
+  std::array<Coset, kMaxDims> hop{};  // the coset of e_i
+  for (std::size_t i = 0; i < lat.d; ++i) shift(fold, hop[i], i, 1);
   std::array<Coset, kMaxDims> base{};
   std::array<i32, kMaxDims> c{};
   for (NodeId n = 0; n < lat.num_nodes; ++n) {
@@ -126,7 +119,7 @@ void for_each_label(const TranslationFold& fold, Fn&& fn) {
     std::size_t i = lat.d;
     while (i-- > 0 && ++c[i] == lat.radix[i]) c[i] = 0;
     if (i >= lat.d) break;
-    step(fold, base[i], i, Dir::Pos);
+    add_along(fold, base[i], hop[i], i);
     for (std::size_t m = i + 1; m < lat.d; ++m) base[m] = base[i];
   }
 }
@@ -355,28 +348,11 @@ namespace {
 /// The placement, its coordinates and its fold: what every routed source
 /// reads.
 struct Sources {
-  /// One dimension as the route passes move along it: the cosets of its
-  /// multiples and, when its steps move a single component of the
-  /// quotient, that component's place and wrap.  The route loops copy
-  /// their axes, so that their stores cannot force these to be reloaded.
-  struct Axis {
-    std::size_t dim = 0;
-    i32 radix = 0;
-    const Coset* multiple = nullptr;  ///< [v]: the coset of v·e_dim
-    std::size_t lone = kMaxDims;  ///< the one component it moves, if one
-    i32 offset = 0;     ///< lone's bits in Coset::digits
-    u64 field = 0;
-    i64 modulus = 0;    ///< lone's s, its step and its label weight
-    i64 unit = 0;
-    i64 weight = 0;
-  };
-
   Sources(const Torus& torus, const Placement& p)
       : lat(torus),
         nodes(p.nodes()),
         coords(node_coords(lat, p)),
         fold(fold_placement(lat, p, coords)) {
-    std::array<std::size_t, kMaxDims> first{};
     for (std::size_t dim = 0; dim < lat.d; ++dim) {
       first[dim] = multiples.size();
       for (i32 v = 0; v < lat.radix[dim]; ++v) {
@@ -384,55 +360,37 @@ struct Sources {
         shift(fold, multiples.back(), dim, v);
       }
     }
-    for (std::size_t dim = 0; dim < lat.d; ++dim) {
-      Axis& x = axis[dim];
-      x.dim = dim;
-      x.radix = lat.radix[dim];
-      x.multiple = &multiples[first[dim]];
-      if (std::popcount(fold.moves[dim]) != 1) continue;
-      const auto i = static_cast<std::size_t>(std::countr_zero(fold.moves[dim]));
-      x.lone = i;
-      x.offset = fold.offset[i];
-      x.field = (u64{1} << fold.width[i]) - 1;
-      x.modulus = fold.modulus[i];
-      x.unit = fold.unit[dim][i];
-      x.weight = fold.weight[i];
-    }
   }
-
-  // Each Axis points into `multiples`.
-  Sources(const Sources&) = delete;
-  Sources& operator=(const Sources&) = delete;
 
   const i32* coord(std::size_t i) const { return &coords[i * lat.d]; }
 
-  /// c += delta, the coset of a multiple of x's unit vector.
-  void add(const Axis& x, Coset& c, const Coset& delta) const {
-    if (x.lone == kMaxDims) return add_along(fold, c, delta, x.dim);
-    c.label += delta.label;
-    c.digits += delta.digits;
-    const bool over =
-        static_cast<i64>((c.digits >> x.offset) & x.field) >= x.modulus;
-    c.digits -= over ? static_cast<u64>(x.modulus) << x.offset : 0;
-    c.label -= over ? x.modulus * x.weight : 0;
+  /// The coset of v·e_dim, 0 <= v < k_dim.
+  const Coset& multiple(std::size_t dim, i32 v) const {
+    return multiples[first[dim] + static_cast<std::size_t>(v)];
   }
 
-  /// c moves from coordinate a to b along x.
-  void move(const Axis& x, Coset& c, i32 a, i32 b) const {
-    add(x, c, x.multiple[b >= a ? b - a : b - a + x.radix]);
+  /// c moves from coordinate a to b along dim.
+  void move(std::size_t dim, Coset& c, i32 a, i32 b) const {
+    add_along(fold, c, multiple(dim, b >= a ? b - a : b - a + lat.radix[dim]),
+              dim);
   }
 
-  /// c moves one step along x in direction dir.
-  void step(const Axis& x, Coset& c, Dir dir) const {
-    add(x, c, x.multiple[dir == Dir::Pos ? 1 : x.radix - 1]);
+  /// The coset of one step along dim in direction dir.
+  const Coset& hop(std::size_t dim, Dir dir) const {
+    return multiple(dim, dir == Dir::Pos ? 1 : lat.radix[dim] - 1);
+  }
+
+  /// c moves one step along dim in direction dir.
+  void step(std::size_t dim, Coset& c, Dir dir) const {
+    add_along(fold, c, hop(dim, dir), dim);
   }
 
   Lattice lat;
   const std::vector<NodeId>& nodes;
   std::vector<i32> coords;
   TranslationFold fold;
-  std::vector<Coset> multiples;  ///< Axis::multiple, dimension by dimension
-  std::array<Axis, kMaxDims> axis{};
+  std::vector<Coset> multiples;  ///< dimension by dimension, from first[dim]
+  std::array<std::size_t, kMaxDims> first{};
 };
 
 /// One worker's load per link orbit, in FoldedLoads' layout.
@@ -450,49 +408,26 @@ class OrbitBuckets {
   }
 
   /// Ring walks along one dimension and direction, set up once: each call
-  /// adds w to the `steps` links leaving a node of coset `at`.
+  /// adds w to the `steps` links of the walk that starts at a node of
+  /// coset `at`, one add_along per hop.
   class Ring {
    public:
     Ring() = default;
-    Ring(OrbitBuckets& out, const typename Sources::Axis& x, Dir dir)
+    Ring(OrbitBuckets& out, std::size_t dim, Dir dir)
         : fold_(&out.sources_->fold),
-          base_(out.sums_.data() + 2 * static_cast<i64>(x.dim) +
-                (dir == Dir::Pos ? 0 : 1)),
+          base_(out.sums_.data() + 2 * dim + (dir == Dir::Pos ? 0 : 1)),
           stride_(out.slots_),
-          dim_(x.dim),
-          dir_(dir),
-          lone_(x.lone),
-          offset_(x.offset),
-          field_(x.field),
-          modulus_(x.modulus) {
-      // A hop moves the component by ±unit; it leaves [0, s) only where
-      // it passes the factor's own wrap-around.
-      const i64 sign = dir == Dir::Pos ? 1 : -1;
-      inc_ = sign * x.unit;
-      jump_ = inc_ * x.weight;
-      wrap_ = sign * x.modulus;
-      wrap_label_ = wrap_ * x.weight;
-    }
+          dim_(dim),
+          hop_(out.sources_->hop(dim, dir)) {}
 
     void operator()(Coset at, i32 steps, W w) const {
-      if (lone_ == kMaxDims) {
-        for (i32 hop = 0; hop < steps; ++hop) {
-          base_[at.label * stride_] += w;
-          step(*fold_, at, dim_, dir_);
-        }
-        return;
-      }
-      // One component moves: by inc per hop, wrapping into [0, s).
-      auto z = static_cast<i64>((at.digits >> offset_) & field_);
-      i64 label = at.label;
-      for (i32 hop = 0; hop < steps; ++hop) {
-        base_[label * stride_] += w;
-        z += inc_;
-        label += jump_;
-        if (static_cast<u64>(z) >= static_cast<u64>(modulus_)) {
-          z -= wrap_;
-          label -= wrap_label_;
-        }
+      // Locals: the stores below cannot alias them.
+      W* const base = base_;
+      const i64 stride = stride_;
+      const Coset hop = hop_;
+      for (i32 h = 0; h < steps; ++h) {
+        base[at.label * stride] += w;
+        add_along(*fold_, at, hop, dim_);
       }
     }
 
@@ -501,15 +436,7 @@ class OrbitBuckets {
     W* base_ = nullptr;  ///< the buckets of this dimension and direction
     i64 stride_ = 0;
     std::size_t dim_ = 0;
-    Dir dir_ = Dir::Pos;
-    std::size_t lone_ = kMaxDims;  ///< Sources::Axis::lone
-    i32 offset_ = 0;
-    u64 field_ = 0;
-    i64 modulus_ = 0;
-    i64 inc_ = 0;
-    i64 jump_ = 0;
-    i64 wrap_ = 0;
-    i64 wrap_label_ = 0;
+    Coset hop_;
   };
 
   void merge(const OrbitBuckets& other) {
@@ -575,14 +502,13 @@ struct OdrSegment {
 /// pairs' Lee distances.  Two passes per source, so route enumeration and
 /// the link-load walk profile as separate phases (odr.route / odr.walk)
 /// at a grain coarse enough that the attribution does not distort what it
-/// measures.  Segments are kept per dimension and direction, each list
-/// walked with one Ring: integer adds, so the order is free.
+/// measures.  Segments are kept per dimension and direction, and each
+/// list is walked with one Ring: integer adds, so the order is free.
 i64 route_odr(const Sources& src_set, const SmallVec<i32>& order,
               TieBreak tie, i64 unit, OrbitBuckets<i64>& out, i64 lo,
               i64 hi) {
   const Lattice& lat = src_set.lat;
   const TranslationFold& fold = src_set.fold;
-  const std::array<Sources::Axis, kMaxDims> axis = src_set.axis;
   std::array<std::vector<OdrSegment>, 2 * kMaxDims> segs;
   for (std::size_t slot = 0; slot < 2 * lat.d; ++slot)
     segs[slot].reserve(src_set.nodes.size());  // one per pair at most
@@ -611,14 +537,14 @@ i64 route_odr(const Sources& src_set, const SmallVec<i32>& order,
           for (std::size_t i = 0; i < static_cast<std::size_t>(c.count); ++i)
             segs[2 * u + (c.dir[i] == Dir::Pos ? 0 : 1)].push_back(
                 OdrSegment{at, c.steps[i], static_cast<i32>(unit / c.count)});
-          src_set.move(axis[u], at, cs[u], cd[u]);
+          src_set.move(u, at, cs[u], cd[u]);
         }
       }
     }
     {
       TP_PROF_PHASE("odr.walk");
       for (std::size_t slot = 0; slot < 2 * lat.d; ++slot) {
-        const OrbitBuckets<i64>::Ring ring(out, axis[slot / 2],
+        const OrbitBuckets<i64>::Ring ring(out, slot / 2,
                                            slot % 2 == 0 ? Dir::Pos : Dir::Neg);
         for (const OdrSegment& seg : segs[slot]) ring(seg.at, seg.steps, seg.weight);
       }
@@ -637,11 +563,10 @@ i64 route_udr(const Sources& src_set, TieBreak tie, i64 unit,
               OrbitBuckets<i64>& out, i64 lo, i64 hi) {
   const Lattice& lat = src_set.lat;
   const TranslationFold& fold = src_set.fold;
-  const std::array<Sources::Axis, kMaxDims> axis = src_set.axis;
   const auto d = static_cast<i64>(lat.d);
   std::array<OrbitBuckets<i64>::Ring, 2 * kMaxDims> ring;
   for (std::size_t slot = 0; slot < 2 * lat.d; ++slot)
-    ring[slot] = OrbitBuckets<i64>::Ring(out, axis[slot / 2],
+    ring[slot] = OrbitBuckets<i64>::Ring(out, slot / 2,
                                          slot % 2 == 0 ? Dir::Pos : Dir::Neg);
   // order_weight[s][m] = unit · m!(s-1-m)!/s!, an integer for s <= d.
   std::array<std::array<i64, kMaxDims>, kMaxDims + 1> order_weight{};
@@ -683,7 +608,7 @@ i64 route_udr(const Sources& src_set, TieBreak tie, i64 unit,
               others[static_cast<std::size_t>(std::countr_zero(mask))];
           const std::size_t u = diff[low];
           entry[mask] = entry[mask & (mask - 1)];
-          src_set.move(axis[u], entry[mask], cs[u], cd[u]);
+          src_set.move(u, entry[mask], cs[u], cd[u]);
         }
         const Correction& c = corr[ji];
         for (std::size_t i = 0; i < static_cast<std::size_t>(c.count); ++i) {
@@ -772,10 +697,9 @@ FoldedLoads exact_orbit_loads(const Torus& torus, const Placement& p,
 }  // namespace
 
 FoldedLoads odr_orbit_loads(const Torus& torus, const Placement& p,
-                            TieBreak tie, i32 threads,
-                            const SmallVec<i32>& order) {
+                            TieBreak tie, i32 threads) {
   TP_OBS_SCOPE("load.odr");
-  return exact_orbit_loads(torus, p, threads, Walk::Odr, order, tie);
+  return exact_orbit_loads(torus, p, threads, Walk::Odr, {}, tie);
 }
 
 FoldedLoads udr_orbit_loads(const Torus& torus, const Placement& p,
@@ -884,7 +808,6 @@ FoldedLoads adaptive_kernel(const Torus& torus, const Placement& p) {
   OrbitBuckets<double> loads(sources);
   const Lattice& lat = sources.lat;
   const TranslationFold& fold = sources.fold;
-  const std::array<Sources::Axis, kMaxDims> axis = sources.axis;
   const std::size_t d = lat.d;
   i64 diameter = 0;
   for (std::size_t i = 0; i < d; ++i) diameter += lat.radix[i] / 2;
@@ -978,7 +901,7 @@ FoldedLoads adaptive_kernel(const Torus& torus, const Placement& p) {
             if (pos[i] < len[i]) {
               ++pos[i];
               ++steps_to;
-              sources.step(axis[i], level[i], dir[i] > 0 ? Dir::Pos : Dir::Neg);
+              sources.step(i, level[i], dir[i] > 0 ? Dir::Pos : Dir::Neg);
               for (std::size_t m = i + 1; m < d; ++m) level[m] = level[i];
               more = true;
               break;
@@ -993,6 +916,12 @@ FoldedLoads adaptive_kernel(const Torus& torus, const Placement& p) {
   i64 lee_total = 0;
   TP_REQUIRE(!__builtin_mul_overflow(lee, fold.stabilizer_size, &lee_total),
              "total load overflows int64");
+  // Each pair spreads one unit over each hop of its paths; the double
+  // buckets agree with the exact count to rounding.
+  const auto total = static_cast<double>(lee_total);
+  TP_ASSERT(std::abs(loads.sum() * static_cast<double>(fold.stabilizer_size) -
+                     total) <= 1e-9 * total,
+            "link loads do not add up to the Lee distances");
   return FoldedLoads{std::move(sources.fold), loads.values(1.0), lee_total};
 }
 

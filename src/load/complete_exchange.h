@@ -64,9 +64,10 @@ namespace tp {
 /// component 0 most significant.  A step along dimension j adds row j of
 /// `unit`.  When H is trivial the components are the coordinates and the
 /// label is the node id.  The kernels carry a coset as its label and its
-/// components packed in one word, component i in the `width[i]` bits from
-/// `offset[i]`: one bit wider than modulus[i] - 1 needs, so the sum of two
-/// components stays in its field until it is wrapped.
+/// components packed in one word, component i in the bits `field[i]` from
+/// `offset[i]` up: one bit wider than modulus[i] - 1 needs, so the sum of
+/// two components stays in its field until it is wrapped.  Every move and
+/// every hop is one such add and, per component it moves, one wrap.
 struct TranslationFold {
   explicit TranslationFold(const Lattice& lattice) : lat(lattice) {}
 
@@ -82,8 +83,10 @@ struct TranslationFold {
   std::array<std::array<i64, kMaxDims>, kMaxDims> unit{};
   /// moves[j]: bit i set when unit[j][i] != 0.
   std::array<std::uint32_t, kMaxDims> moves{};
-  std::array<i32, kMaxDims> offset{};  ///< bit field of component i
-  std::array<i32, kMaxDims> width{};
+  std::array<i32, kMaxDims> offset{};       ///< component i's lowest bit
+  std::array<u64, kMaxDims> field{};        ///< component i's bits, in place
+  std::array<u64, kMaxDims> wrap_digits{};  ///< modulus[i] << offset[i]
+  std::array<i64, kMaxDims> wrap_label{};   ///< modulus[i]·weight[i]
 
   /// Label of node n's coset: equal for two nodes exactly when their
   /// difference lies in H.  Decodes n.
@@ -120,11 +123,10 @@ struct FoldedLoads {
 TranslationFold translation_fold(const Torus& torus, const Placement& p);
 
 /// ODR loads per link orbit (Section 6), routed by up to `threads`
-/// workers (bit-identical at any width), correcting dimensions in `order`
-/// (a permutation of 0..d-1; empty is 0..d-1).
+/// workers (bit-identical at any width).
 FoldedLoads odr_orbit_loads(const Torus& torus, const Placement& p,
                             TieBreak tie = TieBreak::PositiveOnly,
-                            i32 threads = 1, const SmallVec<i32>& order = {});
+                            i32 threads = 1);
 
 /// UDR loads per link orbit (Section 7), computed with subset weights:
 /// correcting dimension j after the subset S of the other differing

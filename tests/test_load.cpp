@@ -94,6 +94,14 @@ TEST(LoadOracle, RandomPlacementAgreement) {
 
 // --- conservation ------------------------------------------------------------
 
+// A broadcast map's total_load() is the exact total its kernel carries,
+// so the per-link loads are summed too.
+double link_sum(const LoadMap& m) {
+  double sum = 0.0;
+  for (const double v : m.raw()) sum += v;
+  return sum;
+}
+
 TEST(LoadConservation, TotalEqualsSumOfLeeDistances) {
   for (i32 d = 2; d <= 3; ++d)
     for (i32 k : {3, 4, 6}) {
@@ -106,6 +114,12 @@ TEST(LoadConservation, TotalEqualsSumOfLeeDistances) {
           << "UDR d=" << d << " k=" << k;
       EXPECT_NEAR(adaptive_loads(t, p).total_load(), expected, 1e-6)
           << "ADAPTIVE d=" << d << " k=" << k;
+      EXPECT_NEAR(link_sum(odr_loads(t, p)), expected, 1e-9 * expected)
+          << "ODR d=" << d << " k=" << k;
+      EXPECT_NEAR(link_sum(udr_loads(t, p)), expected, 1e-9 * expected)
+          << "UDR d=" << d << " k=" << k;
+      EXPECT_NEAR(link_sum(adaptive_loads(t, p)), expected, 1e-9 * expected)
+          << "ADAPTIVE d=" << d << " k=" << k;
     }
 }
 
@@ -116,6 +130,12 @@ TEST(LoadConservation, HoldsForMultipleLinearAndFull) {
     const double expected = expected_total_load(t, p);
     EXPECT_NEAR(odr_loads(t, p).total_load(), expected, 1e-6) << p.name();
     EXPECT_NEAR(udr_loads(t, p).total_load(), expected, 1e-6) << p.name();
+    EXPECT_NEAR(link_sum(odr_loads(t, p)), expected, 1e-9 * expected)
+        << p.name();
+    EXPECT_NEAR(link_sum(udr_loads(t, p)), expected, 1e-9 * expected)
+        << p.name();
+    EXPECT_NEAR(link_sum(adaptive_loads(t, p)), expected, 1e-9 * expected)
+        << p.name();
   }
 }
 

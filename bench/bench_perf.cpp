@@ -1,7 +1,8 @@
 // Ablation bench — implementation design choices of the load analyzer.
 //
-//   * UDR subset-weight accumulation vs s!-order enumeration (identical
-//     loads; the subset method trades factorial for 2^s)
+//   * UDR subset-weight accumulation vs s!-order enumeration through the
+//     Rational oracle (identical loads; the subset method trades factorial
+//     for 2^s)
 //   * load-computation cost scaling in |P| for each router
 //   * reference (Definition 4 literal) vs specialized fast paths
 
@@ -21,7 +22,7 @@ void print_tables() {
       Torus torus(d, k);
       const Placement p = linear_placement(torus);
       const LoadMap fast = udr_loads(torus, p);
-      const LoadMap slow = udr_loads_enumerated(torus, p);
+      const LoadMap slow = reference_loads(torus, p, UdrRouter());
       table.add_row({fmt(static_cast<long long>(d)),
                      fmt(static_cast<long long>(k)),
                      fmt(fast.max_abs_diff(slow), 12), fmt(fast.max_load())});
@@ -44,7 +45,8 @@ void BM_UdrEnumerated(benchmark::State& state) {
   Torus torus(3, k);
   const Placement p = linear_placement(torus);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(udr_loads_enumerated(torus, p).max_load());
+    benchmark::DoNotOptimize(
+        reference_loads(torus, p, UdrRouter()).max_load());
   }
 }
 
@@ -74,7 +76,9 @@ void BM_OdrParallel(benchmark::State& state) {
   const Placement p = linear_placement(torus);
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        odr_loads_parallel(torus, p, threads).max_load());
+        odr_orbit_loads(torus, p, TieBreak::PositiveOnly, threads)
+            .broadcast(torus)
+            .max_load());
   }
   state.counters["threads"] = threads;
 }

@@ -83,11 +83,6 @@ PlacementPlan plan_placement(const Torus& torus, i32 t, RouterKind kind) {
 }
 
 LoadMap measure_loads(const Torus& torus, const Placement& p,
-                      RouterKind kind) {
-  return measure_loads(torus, p, kind, 1);
-}
-
-LoadMap measure_loads(const Torus& torus, const Placement& p,
                       RouterKind kind, i32 threads) {
   return measure_orbit_loads(torus, p, kind, threads).broadcast(torus);
 }

@@ -63,12 +63,9 @@ double measure_emax(const Torus& torus, const PlacementPlan& plan);
 FoldedLoads measure_orbit_loads(const Torus& torus, const Placement& p,
                                 RouterKind kind, i32 threads = 1);
 
-/// Exact per-link loads: measure_orbit_loads, broadcast to every link.
+/// Exact per-link loads: measure_orbit_loads with `threads` analyzer
+/// workers, broadcast to every link.
 LoadMap measure_loads(const Torus& torus, const Placement& p,
-                      RouterKind kind);
-
-/// Exact per-link loads computed with `threads` analyzer workers.
-LoadMap measure_loads(const Torus& torus, const Placement& p,
-                      RouterKind kind, i32 threads);
+                      RouterKind kind, i32 threads = 1);
 
 }  // namespace tp

@@ -8,10 +8,10 @@
 
 #include "src/obs/obs.h"
 #include "src/routing/odr.h"
-#include "src/routing/udr.h"
 #include "src/util/combinatorics.h"
-#include "src/util/parallel.h"
 #include "src/util/error.h"
+#include "src/util/parallel.h"
+#include "src/util/rational.h"
 
 namespace tp {
 
@@ -711,18 +711,22 @@ FoldedLoads udr_orbit_loads(const Torus& torus, const Placement& p,
 LoadMap reference_loads(const Torus& torus, const Placement& p,
                         const Router& router) {
   p.check_torus(torus);
-  LoadMap loads(torus);
+  std::vector<Rational> exact(
+      static_cast<std::size_t>(torus.num_directed_edges()));
   for (NodeId src : p.nodes()) {
     for (NodeId dst : p.nodes()) {
       if (src == dst) continue;
       const auto paths = router.paths(torus, src, dst);
       TP_ASSERT(!paths.empty(), "router produced no path for a pair");
-      const double w = 1.0 / static_cast<double>(paths.size());
+      const Rational w(1, static_cast<i64>(paths.size()));
       for (const Path& path : paths)
-        for (EdgeId e : path.edges) loads.add(e, w);
+        for (EdgeId e : path.edges) exact[static_cast<std::size_t>(e)] += w;
     }
   }
-  return loads;
+  std::vector<double> loads(exact.size());
+  for (std::size_t e = 0; e < exact.size(); ++e)
+    loads[e] = exact[e].to_double();
+  return LoadMap(torus, std::move(loads));
 }
 
 LoadMap odr_loads(const Torus& torus, const Placement& p, TieBreak tie) {
@@ -736,30 +740,9 @@ LoadMap odr_loads_ordered(const Torus& torus, const Placement& p,
       .broadcast(torus);
 }
 
-LoadMap odr_loads_parallel(const Torus& torus, const Placement& p,
-                           i32 threads, TieBreak tie) {
-  TP_OBS_SCOPE("load.odr");
-  return exact_orbit_loads(torus, p, threads, Walk::Odr, {}, tie)
-      .broadcast(torus);
-}
-
 LoadMap udr_loads(const Torus& torus, const Placement& p, TieBreak tie) {
   TP_OBS_SCOPE("load.udr");
   return exact_orbit_loads(torus, p, 1, Walk::Udr, {}, tie).broadcast(torus);
-}
-
-LoadMap udr_loads_parallel(const Torus& torus, const Placement& p,
-                           i32 threads, TieBreak tie) {
-  TP_OBS_SCOPE("load.udr");
-  return exact_orbit_loads(torus, p, threads, Walk::Udr, {}, tie)
-      .broadcast(torus);
-}
-
-LoadMap udr_loads_enumerated(const Torus& torus, const Placement& p,
-                             TieBreak tie) {
-  p.check_torus(torus);
-  UdrRouter router(tie);
-  return reference_loads(torus, p, router);
 }
 
 namespace {

@@ -4,14 +4,15 @@
 //   E(l) = sum over ordered pairs p != q of |C_{p->l->q}| / |C_{p->q}|.
 //
 // `reference_loads` implements the definition literally through the Router
-// interface (enumerate every path of every pair) — the oracle the fast
-// paths are tested against.  The specialized kernels compute identical
-// numbers without enumerating path sets, and fold over the placement's
-// translation symmetry (TranslationFold below): they route only from the
-// R = |P|/|H| coset representatives of P, into one bucket per link orbit,
-// and return the buckets (FoldedLoads).  An answer reads E_max, the exact
-// mean and the loaded-link count off those (N/|H|)·2d buckets; only a
-// caller that needs per-link values broadcasts them to the 2dN links.
+// interface (enumerate every path of every pair, sum each link's load as
+// an exact Rational) — the one oracle the fast paths are tested against.
+// The specialized kernels compute identical numbers without enumerating
+// path sets, and fold over the placement's translation symmetry
+// (TranslationFold below): they route only from the R = |P|/|H| coset
+// representatives of P, into one bucket per link orbit, and return the
+// buckets (FoldedLoads).  An answer reads E_max, the exact mean and the
+// loaded-link count off those (N/|H|)·2d buckets; only a caller that
+// needs per-link values broadcasts them to the 2dN links.
 //
 //   odr_orbit_loads      O(R·|P| · d · k)          canonical segment walk
 //   udr_orbit_loads      O(R·|P| · s·2^s · k)      subset-weighted segment walk
@@ -30,12 +31,9 @@
 // 1/(2·d!) — every ODR/UDR link weight is a multiple of it: the tie split
 // gives the 2, the UDR order weight m!(s-1-m)!/s! divides d! — and divide
 // once per bucket, so their doubles are the correctly rounded exact
-// rationals whatever the fold, thread count or summation order.  Adaptive
-// weights have no fixed denominator; adaptive_orbit_loads keeps double
-// buckets.
-//
-// udr_loads_enumerated keeps the s!-enumeration variant alive as a second
-// independent implementation for cross-checking.
+// rationals whatever the fold, thread count or summation order, and equal
+// reference_loads bit for bit.  Adaptive weights have no fixed
+// denominator; adaptive_orbit_loads keeps double buckets.
 
 #pragma once
 
@@ -140,8 +138,11 @@ FoldedLoads udr_orbit_loads(const Torus& torus, const Placement& p,
 /// unit of traffic over all its minimal paths uniformly.
 FoldedLoads adaptive_orbit_loads(const Torus& torus, const Placement& p);
 
-/// Literal Definition 4 via Router::paths().  Exact but slow; intended for
-/// tests and tiny instances.
+/// Literal Definition 4 via Router::paths(): each link's load is summed
+/// as an exact Rational, Σ 1/|C_{p->q}| over pairs and paths, and rounded
+/// once to a double (correctly, as every ODR/UDR load's numerator and
+/// denominator fit in 53 bits).  Slow; intended for tests and tiny
+/// instances.  Throws tp::Error if a load's Rational overflows.
 LoadMap reference_loads(const Torus& torus, const Placement& p,
                         const Router& router);
 
@@ -161,27 +162,9 @@ LoadMap odr_loads_ordered(const Torus& torus, const Placement& p,
 LoadMap udr_loads(const Torus& torus, const Placement& p,
                   TieBreak tie = TieBreak::PositiveOnly);
 
-/// Loads under UDR by explicit enumeration of all s! correction orders.
-/// Same result as udr_loads; exists as an independent cross-check.
-LoadMap udr_loads_enumerated(const Torus& torus, const Placement& p,
-                             TieBreak tie = TieBreak::PositiveOnly);
-
 /// Loads under fully adaptive minimal routing: each pair spreads one unit
 /// of traffic over all its minimal paths uniformly.
 LoadMap adaptive_loads(const Torus& torus, const Placement& p);
-
-/// Multi-threaded ODR loads: partitions the coset representatives over
-/// `threads` workers, each accumulating into private int64 buckets, then
-/// sums them exactly.  Bit-identical to odr_loads at any width.
-LoadMap odr_loads_parallel(const Torus& torus, const Placement& p,
-                           i32 threads,
-                           TieBreak tie = TieBreak::PositiveOnly);
-
-/// Multi-threaded UDR loads, the same exact int64 reduction as
-/// odr_loads_parallel.  Bit-identical to udr_loads at any width.
-LoadMap udr_loads_parallel(const Torus& torus, const Placement& p,
-                           i32 threads,
-                           TieBreak tie = TieBreak::PositiveOnly);
 
 /// The value total_load() must equal for any minimal router: the sum of
 /// Lee distances over all ordered processor pairs.

@@ -4,7 +4,8 @@
 // complete-exchange scenario.  Loads are rationals with small denominators
 // (products of path-set sizes).  The ODR and UDR analyzers accumulate them
 // exactly, as integers over 2·d!, and store each as the correctly rounded
-// double; adaptive_loads and reference_loads sum doubles, accurate to a
+// double; reference_loads sums exact Rationals and rounds once, so it
+// equals them bit for bit.  adaptive_loads sums doubles, accurate to a
 // few ulps at the sizes this library targets.
 //
 // The exact total: a map broadcast by the load analyzers carries the sum of

@@ -1,7 +1,7 @@
 // Umbrella header for the observability subsystem.
 //
 //   MetricsRegistry  named counters / gauges / histograms (registry.h)
-//   Stopwatch et al. steady_clock timing                  (timer.h)
+//   Stopwatch        steady_clock timing                  (timer.h)
 //   Tracer           Chrome-trace phase spans + counters  (trace.h)
 //   LinkProbe        per-directed-link accumulators       (linkprobe.h)
 //   TimeSeries       bounded windowed time series         (timeseries.h)

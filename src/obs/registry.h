@@ -16,8 +16,9 @@
 // run concurrently with recording.  Recording itself is intentionally not
 // atomic — the instrumented paths in this codebase are single-threaded.
 // Parallel code must NOT record from workers: it accumulates per-worker
-// tallies and records the reduced total after the join (see
-// odr_loads_parallel / udr_loads_parallel in load/complete_exchange.cpp).
+// tallies and records the reduced total after the join (the ODR/UDR
+// kernel in load/complete_exchange.cpp records from the calling thread
+// only).
 // If two threads do record to the same slot, counts may be lost but
 // nothing crashes.
 

@@ -1,15 +1,14 @@
-// Monotonic wall-time measurement recording into the metrics registry.
+// Monotonic wall-time measurement.
 //
-// Stopwatch is a thin steady_clock wrapper; ScopedTimer records its
-// lifetime into a counter (accumulated nanoseconds) so repeated scopes sum
-// up.  For the combined timer + trace-span RAII used by the phase
-// instrumentation, see obs.h (TP_OBS_SCOPE).
+// Stopwatch is a thin steady_clock wrapper.  For the combined timer +
+// trace-span RAII used by the phase instrumentation, see obs.h
+// (TP_OBS_SCOPE).
 
 #pragma once
 
 #include <chrono>
 
-#include "src/obs/registry.h"
+#include "src/util/math.h"
 
 namespace tp::obs {
 
@@ -27,36 +26,9 @@ class Stopwatch {
 
   void restart() { start_ = now_ns(); }
   i64 elapsed_ns() const { return now_ns() - start_; }
-  double elapsed_ms() const {
-    return static_cast<double>(elapsed_ns()) / 1e6;
-  }
 
  private:
   i64 start_;
-};
-
-/// Adds the scope's elapsed nanoseconds to a registry counter on
-/// destruction.  The handle is resolved by the caller (once), so the
-/// per-scope cost when the registry is disabled is two clock reads at most
-/// — and none at all if constructed with an inactive registry, since
-/// recording is skipped inside MetricsRegistry::add.
-class ScopedTimer {
- public:
-  ScopedTimer(MetricsRegistry& reg, CounterHandle ns_counter)
-      : reg_(reg), handle_(ns_counter), active_(reg.enabled()) {}
-
-  ScopedTimer(const ScopedTimer&) = delete;
-  ScopedTimer& operator=(const ScopedTimer&) = delete;
-
-  ~ScopedTimer() {
-    if (active_) reg_.add(handle_, watch_.elapsed_ns());
-  }
-
- private:
-  MetricsRegistry& reg_;
-  CounterHandle handle_;
-  bool active_;
-  Stopwatch watch_;
 };
 
 }  // namespace tp::obs

@@ -73,8 +73,8 @@ struct EngineConfig {
   i32 measure_threads = 1;  ///< analyzer width per query (the engine's
                             ///< pool width is passed down instead of each
                             ///< call sizing itself off hardware
-                            ///< concurrency); keep 1 for bit-stable UDR
-                            ///< results independent of machine shape
+                            ///< concurrency); any width gives
+                            ///< byte-identical results
   std::size_t queue_capacity = 256;   ///< bounded submission queue
   std::size_t cache_capacity = 1024;  ///< PlanCache entries
   std::size_t cache_shards = 8;

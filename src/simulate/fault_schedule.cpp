@@ -164,9 +164,4 @@ bool FaultClock::advance_to(i64 cycle) {
   return changed;
 }
 
-i64 FaultClock::next_event_cycle() const {
-  const auto& events = schedule_.events();
-  return next_ < events.size() ? events[next_].cycle : -1;
-}
-
 }  // namespace tp

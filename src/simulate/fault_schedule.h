@@ -114,10 +114,6 @@ class FaultClock {
   i64 fails_applied() const { return fails_; }
   i64 repairs_applied() const { return repairs_; }
 
-  /// Cycle of the next unapplied event, or -1 when the schedule is
-  /// exhausted (lets simulators fast-forward idle stretches).
-  i64 next_event_cycle() const;
-
  private:
   const Torus& torus_;
   const FaultSchedule& schedule_;

@@ -3,9 +3,9 @@
 // Definition 4's loads are sums of fractions 1/|C_{p->q}| — rationals with
 // denominators dividing lcm(1!, ..., d!) (times 2^d with tie splitting).
 // The ODR and UDR analyzers return these as correctly rounded doubles;
-// Rational keeps them exact, so the oracles in exact_loads.h, equality
-// assertions in tests and cross-checks are airtight.  Overflow throws (tp::Error) rather
-// than wrapping.
+// reference_loads (src/load/complete_exchange.h) sums them as Rationals
+// and rounds once, so the kernels must equal it bit for bit.  Overflow
+// throws (tp::Error) rather than wrapping.
 
 #pragma once
 

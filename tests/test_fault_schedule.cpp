@@ -160,7 +160,6 @@ TEST(FaultClock, ReplaysEventsAndBumpsEpochOnlyOnChange) {
           {7, w0, FaultEventKind::Fail}});  // redundant: w0 already dead
 
   FaultClock clock(t, s);
-  EXPECT_EQ(clock.next_event_cycle(), 2);
   EXPECT_FALSE(clock.advance_to(1));
   EXPECT_EQ(clock.epoch(), 0u);
   EXPECT_EQ(clock.dead_wires(), 0);
@@ -171,7 +170,6 @@ TEST(FaultClock, ReplaysEventsAndBumpsEpochOnlyOnChange) {
   EXPECT_TRUE(clock.is_dead(w1));
   EXPECT_TRUE(clock.is_dead(t.reverse_edge(w1)));  // wire = both directions
   EXPECT_FALSE(clock.is_dead(w0));
-  EXPECT_EQ(clock.next_event_cycle(), 5);
 
   EXPECT_TRUE(clock.advance_to(6));
   EXPECT_EQ(clock.epoch(), 2u);
@@ -186,7 +184,6 @@ TEST(FaultClock, ReplaysEventsAndBumpsEpochOnlyOnChange) {
   EXPECT_TRUE(clock.is_dead(w0));
   EXPECT_EQ(clock.fails_applied(), 2);
   EXPECT_EQ(clock.repairs_applied(), 1);
-  EXPECT_EQ(clock.next_event_cycle(), -1);
   EXPECT_FALSE(clock.advance_to(99));
   EXPECT_EQ(clock.epoch(), 3u);
 }

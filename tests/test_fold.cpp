@@ -6,12 +6,11 @@
 // Seeded tori of d = 1..4 with uniform and mixed radices 2..7 carry every
 // placement family: linear with random coefficients and offset, multiple
 // linear for every t, shifted diagonal, modular, full, random, clustered
-// and subtorus.  Under both tie-breaks, odr_loads, udr_loads and both
-// *_parallel analyzers at widths 1..8 must equal the Rational oracles of
-// exact_loads.h converted to double — `==` on raw(), not a tolerance —
-// ODR in a non-identity correction order must equal reference_loads (its
-// weights are dyadic, so the oracle's double sums are exact), and
-// adaptive_loads must be within 1e-12 relative of reference_loads.
+// and subtorus.  Under both tie-breaks, odr_loads, udr_loads and the
+// ODR/UDR kernels at widths 1..8 must equal reference_loads, the literal
+// Definition 4 summed as exact Rationals and rounded once — `==` on raw(),
+// not a tolerance — and so must ODR in a non-identity correction order.
+// adaptive_loads must be within 1e-13 relative of reference_loads.
 
 #include <gtest/gtest.h>
 
@@ -23,11 +22,11 @@
 #include <vector>
 
 #include "src/load/complete_exchange.h"
-#include "src/load/exact_loads.h"
 #include "src/placement/modular.h"
 #include "src/placement/placement.h"
 #include "src/routing/adaptive.h"
 #include "src/routing/odr.h"
+#include "src/routing/udr.h"
 #include "src/util/prng.h"
 
 namespace tp {
@@ -97,6 +96,16 @@ SmallVec<i32> shuffled_order(const Torus& torus, Xoshiro256SS& rng) {
   return order;
 }
 
+/// The kernels' per-link loads at `width` workers, broadcast.
+std::vector<double> odr_at(const Torus& torus, const Placement& p,
+                           TieBreak tie, i32 width) {
+  return odr_orbit_loads(torus, p, tie, width).broadcast(torus).raw();
+}
+std::vector<double> udr_at(const Torus& torus, const Placement& p,
+                           TieBreak tie, i32 width) {
+  return udr_orbit_loads(torus, p, tie, width).broadcast(torus).raw();
+}
+
 std::string label(const Torus& torus, const Placement& p, TieBreak tie) {
   std::string s = "T(";
   for (const i32 k : torus.radices()) s += std::to_string(k) + ",";
@@ -116,16 +125,14 @@ TEST(FoldDifferential, OdrAndUdrEqualTheRationalOracles) {
            {TieBreak::PositiveOnly, TieBreak::BothDirections}) {
         SCOPED_TRACE(label(torus, p, tie));
         const std::vector<double> odr =
-            odr_loads_exact(torus, p, tie).to_load_map(torus).raw();
+            reference_loads(torus, p, OdrRouter(tie)).raw();
         const std::vector<double> udr =
-            udr_loads_exact(torus, p, tie).to_load_map(torus).raw();
+            reference_loads(torus, p, UdrRouter(tie)).raw();
         EXPECT_EQ(odr_loads(torus, p, tie).raw(), odr);
         EXPECT_EQ(udr_loads(torus, p, tie).raw(), udr);
         for (i32 width = 1; width <= 8; ++width) {
-          EXPECT_EQ(odr_loads_parallel(torus, p, width, tie).raw(), odr)
-              << "width " << width;
-          EXPECT_EQ(udr_loads_parallel(torus, p, width, tie).raw(), udr)
-              << "width " << width;
+          EXPECT_EQ(odr_at(torus, p, tie, width), odr) << "width " << width;
+          EXPECT_EQ(udr_at(torus, p, tie, width), udr) << "width " << width;
         }
         const SmallVec<i32> order = shuffled_order(torus, rng);
         EXPECT_EQ(odr_loads_ordered(torus, p, order, tie).raw(),
@@ -143,13 +150,14 @@ TEST(FoldDifferential, ParallelFanOutIsExact) {
   const Torus torus(Radices{5, 6, 7});
   const Placement p = random_placement(torus, 120, 11);
   ASSERT_EQ(translation_fold(torus, p).stabilizer_size, 1);
+  const TieBreak tie = TieBreak::PositiveOnly;
   const std::vector<double> udr =
-      udr_loads_exact(torus, p).to_load_map(torus).raw();
+      reference_loads(torus, p, UdrRouter(tie)).raw();
   const std::vector<double> odr =
-      odr_loads_exact(torus, p).to_load_map(torus).raw();
+      reference_loads(torus, p, OdrRouter(tie)).raw();
   for (i32 width = 1; width <= 8; ++width) {
-    EXPECT_EQ(odr_loads_parallel(torus, p, width).raw(), odr) << width;
-    EXPECT_EQ(udr_loads_parallel(torus, p, width).raw(), udr) << width;
+    EXPECT_EQ(odr_at(torus, p, tie, width), odr) << width;
+    EXPECT_EQ(udr_at(torus, p, tie, width), udr) << width;
   }
 }
 
@@ -165,7 +173,7 @@ TEST(FoldDifferential, AdaptiveMatchesTheReference) {
       const std::vector<double> want = reference_loads(torus, p, router).raw();
       ASSERT_EQ(got.size(), want.size());
       for (std::size_t e = 0; e < got.size(); ++e)
-        EXPECT_LE(std::abs(got[e] - want[e]), 1e-12 * std::abs(want[e]))
+        EXPECT_LE(std::abs(got[e] - want[e]), 1e-13 * std::abs(want[e]))
             << "link " << e;
     }
   }
@@ -430,10 +438,10 @@ TEST(FoldedLoads, SummaryMatchesTheBroadcastMap) {
            {TieBreak::PositiveOnly, TieBreak::BothDirections}) {
         SCOPED_TRACE(label(torus, p, tie));
         for (i32 width = 1; width <= 4; ++width) {
-          check(odr_orbit_loads(torus, p, tie, width),
-                odr_loads_parallel(torus, p, width, tie));
-          check(udr_orbit_loads(torus, p, tie, width),
-                udr_loads_parallel(torus, p, width, tie));
+          const FoldedLoads odr = odr_orbit_loads(torus, p, tie, width);
+          check(odr, odr.broadcast(torus));
+          const FoldedLoads udr = udr_orbit_loads(torus, p, tie, width);
+          check(udr, udr.broadcast(torus));
         }
       }
       if (p.size() <= 32 && torus.num_nodes() <= 100) {
@@ -509,17 +517,13 @@ TEST(FoldedLoads, BroadcastMapsKeepTheirBits) {
     SCOPED_TRACE(label(torus, p, TieBreak::PositiveOnly));
     const Pinned& want = pinned[c];
     for (i32 width = 1; width <= 4; ++width) {
-      EXPECT_EQ(fnv1a_bits(odr_loads_parallel(torus, p, width).raw()),
+      EXPECT_EQ(fnv1a_bits(odr_at(torus, p, TieBreak::PositiveOnly, width)),
                 want.odr_pos);
-      EXPECT_EQ(fnv1a_bits(odr_loads_parallel(torus, p, width,
-                                              TieBreak::BothDirections)
-                               .raw()),
+      EXPECT_EQ(fnv1a_bits(odr_at(torus, p, TieBreak::BothDirections, width)),
                 want.odr_both);
-      EXPECT_EQ(fnv1a_bits(udr_loads_parallel(torus, p, width).raw()),
+      EXPECT_EQ(fnv1a_bits(udr_at(torus, p, TieBreak::PositiveOnly, width)),
                 want.udr_pos);
-      EXPECT_EQ(fnv1a_bits(udr_loads_parallel(torus, p, width,
-                                              TieBreak::BothDirections)
-                               .raw()),
+      EXPECT_EQ(fnv1a_bits(udr_at(torus, p, TieBreak::BothDirections, width)),
                 want.udr_both);
     }
     EXPECT_EQ(fnv1a_bits(odr_loads(torus, p).raw()), want.odr_pos);

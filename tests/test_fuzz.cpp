@@ -3,7 +3,7 @@
 // the full battery on a random placement:
 //
 //   F1  load conservation for ODR and UDR (and adaptive on small tori)
-//   F2  fast analyzers == Definition 4 oracle
+//   F2  fast analyzers == Definition 4 oracle, bit for bit
 //   F3  Lemma 1 (singleton and slab) bounds below measured loads
 //   F4  hyperplane sweep bisects with crossings within the Appendix bound
 //   F5  routing tables compile consistently and forward minimally
@@ -61,9 +61,8 @@ TEST_P(Fuzz, F2_OracleAgreement) {
   Torus t(c.radices);
   const Placement p = random_placement(t, std::min<i64>(c.placement_size, 12),
                                        c.seed);
-  OdrRouter odr;
-  EXPECT_LT(odr_loads(t, p).max_abs_diff(reference_loads(t, p, odr)), 1e-9);
-  EXPECT_LT(udr_loads(t, p).max_abs_diff(udr_loads_enumerated(t, p)), 1e-9);
+  EXPECT_EQ(odr_loads(t, p).raw(), reference_loads(t, p, OdrRouter()).raw());
+  EXPECT_EQ(udr_loads(t, p).raw(), reference_loads(t, p, UdrRouter()).raw());
 }
 
 TEST_P(Fuzz, F3_BoundsBelowLoads) {

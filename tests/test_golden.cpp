@@ -148,17 +148,20 @@ TEST(GoldenAdaptive, UniformOverPathsCanBeWorseThanUdr) {
 }
 
 TEST(ConjecturedUdr, HoldsBeyondTheGoldenGrid) {
-  // Fresh instances not in the golden table.
-  for (i32 k : {11, 12, 14}) {
+  // Every k of both parities, far past the golden table, compared with ==:
+  // the kernel's E_max is the correctly rounded rational, and so is the
+  // form's one division.  A check, not a proof, so the form stays out of
+  // prediction_exact.
+  for (i32 k = 2; k <= 64; ++k) {
     Torus t(2, k);
-    EXPECT_NEAR(udr_loads(t, linear_placement(t)).max_load(),
-                udr_linear_emax_conjectured(k, 2), 1e-9)
+    EXPECT_EQ(udr_orbit_loads(t, linear_placement(t)).max_load(),
+              udr_linear_emax_conjectured(k, 2))
         << "k=" << k;
   }
-  for (i32 k : {9, 10, 11, 12}) {  // both parities
+  for (i32 k = 2; k <= 48; ++k) {
     Torus t(3, k);
-    EXPECT_NEAR(udr_loads(t, linear_placement(t)).max_load(),
-                udr_linear_emax_conjectured(k, 3), 1e-9)
+    EXPECT_EQ(udr_orbit_loads(t, linear_placement(t)).max_load(),
+              udr_linear_emax_conjectured(k, 3))
         << "k=" << k;
   }
 }

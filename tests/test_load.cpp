@@ -1,6 +1,7 @@
 // Tests for the exact load analysis (Definitions 4/5) and the paper's
 // load theorems:
-//   * fast analyzers agree with the literal Definition 4 oracle
+//   * fast analyzers agree with the literal Definition 4 oracle (ODR and
+//     UDR bit for bit: both are the correctly rounded rationals)
 //   * total-load conservation: sum_l E(l) == sum of Lee distances
 //   * Theorem 2 / Section 6.1: interior-dimension ODR max equals the
 //     paper's closed form exactly; overall max equals floor(k/2)k^{d-2}
@@ -32,7 +33,7 @@ TEST(LoadOracle, OdrFastMatchesReference) {
       OdrRouter odr;
       const LoadMap fast = odr_loads(t, p);
       const LoadMap ref = reference_loads(t, p, odr);
-      EXPECT_LT(fast.max_abs_diff(ref), kTol) << "d=" << d << " k=" << k;
+      EXPECT_EQ(fast.raw(), ref.raw()) << "d=" << d << " k=" << k;
     }
 }
 
@@ -42,17 +43,20 @@ TEST(LoadOracle, OdrBothTieBreakMatchesReference) {
   OdrRouter both(TieBreak::BothDirections);
   const LoadMap fast = odr_loads(t, p, TieBreak::BothDirections);
   const LoadMap ref = reference_loads(t, p, both);
-  EXPECT_LT(fast.max_abs_diff(ref), kTol);
+  EXPECT_EQ(fast.raw(), ref.raw());
 }
 
 TEST(LoadOracle, UdrSubsetWeightsMatchEnumeration) {
+  // The oracle enumerates all s! correction orders.  k = 6, 8, 10 at
+  // d = 3 are where a double sum of the weights 1/s! misses the exact
+  // loads (on 1172 of T_6^3's 1296 links).
   for (i32 d = 2; d <= 3; ++d)
-    for (i32 k : {3, 4, 5}) {
+    for (i32 k : {3, 4, 5, 6, 8, 10}) {
       Torus t(d, k);
       const Placement p = linear_placement(t);
       const LoadMap fast = udr_loads(t, p);
-      const LoadMap ref = udr_loads_enumerated(t, p);
-      EXPECT_LT(fast.max_abs_diff(ref), kTol) << "d=" << d << " k=" << k;
+      const LoadMap ref = reference_loads(t, p, UdrRouter());
+      EXPECT_EQ(fast.raw(), ref.raw()) << "d=" << d << " k=" << k;
     }
 }
 
@@ -60,8 +64,9 @@ TEST(LoadOracle, UdrBothTieBreakMatchesEnumeration) {
   Torus t(2, 4);
   const Placement p = linear_placement(t);
   const LoadMap fast = udr_loads(t, p, TieBreak::BothDirections);
-  const LoadMap ref = udr_loads_enumerated(t, p, TieBreak::BothDirections);
-  EXPECT_LT(fast.max_abs_diff(ref), kTol);
+  const LoadMap ref =
+      reference_loads(t, p, UdrRouter(TieBreak::BothDirections));
+  EXPECT_EQ(fast.raw(), ref.raw());
 }
 
 TEST(LoadOracle, AdaptiveMatchesReference) {
@@ -87,9 +92,8 @@ TEST(LoadOracle, AdaptiveMatchesReference3D) {
 TEST(LoadOracle, RandomPlacementAgreement) {
   Torus t(2, 5);
   const Placement p = random_placement(t, 8, 42);
-  EXPECT_LT(odr_loads(t, p).max_abs_diff(reference_loads(t, p, OdrRouter())),
-            kTol);
-  EXPECT_LT(udr_loads(t, p).max_abs_diff(udr_loads_enumerated(t, p)), kTol);
+  EXPECT_EQ(odr_loads(t, p).raw(), reference_loads(t, p, OdrRouter()).raw());
+  EXPECT_EQ(udr_loads(t, p).raw(), reference_loads(t, p, UdrRouter()).raw());
 }
 
 // --- conservation ------------------------------------------------------------

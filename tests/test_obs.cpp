@@ -170,19 +170,6 @@ TEST(Timer, StopwatchIsMonotone) {
   EXPECT_GE(obs::Stopwatch::now_ns(), 0);
 }
 
-TEST(Timer, ScopedTimerAccumulatesIntoCounter) {
-  obs::MetricsRegistry reg;
-  reg.set_enabled(true);
-  const obs::CounterHandle h = reg.counter("work_ns");
-  {
-    obs::ScopedTimer timer(reg, h);
-  }
-  {
-    obs::ScopedTimer timer(reg, h);
-  }
-  EXPECT_GE(*reg.snapshot().counter("work_ns"), 0);
-}
-
 // --- tracer ---------------------------------------------------------------
 
 TEST(Tracer, RecordsBalancedSpans) {

@@ -1,4 +1,5 @@
-// Tests for the thread-parallel load analyzers and the block partitioner.
+// Tests for the thread-parallel load analyzers (the ODR/UDR orbit kernels
+// at widths > 1) and the block partitioner.
 
 #include <gtest/gtest.h>
 
@@ -56,7 +57,8 @@ TEST(ParallelLoads, OdrBitIdenticalToSerial) {
     Torus t(3, 5);
     const Placement p = linear_placement(t);
     const LoadMap serial = odr_loads(t, p);
-    const LoadMap parallel = odr_loads_parallel(t, p, threads);
+    const LoadMap parallel =
+        odr_orbit_loads(t, p, TieBreak::PositiveOnly, threads).broadcast(t);
     EXPECT_EQ(serial.max_abs_diff(parallel), 0.0) << "threads=" << threads;
   }
 }
@@ -66,34 +68,38 @@ TEST(ParallelLoads, OdrBitIdenticalWithTieSplitting) {
   const Placement p = multiple_linear_placement(t, 2);
   const LoadMap serial = odr_loads(t, p, TieBreak::BothDirections);
   const LoadMap parallel =
-      odr_loads_parallel(t, p, 3, TieBreak::BothDirections);
+      odr_orbit_loads(t, p, TieBreak::BothDirections, 3).broadcast(t);
   EXPECT_EQ(serial.max_abs_diff(parallel), 0.0);
 }
 
 TEST(ParallelLoads, UdrMatchesSerialToReductionPrecision) {
-  // UDR weights like 1/3 are not exactly representable, so the per-worker
-  // partial sums can differ from the serial order by an ulp or two.
+  // The workers' int64 partial sums reduce exactly, so any width equals
+  // the serial result.
   for (i32 threads : {2, 5}) {
     Torus t(3, 4);
     const Placement p = linear_placement(t);
     const LoadMap serial = udr_loads(t, p);
-    const LoadMap parallel = udr_loads_parallel(t, p, threads);
-    EXPECT_LT(serial.max_abs_diff(parallel), 1e-12) << "threads=" << threads;
+    const LoadMap parallel =
+        udr_orbit_loads(t, p, TieBreak::PositiveOnly, threads).broadcast(t);
+    EXPECT_EQ(serial.max_abs_diff(parallel), 0.0) << "threads=" << threads;
   }
 }
 
 TEST(ParallelLoads, MoreThreadsThanSources) {
   Torus t(2, 3);
   const Placement p = linear_placement(t);  // 3 processors
-  const LoadMap parallel = odr_loads_parallel(t, p, 16);
+  const LoadMap parallel =
+      odr_orbit_loads(t, p, TieBreak::PositiveOnly, 16).broadcast(t);
   EXPECT_EQ(parallel.max_abs_diff(odr_loads(t, p)), 0.0);
 }
 
 TEST(ParallelLoads, RandomPlacementAgreement) {
   Torus t(Radices{4, 5});
   const Placement p = random_placement(t, 9, 31);
-  EXPECT_LT(udr_loads_parallel(t, p, 3).max_abs_diff(udr_loads(t, p)),
-            1e-12);
+  EXPECT_EQ(udr_orbit_loads(t, p, TieBreak::PositiveOnly, 3)
+                .broadcast(t)
+                .max_abs_diff(udr_loads(t, p)),
+            0.0);
 }
 
 TEST(ParallelLoads, PairsEvaluatedExactUnderThreads) {
@@ -107,7 +113,7 @@ TEST(ParallelLoads, PairsEvaluatedExactUnderThreads) {
   const Placement p = linear_placement(t);  // |P| = 6
   const i64 expect = p.size() * (p.size() - 1);
 
-  odr_loads_parallel(t, p, 4);
+  odr_orbit_loads(t, p, TieBreak::PositiveOnly, 4);
   // Keep the snapshot alive while reading into it: counter() returns a
   // pointer into the snapshot, not into the registry.
   const obs::MetricsSnapshot odr_snap = reg.snapshot();
@@ -116,7 +122,7 @@ TEST(ParallelLoads, PairsEvaluatedExactUnderThreads) {
   EXPECT_EQ(*odr_pairs, expect);
 
   reg.reset();
-  udr_loads_parallel(t, p, 4);
+  udr_orbit_loads(t, p, TieBreak::PositiveOnly, 4);
   const obs::MetricsSnapshot udr_snap = reg.snapshot();
   const i64* udr_pairs = udr_snap.counter("load.pairs_evaluated");
   ASSERT_NE(udr_pairs, nullptr);
@@ -171,10 +177,10 @@ TEST(ParallelFor, NestedInstrumentationIsDroppedNotRaced) {
   Torus t(2, 6);
   const Placement p = linear_placement(t);
 
-  odr_loads_parallel(t, p, 1);
+  odr_orbit_loads(t, p, TieBreak::PositiveOnly, 1);
   const obs::MetricsSnapshot one = reg.snapshot();
   reg.reset();
-  odr_loads_parallel(t, p, 4);
+  odr_orbit_loads(t, p, TieBreak::PositiveOnly, 4);
   const obs::MetricsSnapshot four = reg.snapshot();
   reg.set_enabled(false);
   reg.reset();

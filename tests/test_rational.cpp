@@ -1,10 +1,12 @@
-// Tests for exact rational arithmetic and the exact load analyzers.
+// Tests for exact rational arithmetic and the exact loads: the Rational
+// oracle (reference_loads) and the ODR/UDR kernels it pins.
 
 #include <gtest/gtest.h>
 
 #include "src/load/complete_exchange.h"
-#include "src/load/exact_loads.h"
 #include "src/load/formulas.h"
+#include "src/routing/odr.h"
+#include "src/routing/udr.h"
 #include "src/util/error.h"
 #include "src/util/rational.h"
 
@@ -66,57 +68,63 @@ TEST(ExactLoads, OdrMatchesDoubleAnalyzerExactly) {
     for (i32 k : {3, 4, 5}) {
       Torus t(d, k);
       const Placement p = linear_placement(t);
-      const LoadMap exact = odr_loads_exact(t, p).to_load_map(t);
-      EXPECT_EQ(exact.max_abs_diff(odr_loads(t, p)), 0.0)
+      EXPECT_EQ(reference_loads(t, p, OdrRouter()).raw(),
+                odr_loads(t, p).raw())
           << "d=" << d << " k=" << k;
     }
 }
 
-TEST(ExactLoads, UdrMatchesDoubleAnalyzerToFloatPrecision) {
+TEST(ExactLoads, UdrMatchesDoubleAnalyzerExactly) {
   for (i32 d = 2; d <= 3; ++d)
     for (i32 k : {3, 4, 5}) {
       Torus t(d, k);
       const Placement p = linear_placement(t);
-      const LoadMap exact = udr_loads_exact(t, p).to_load_map(t);
-      EXPECT_LT(exact.max_abs_diff(udr_loads(t, p)), 1e-12)
+      EXPECT_EQ(reference_loads(t, p, UdrRouter()).raw(),
+                udr_loads(t, p).raw())
           << "d=" << d << " k=" << k;
     }
 }
 
+// The kernels assert that their buckets sum to exactly 2·d! × lee_total
+// units, so lee_total is the exact sum of every link's rational load.
+
 TEST(ExactLoads, ConservationIsExactlyAnInteger) {
   Torus t(3, 4);
   const Placement p = linear_placement(t);
-  const Rational expected = expected_total_load_exact(t, p);
-  EXPECT_EQ(expected.den(), 1);  // sum of Lee distances is an integer
-  EXPECT_EQ(odr_loads_exact(t, p).total_load(), expected);
-  EXPECT_EQ(udr_loads_exact(t, p).total_load(), expected);
+  const double expected = expected_total_load(t, p);  // ΣLee
+  EXPECT_EQ(static_cast<double>(odr_orbit_loads(t, p).lee_total), expected);
+  EXPECT_EQ(static_cast<double>(udr_orbit_loads(t, p).lee_total), expected);
 }
 
 TEST(ExactLoads, ConservationWithTieSplitting) {
   Torus t(2, 4);  // even k exercises the 1/2 weights
   const Placement p = linear_placement(t);
-  const Rational expected = expected_total_load_exact(t, p);
-  EXPECT_EQ(odr_loads_exact(t, p, TieBreak::BothDirections).total_load(),
+  const double expected = expected_total_load(t, p);
+  EXPECT_EQ(static_cast<double>(
+                odr_orbit_loads(t, p, TieBreak::BothDirections).lee_total),
             expected);
-  EXPECT_EQ(udr_loads_exact(t, p, TieBreak::BothDirections).total_load(),
+  EXPECT_EQ(static_cast<double>(
+                udr_orbit_loads(t, p, TieBreak::BothDirections).lee_total),
             expected);
 }
 
 TEST(ExactLoads, UdrMaximaAreExactRationals) {
-  // d=3, k=4: the golden value 11/3 — now provably exact, not a float.
+  // d=3, k=4: the golden value 11/3, correctly rounded.
   Torus t(3, 4);
   const Placement p = linear_placement(t);
-  EXPECT_EQ(udr_loads_exact(t, p).max_load(), Rational(11, 3));
+  EXPECT_EQ(reference_loads(t, p, UdrRouter()).max_load(),
+            Rational(11, 3).to_double());
   // d=3, k=6: (5*36+12)/24 = 8 (the conjectured closed form).
   Torus t6(3, 6);
-  EXPECT_EQ(udr_loads_exact(t6, linear_placement(t6)).max_load(),
-            Rational(8));
+  EXPECT_EQ(reference_loads(t6, linear_placement(t6), UdrRouter()).max_load(),
+            8.0);
 }
 
 TEST(ExactLoads, OdrMaximaMatchClosedFormsExactly) {
   Torus t(3, 8);
   const Placement p = linear_placement(t);
-  EXPECT_EQ(odr_loads_exact(t, p).max_load(), Rational(32));  // floor(k/2)k
+  EXPECT_EQ(reference_loads(t, p, OdrRouter()).max_load(),
+            32.0);  // floor(k/2)k
 }
 
 }  // namespace

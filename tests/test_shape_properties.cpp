@@ -5,7 +5,7 @@
 //
 //   S1  structural invariants (counts, round trips, involutions)
 //   S2  BFS distance == Lee distance
-//   S3  analyzers agree with the Definition 4 oracle
+//   S3  analyzers equal the Definition 4 oracle bit for bit
 //   S4  conservation for ODR and UDR
 //   S5  Theorem 1 cut on the natural diagonal placement
 
@@ -17,6 +17,7 @@
 #include "src/placement/modular.h"
 #include "src/placement/uniformity.h"
 #include "src/routing/odr.h"
+#include "src/routing/udr.h"
 #include "src/torus/graph.h"
 
 namespace tp {
@@ -54,11 +55,8 @@ TEST_P(ShapeSweep, S3_AnalyzersMatchOracle) {
   Torus t(GetParam());
   const Placement p = natural_placement(t);
   if (p.size() > 16) return;  // keep the oracle affordable
-  OdrRouter odr;
-  EXPECT_LT(odr_loads(t, p).max_abs_diff(reference_loads(t, p, odr)),
-            1e-12);
-  EXPECT_LT(udr_loads(t, p).max_abs_diff(udr_loads_enumerated(t, p)),
-            1e-12);
+  EXPECT_EQ(odr_loads(t, p).raw(), reference_loads(t, p, OdrRouter()).raw());
+  EXPECT_EQ(udr_loads(t, p).raw(), reference_loads(t, p, UdrRouter()).raw());
 }
 
 TEST_P(ShapeSweep, S4_Conservation) {

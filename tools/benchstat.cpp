@@ -30,9 +30,10 @@
 // Besides the baseline diff, one intra-run invariant is asserted: the
 // threaded analyzer must not lose to the serial one on a small torus
 // (odr_loads_parallel4/T8^3 <= 1.05 x odr_loads/T8^3) — the work-size
-// cutover in odr_loads_parallel (src/load/complete_exchange.cpp) exists
-// precisely to keep small tori on the serial path, and this check keeps
-// it honest without needing a baseline file.
+// cutover in the ODR/UDR kernel (kMinPairsPerWorker,
+// src/load/complete_exchange.cpp) exists precisely to keep small tori on
+// the serial path, and this check keeps it honest without needing a
+// baseline file.
 //
 // google-benchmark (bench/) remains the precision tool; benchstat trades
 // precision for a committed, diffable baseline file.
@@ -138,7 +139,9 @@ std::vector<BenchResult> run_benchmarks(int reps) {
       g_sink += odr_loads(torus, p).max_load();
     }));
     results.push_back(time_fn("odr_loads_parallel4/T8^3", reps, [&] {
-      g_sink += odr_loads_parallel(torus, p, 4).max_load();
+      g_sink += odr_orbit_loads(torus, p, TieBreak::PositiveOnly, 4)
+                    .broadcast(torus)
+                    .max_load();
     }));
   }
   {

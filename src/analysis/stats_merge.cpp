@@ -14,7 +14,7 @@ void append_stats_rows(std::vector<std::vector<std::string>>& rows,
   std::string line;
   i64 record = 0;
   while (std::getline(in, line)) {
-    if (line.find_first_not_of(" \t\r") == std::string::npos) continue;
+    if (obs::blank_line(line)) continue;
     const obs::JsonValue root = obs::parse_json(line);
     if (const obs::JsonValue* counters = root.find("counters"))
       for (const auto& [name, v] : counters->members())

@@ -1,26 +1,18 @@
 #include "src/net/tcp_server.h"
 
-#include <chrono>
 #include <poll.h>
 #include <utility>
 
+#include "src/obs/timer.h"
 #include "src/obs/trace.h"
 #include "src/util/error.h"
 
 namespace tp::net {
 
-using Clock = std::chrono::steady_clock;
-
 namespace {
 
 std::vector<i64> request_count_bounds() {
   return {1, 4, 16, 64, 256, 1024, 4096};
-}
-
-i64 us_between(Clock::time_point from, Clock::time_point to) {
-  const i64 us =
-      std::chrono::duration_cast<std::chrono::microseconds>(to - from).count();
-  return us < 0 ? 0 : us;
 }
 
 }  // namespace
@@ -34,13 +26,13 @@ struct TcpServer::Conn {
 
   Socket sock;
   i64 id;
-  Clock::time_point opened = Clock::now();
+  obs::Stopwatch lifetime;
   i64 requests = 0;  ///< reader thread only
 
   Mutex mu;
   CondVar slots_nonempty;
   CondVar slots_nonfull;
-  std::deque<Slot> slots TP_GUARDED_BY(mu);
+  std::deque<service::StagedLine> slots TP_GUARDED_BY(mu);
   bool reader_done TP_GUARDED_BY(mu) = false;
   bool write_failed TP_GUARDED_BY(mu) = false;
 
@@ -148,15 +140,10 @@ void TcpServer::acceptor_loop() {
     if (over_limit) {
       // One structured refusal line, then close: a client sees why it was
       // turned away instead of a bare RST.
-      const std::string reply =
-          service::response_to_json(
-              obs::JsonValue(),
-              service::error_response(
-                  "connection limit reached (max_conns=" +
-                  std::to_string(config_.max_conns) + ")"))
-              .dump() +
-          "\n";
-      sock.write_all(reply);
+      service::StagedLine refusal;
+      refusal.refuse("connection limit reached (max_conns=" +
+                     std::to_string(config_.max_conns) + ")");
+      sock.write_all(service::render_line(refusal));
       continue;  // ~Socket closes
     }
 
@@ -249,17 +236,16 @@ void TcpServer::conn_main(std::shared_ptr<Conn> conn) {
   conn->slots_nonempty.notify_all();
   writer.join();
 
-  const i64 lifetime_us = us_between(conn->opened, Clock::now());
+  const i64 lifetime_ns = conn->lifetime.elapsed_ns();
   {
     const MutexLock lock(stats_mu_);
     --stats_.open_connections;
-    conn_lifetime_us_.record(lifetime_us);
+    conn_lifetime_us_.record(lifetime_ns / 1000);
     conn_requests_.record(conn->requests);
   }
   obs::Tracer& tracer = obs::tracer();
   if (tracer.enabled())
-    tracer.complete("conn " + std::to_string(conn->id), lifetime_us * 1000,
-                    "net");
+    tracer.complete("conn " + std::to_string(conn->id), lifetime_ns, "net");
 
   {
     const MutexLock lock(conns_mu_);
@@ -271,12 +257,18 @@ void TcpServer::conn_main(std::shared_ptr<Conn> conn) {
 
 bool TcpServer::process_line(Conn& conn, const LineBuffer::Line& line,
                              i64 line_no) {
-  // Blank lines advance the line number (the default request id) but are
-  // not requests — same skip as the stdio front-ends.
-  if (!line.oversized &&
-      line.text.find_first_not_of(" \t\r") == std::string::npos)
-    return true;
-
+  using Kind = service::ParsedLine::Kind;
+  service::ParsedLine parsed;
+  if (line.oversized) {
+    parsed.kind = Kind::Refused;
+    parsed.staged.id = salvage_id_prefix(line.text, line_no);
+    parsed.staged.refuse("oversized request line: exceeded max_line_bytes=" +
+                         std::to_string(config_.max_line_bytes) +
+                         " and was discarded");
+  } else {
+    parsed = service::parse_line(line.text, line_no);
+    if (parsed.kind == Kind::Blank) return true;
+  }
   ++conn.requests;
   {
     const MutexLock lock(stats_mu_);
@@ -284,72 +276,35 @@ bool TcpServer::process_line(Conn& conn, const LineBuffer::Line& line,
     if (line.oversized) ++stats_.oversized_lines;
   }
 
-  Slot slot;
-  bool keep_reading = true;
-  if (line.oversized) {
-    slot.id = salvage_id_prefix(line.text, line_no);
-    slot.rendered = service::response_to_json(
-        slot.id,
-        service::error_response(
-            "oversized request line: exceeded max_line_bytes=" +
-            std::to_string(config_.max_line_bytes) +
-            " and was discarded"));
-  } else {
-    try {
-      const obs::JsonValue doc = obs::parse_json(line.text);
-      if (service::is_admin_op(doc)) {
-        if (const obs::JsonValue* client_id = doc.find("id"))
-          slot.id = *client_id;
-        else
-          slot.id = obs::JsonValue(line_no);
-        bool quit = false;
-        {
-          // One registry writer at a time: metricsz folds engine AND
-          // server counters into the single-writer registry, and several
-          // connection threads can carry admin ops concurrently.
-          const MutexLock lock(admin_mu_);
-          if (doc.find("op")->as_string() == "metricsz")
-            publish_stats_locked();
-          slot.rendered = service::handle_admin(engine_, doc, slot.id, &quit);
-        }
-        if (quit) {
-          // quitz over TCP drains the whole server, not just this
-          // connection: its response is staged first, then intake stops.
-          request_drain();
-          keep_reading = false;
-        }
-      } else {
-        service::BatchRequest req = service::parse_request_doc(doc, line_no);
-        slot.id = std::move(req.id);
-        if (draining_.load(std::memory_order_relaxed)) {
-          {
-            const MutexLock lock(stats_mu_);
-            ++stats_.drain_rejects;
-          }
-          slot.rendered = service::response_to_json(
-              slot.id,
-              service::error_response(
-                  "server draining: request rejected, retry elsewhere"));
-        } else {
-          slot.ticket = engine_.try_submit(req.request);
-        }
-      }
-    } catch (const Error& e) {
-      {
-        const MutexLock lock(stats_mu_);
-        ++stats_.parse_errors;
-      }
-      slot.id = service::salvage_request_id(line.text, line_no);
-      slot.rendered =
-          service::response_to_json(slot.id, service::error_response(e.what()));
-    }
+  bool refused = parsed.kind == Kind::Refused && !line.oversized;
+  bool quit = false;
+  if (parsed.kind == Kind::Admin) {
+    // One registry writer at a time: metricsz folds engine AND server
+    // counters into the single-writer registry, and several connection
+    // threads can carry admin ops concurrently.
+    const MutexLock lock(admin_mu_);
+    if (parsed.doc.find("op")->as_string() == "metricsz")
+      publish_stats_locked();
+    refused = !service::answer_admin(engine_, parsed, &quit);
   }
-
-  if (!push_slot(conn, std::move(slot))) return false;
-  return keep_reading;
+  const bool drain_reject =
+      parsed.kind == Kind::Query && draining_.load(std::memory_order_relaxed);
+  if (drain_reject)
+    parsed.staged.refuse("server draining: request rejected, retry elsewhere");
+  else if (parsed.kind == Kind::Query)
+    parsed.staged.ticket = engine_.try_submit(parsed.request);
+  if (refused || drain_reject) {
+    const MutexLock lock(stats_mu_);
+    if (refused) ++stats_.parse_errors;
+    if (drain_reject) ++stats_.drain_rejects;
+  }
+  // quitz over TCP drains the whole server, not just this connection: its
+  // response is staged first, then intake stops.
+  if (quit) request_drain();
+  return push_slot(conn, std::move(parsed.staged)) && !quit;
 }
 
-bool TcpServer::push_slot(Conn& conn, Slot slot) {
+bool TcpServer::push_slot(Conn& conn, service::StagedLine slot) {
   {
     MutexLock lock(conn.mu);
     // Per-connection backpressure: a full window blocks the reader (and
@@ -365,7 +320,7 @@ bool TcpServer::push_slot(Conn& conn, Slot slot) {
 
 void TcpServer::writer_loop(Conn& conn) {
   for (;;) {
-    Slot slot;
+    service::StagedLine slot;
     {
       MutexLock lock(conn.mu);
       while (conn.slots.empty() && !conn.reader_done)
@@ -377,16 +332,7 @@ void TcpServer::writer_loop(Conn& conn) {
     conn.slots_nonfull.notify_one();
 
     bool overload = false;
-    obs::JsonValue reply;
-    if (slot.rendered) {
-      reply = std::move(*slot.rendered);
-    } else {
-      const service::Response response = slot.ticket->wait();
-      overload = response.overload;
-      reply = service::response_to_json(slot.id, response);
-    }
-    std::string text = reply.dump();
-    text.push_back('\n');
+    const std::string text = service::render_line(slot, &overload);
     const bool sent = conn.sock.write_all(text);
     {
       const MutexLock lock(stats_mu_);

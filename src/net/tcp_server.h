@@ -28,9 +28,10 @@
 // response line.  Requests parsed after the drain began get a structured
 // "server draining" rejection.
 //
-// Determinism contract: query responses remain a pure function of the
-// request — byte-identical to `torusplace batch` / `serve --stdio` for
-// the same request stream (tested in tests/test_net.cpp).
+// Determinism contract: lines are parsed, answered and rendered by the
+// same service::parse_line / answer_admin / render_line as batch and
+// serve --stdio, so a request stream gets byte-identical answers over
+// all three (tested in tests/test_net.cpp).
 
 #pragma once
 
@@ -71,7 +72,7 @@ struct TcpServerStats {
   i64 bytes_in = 0;
   i64 bytes_out = 0;
   i64 oversized_lines = 0;
-  i64 parse_errors = 0;
+  i64 parse_errors = 0;  ///< refused query or admin lines
   i64 overload_rejects = 0;  ///< try_submit queue-full rejections
   i64 drain_rejects = 0;     ///< requests refused after drain began
 };
@@ -122,12 +123,6 @@ class TcpServer {
   void publish_stats() TP_EXCLUDES(admin_mu_, stats_mu_);
 
  private:
-  struct Slot {
-    obs::JsonValue id;
-    std::optional<service::Engine::Ticket> ticket;
-    std::optional<obs::JsonValue> rendered;
-  };
-
   struct Conn;
 
   void acceptor_loop();
@@ -136,7 +131,7 @@ class TcpServer {
   /// Parses + stages one request line.  False = stop reading (quitz or a
   /// dead writer).
   bool process_line(Conn& conn, const LineBuffer::Line& line, i64 line_no);
-  bool push_slot(Conn& conn, Slot slot);
+  bool push_slot(Conn& conn, service::StagedLine slot);
   /// Joins and erases finished connections (acceptor thread only).
   void reap_finished() TP_EXCLUDES(conns_mu_);
   void publish_stats_locked() TP_REQUIRES(admin_mu_);

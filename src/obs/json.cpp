@@ -336,4 +336,8 @@ JsonValue parse_json(std::string_view text) {
   return Parser(text).parse_document();
 }
 
+bool blank_line(std::string_view line) {
+  return line.find_first_not_of(" \t\r") == std::string_view::npos;
+}
+
 }  // namespace tp::obs

@@ -84,6 +84,9 @@ class JsonValue {
 /// trailing garbage.
 JsonValue parse_json(std::string_view text);
 
+/// True when a JSONL line holds only spaces, tabs and CR: readers skip it.
+bool blank_line(std::string_view line);
+
 /// Escapes and quotes a string for direct JSON emission.
 std::string json_quote(std::string_view s);
 

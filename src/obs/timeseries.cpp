@@ -37,29 +37,6 @@ void TimeSeries::clear() {
   used_ = 0;
 }
 
-RollingSeries::RollingSeries(std::size_t capacity) : slots_(capacity) {
-  TP_REQUIRE(capacity >= 1, "rolling series needs at least one slot");
-}
-
-void RollingSeries::record(i64 tick, i64 v) {
-  TP_REQUIRE(tick >= 0, "rolling series tick must be >= 0");
-  Slot& slot = slots_[static_cast<std::size_t>(tick) % slots_.size()];
-  if (slot.tick != tick) {
-    slot.tick = tick;
-    slot.stats = WindowStats{};
-  }
-  slot.stats.record(v);
-}
-
-WindowStats RollingSeries::last(i64 now_tick, i64 n) const {
-  WindowStats out;
-  n = std::min<i64>(n, static_cast<i64>(slots_.size()));
-  for (const Slot& slot : slots_)
-    if (slot.tick > now_tick - n && slot.tick <= now_tick)
-      out.merge(slot.stats);
-  return out;
-}
-
 RollingHistogram::RollingHistogram(std::vector<i64> bounds,
                                    std::size_t capacity)
     : bounds_(std::move(bounds)), slots_(capacity) {

@@ -109,41 +109,18 @@ class TimeSeries {
   std::vector<WindowStats> windows_;
 };
 
-/// Ring of per-tick aggregates answering "what happened over the last N
+/// Ring of per-tick histograms answering "what happened over the last N
 /// ticks" — the live-rate counterpart of TimeSeries (which covers a whole
 /// run at degrading resolution; this covers only the recent past at full
 /// resolution).  Tick is the caller's clock, one slot per tick value
 /// (the service engine uses seconds since start, so a 64-slot ring holds
 /// the 1s/10s/60s windows statusz reports).  Stale slots are lazily
 /// overwritten when their ring position comes around again and ignored by
-/// reads, so an idle stretch costs nothing.
+/// reads, so an idle stretch costs nothing.  merged() reduces the live
+/// slots into one HistogramData with the configured bounds: windowed
+/// count and sum as well as percentiles.
 ///
 /// Not thread-safe; guard it with the owning component's lock.
-class RollingSeries {
- public:
-  explicit RollingSeries(std::size_t capacity = 64);
-
-  void record(i64 tick, i64 v);
-
-  /// Merged stats over ticks in (now_tick - n, now_tick].  `n` is clamped
-  /// to the ring capacity (asking for more than the ring remembers
-  /// answers with what it has).
-  WindowStats last(i64 now_tick, i64 n) const;
-
-  std::size_t capacity() const { return slots_.size(); }
-
- private:
-  struct Slot {
-    i64 tick = -1;  ///< -1 = never written
-    WindowStats stats;
-  };
-  std::vector<Slot> slots_;
-};
-
-/// Ring of per-tick histograms for windowed percentiles (p50/p99 over the
-/// last N ticks).  Same slot discipline as RollingSeries; merged()
-/// reduces the live slots into one HistogramData with the configured
-/// bounds.  Not thread-safe.
 class RollingHistogram {
  public:
   explicit RollingHistogram(std::vector<i64> bounds,
@@ -152,13 +129,15 @@ class RollingHistogram {
   void record(i64 tick, i64 v);
 
   /// Histogram of every sample with tick in (now_tick - n, now_tick].
+  /// `n` is clamped to the ring capacity (asking for more than the ring
+  /// remembers answers with what it has).
   HistogramData merged(i64 now_tick, i64 n) const;
 
   std::size_t capacity() const { return slots_.size(); }
 
  private:
   struct Slot {
-    i64 tick = -1;
+    i64 tick = -1;  ///< -1 = never written
     HistogramData h;
   };
   std::vector<i64> bounds_;

@@ -73,7 +73,7 @@ Engine::Engine(EngineConfig config)
       fanin_(fanin_bucket_bounds()),
       deadline_margin_us_(obs::duration_bucket_bounds()),
       slow_log_(config.slow_log_capacity < 1 ? 1 : config.slow_log_capacity),
-      requests_ring_(64),
+      requests_ring_({1}, 64),
       latency_ring_(obs::duration_bucket_bounds(), 64) {
   TP_REQUIRE(config_.queue_capacity >= 1, "queue capacity must be >= 1");
   if (config_.measure_threads < 1) config_.measure_threads = 1;
@@ -583,9 +583,11 @@ ServiceRates Engine::rates() const {
                        .count();
   const MutexLock lock(stats_mu_);
   ServiceRates r;
-  const obs::WindowStats w1 = requests_ring_.last(tick, 1);
-  const obs::WindowStats w10 = requests_ring_.last(tick, 10);
-  const obs::WindowStats w60 = requests_ring_.last(tick, 60);
+  // One sample per request, 1 for a cache hit: count is the request
+  // count, sum the hits.
+  const obs::HistogramData w1 = requests_ring_.merged(tick, 1);
+  const obs::HistogramData w10 = requests_ring_.merged(tick, 10);
+  const obs::HistogramData w60 = requests_ring_.merged(tick, 60);
   r.qps_1s = static_cast<double>(w1.count);
   r.qps_10s = static_cast<double>(w10.count) / 10.0;
   r.qps_60s = static_cast<double>(w60.count) / 60.0;

@@ -304,7 +304,7 @@ class Engine {
   obs::HistogramData fanin_ TP_GUARDED_BY(stats_mu_);
   obs::HistogramData deadline_margin_us_ TP_GUARDED_BY(stats_mu_);
   SlowQueryLog slow_log_ TP_GUARDED_BY(stats_mu_);
-  obs::RollingSeries requests_ring_ TP_GUARDED_BY(stats_mu_);
+  obs::RollingHistogram requests_ring_ TP_GUARDED_BY(stats_mu_);
   obs::RollingHistogram latency_ring_ TP_GUARDED_BY(stats_mu_);
   std::vector<std::string> worker_state_ TP_GUARDED_BY(stats_mu_);
   EngineStats published_;  ///< last snapshot pushed into the registry;

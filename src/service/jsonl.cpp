@@ -1,9 +1,10 @@
 #include "src/service/jsonl.h"
 
+#include <cstdint>
 #include <istream>
-#include <optional>
 #include <ostream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/obs/obs.h"
@@ -12,11 +13,18 @@
 
 namespace tp::service {
 
-BatchRequest parse_request_line(std::string_view line, i64 line_no) {
-  return parse_request_doc(obs::parse_json(line), line_no);
+namespace {
+
+/// The id a line's answer echoes: its "id" when the line is a JSON object
+/// that has one, else the 1-based line number.
+obs::JsonValue echo_id(const obs::JsonValue& doc, i64 line_no) {
+  if (doc.is_object())
+    if (const obs::JsonValue* id = doc.find("id")) return *id;
+  return obs::JsonValue(line_no);
 }
 
-BatchRequest parse_request_doc(const obs::JsonValue& doc, i64 line_no) {
+/// Validates a request document into the canonical request.
+Request parse_request_doc(const obs::JsonValue& doc) {
   TP_REQUIRE(doc.is_object(), "request must be a JSON object");
 
   static const char* const kKnown[] = {"id", "op",     "d",     "k",
@@ -31,16 +39,12 @@ BatchRequest parse_request_doc(const obs::JsonValue& doc, i64 line_no) {
     TP_REQUIRE(known, "unknown request field '" + key + "'");
   }
 
-  BatchRequest out;
-  if (const obs::JsonValue* id = doc.find("id")) {
-    out.id = *id;
-    // The echoed id doubles as the engine-level request id (strings pass
-    // through; other JSON values keep their serialized form).  Lines
-    // without an id leave it empty so the engine generates one.
-    out.request.id = id->is_string() ? id->as_string() : id->dump();
-  } else {
-    out.id = obs::JsonValue(line_no);
-  }
+  Request out;
+  // The echoed id doubles as the engine-level request id (strings pass
+  // through; other JSON values keep their serialized form).  Lines
+  // without an id leave it empty so the engine generates one.
+  if (const obs::JsonValue* id = doc.find("id"))
+    out.id = id->is_string() ? id->as_string() : id->dump();
 
   const QueryOp op =
       parse_op(doc.find("op") ? doc.find("op")->as_string() : "");
@@ -74,13 +78,20 @@ BatchRequest parse_request_doc(const obs::JsonValue& doc, i64 line_no) {
       radices.push_back(static_cast<i32>(k->as_int()));
   }
 
-  out.request.key = make_query_key(radices, t, router, op);
+  out.key = make_query_key(radices, t, router, op);
   if (const obs::JsonValue* deadline = doc.find("deadline_ms")) {
     const i64 ms = deadline->as_int();
     TP_REQUIRE(ms >= 0, "'deadline_ms' must be >= 0");
-    out.request.deadline_ms = ms;
+    out.deadline_ms = ms;
   }
   return out;
+}
+
+}  // namespace
+
+BatchRequest parse_request_line(std::string_view line, i64 line_no) {
+  const obs::JsonValue doc = obs::parse_json(line);
+  return BatchRequest{echo_id(doc, line_no), parse_request_doc(doc)};
 }
 
 obs::JsonValue response_to_json(const obs::JsonValue& id,
@@ -136,19 +147,6 @@ obs::JsonValue response_to_json(const obs::JsonValue& id,
   return out;
 }
 
-namespace {
-
-/// One batch slot: a submitted ticket, an already rendered admin
-/// response, or an immediate (parse) error response.
-struct Slot {
-  obs::JsonValue id;
-  std::optional<Engine::Ticket> ticket;
-  std::optional<obs::JsonValue> admin;
-  Response error;
-};
-
-}  // namespace
-
 Response error_response(const std::string& what) {
   Response r;
   r.ok = false;
@@ -156,100 +154,103 @@ Response error_response(const std::string& what) {
   return r;
 }
 
-obs::JsonValue salvage_request_id(std::string_view line, i64 line_no) {
-  try {
-    const obs::JsonValue doc = obs::parse_json(line);
-    if (doc.is_object())
-      if (const obs::JsonValue* id = doc.find("id")) return *id;
-  } catch (const Error&) {
-  }
-  return obs::JsonValue(line_no);
+void StagedLine::refuse(const std::string& what) {
+  reply = response_to_json(id, error_response(what));
 }
+
+std::string render_line(StagedLine& line, bool* overload) {
+  // A ticket's reply is built and dropped here, not kept in the line:
+  // batch holds every staged line until its whole input is answered.
+  std::string text;
+  if (line.ticket) {
+    const Response response = line.ticket->wait();
+    if (overload != nullptr) *overload = response.overload;
+    text = response_to_json(line.id, response).dump();
+  } else {
+    text = line.reply.dump();
+  }
+  text += '\n';
+  return text;
+}
+
+ParsedLine parse_line(std::string_view line, i64 line_no) {
+  ParsedLine out;
+  if (obs::blank_line(line)) return out;
+  out.staged.id = obs::JsonValue(line_no);
+  try {
+    obs::JsonValue doc = obs::parse_json(line);
+    out.staged.id = echo_id(doc, line_no);
+    if (is_admin_op(doc)) {
+      out.kind = ParsedLine::Kind::Admin;
+      out.doc = std::move(doc);
+    } else {
+      out.request = parse_request_doc(doc);
+      out.kind = ParsedLine::Kind::Query;
+    }
+  } catch (const Error& e) {
+    out.kind = ParsedLine::Kind::Refused;
+    out.staged.refuse(e.what());
+  }
+  return out;
+}
+
+bool answer_admin(Engine& engine, ParsedLine& parsed, bool* quit) {
+  try {
+    parsed.staged.reply =
+        handle_admin(engine, parsed.doc, parsed.staged.id, quit);
+    return true;
+  } catch (const Error& e) {
+    parsed.staged.refuse(e.what());
+    return false;
+  }
+}
+
+namespace {
+
+/// The stdio front-ends' one loop.  Lines are staged in input order and
+/// answered, then flushed, every `window` lines and at the end of input
+/// (or after quitz).  Admin ops are answered when staged — their point is
+/// a live view while the pool is busy.
+i64 answer_lines(Engine& engine, std::istream& in, std::ostream& out,
+                 std::size_t window) {
+  std::vector<StagedLine> staged;
+  i64 answered = 0;
+  const auto answer = [&] {
+    for (StagedLine& line : staged) out << render_line(line);
+    out.flush();
+    answered += static_cast<i64>(staged.size());
+    staged.clear();
+  };
+  std::string line;
+  i64 line_no = 0;
+  bool quit = false;
+  while (!quit && std::getline(in, line)) {
+    ParsedLine parsed = parse_line(line, ++line_no);
+    if (parsed.kind == ParsedLine::Kind::Blank) continue;
+    if (parsed.kind == ParsedLine::Kind::Admin)
+      answer_admin(engine, parsed, &quit);
+    if (parsed.kind == ParsedLine::Kind::Query)
+      parsed.staged.ticket = engine.submit(parsed.request);
+    staged.push_back(std::move(parsed.staged));
+    if (staged.size() == window) answer();
+  }
+  answer();
+  return answered;
+}
+
+}  // namespace
 
 i64 run_batch(Engine& engine, std::istream& in, std::ostream& out) {
   TP_OBS_SCOPE("service.batch");
-  std::vector<Slot> slots;
-  std::string line;
-  i64 line_no = 0;
-  {
-    // Submit everything first: identical keys coalesce onto one
-    // computation or hit the cache, independent of their distance in the
-    // file.
-    TP_OBS_SCOPE("service.batch_submit");
-    bool quit = false;
-    while (!quit && std::getline(in, line)) {
-      ++line_no;
-      if (line.find_first_not_of(" \t\r") == std::string::npos) continue;
-      Slot slot;
-      try {
-        const obs::JsonValue doc = obs::parse_json(line);
-        if (is_admin_op(doc)) {
-          // Admin ops are answered on this thread at submit time (their
-          // point is a live view while the pool is busy); quitz stops
-          // reading further lines, already-submitted work still completes.
-          if (const obs::JsonValue* id = doc.find("id"))
-            slot.id = *id;
-          else
-            slot.id = obs::JsonValue(line_no);
-          slot.admin = handle_admin(engine, doc, slot.id, &quit);
-        } else {
-          BatchRequest req = parse_request_doc(doc, line_no);
-          slot.id = std::move(req.id);
-          slot.ticket = engine.submit(req.request);
-        }
-      } catch (const Error& e) {
-        slot.id = salvage_request_id(line, line_no);
-        slot.error = error_response(e.what());
-      }
-      slots.push_back(std::move(slot));
-    }
-  }
-  {
-    TP_OBS_SCOPE("service.batch_collect");
-    for (Slot& slot : slots) {
-      if (slot.admin) {
-        out << slot.admin->dump() << "\n";
-        continue;
-      }
-      const Response response =
-          slot.ticket ? slot.ticket->wait() : slot.error;
-      out << response_to_json(slot.id, response).dump() << "\n";
-    }
-  }
-  return static_cast<i64>(slots.size());
+  // The whole input is staged before the first answer: identical keys
+  // coalesce onto one computation or hit the cache, however far apart
+  // they are in the file.
+  return answer_lines(engine, in, out, SIZE_MAX);
 }
 
 i64 run_serve(Engine& engine, std::istream& in, std::ostream& out) {
   TP_OBS_SCOPE("service.serve");
-  std::string line;
-  i64 line_no = 0;
-  i64 served = 0;
-  while (std::getline(in, line)) {
-    ++line_no;
-    if (line.find_first_not_of(" \t\r") == std::string::npos) continue;
-    obs::JsonValue id(line_no);
-    obs::JsonValue reply;
-    bool quit = false;
-    try {
-      const obs::JsonValue doc = obs::parse_json(line);
-      if (is_admin_op(doc)) {
-        if (const obs::JsonValue* client_id = doc.find("id"))
-          id = *client_id;
-        reply = handle_admin(engine, doc, id, &quit);
-      } else {
-        BatchRequest req = parse_request_doc(doc, line_no);
-        id = std::move(req.id);
-        reply = response_to_json(id, engine.run(req.request));
-      }
-    } catch (const Error& e) {
-      id = salvage_request_id(line, line_no);
-      reply = response_to_json(id, error_response(e.what()));
-    }
-    out << reply.dump() << "\n" << std::flush;
-    ++served;
-    if (quit) break;
-  }
-  return served;
+  return answer_lines(engine, in, out, 1);
 }
 
 }  // namespace tp::service

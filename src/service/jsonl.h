@@ -1,4 +1,5 @@
-// JSONL batch/serve front-end for the query engine.
+// The JSONL wire protocol of the query engine, shared by every transport,
+// and its stdio front-ends (batch, serve --stdio).
 //
 // One request per line, one response line per request, emitted in request
 // order.  Request schema (unknown keys are rejected so typos fail loudly):
@@ -36,13 +37,20 @@
 // never appears in the response.
 //
 // Admin ops (statusz/metricsz/cachez/slowz/quitz — see admin.h) share
-// the transport: both front-ends answer them inline on the reading
+// the transport: every front-end answers them inline on its reading
 // thread, so they work mid-stream while every worker is busy, and quitz
 // stops further reading while in-flight requests still complete.
+//
+// Each protocol decision is made here once: parse_line classifies a line
+// (blank, admin, query or refused, with the id to echo), answer_admin
+// answers an admin line, and render_line turns a StagedLine into its
+// response bytes.  net/tcp_server.h adds only socket framing and its own
+// limits.
 
 #pragma once
 
 #include <iosfwd>
+#include <optional>
 #include <string>
 #include <string_view>
 
@@ -62,33 +70,61 @@ struct BatchRequest {
 /// unknown keys, or missing dimensions.
 BatchRequest parse_request_line(std::string_view line, i64 line_no);
 
-/// Same, from an already parsed document (the front-ends parse each line
-/// once to sniff admin ops, then reuse the document here).
-BatchRequest parse_request_doc(const obs::JsonValue& doc, i64 line_no);
-
 /// Renders a response line (deterministic member order, compact).
 obs::JsonValue response_to_json(const obs::JsonValue& id,
                                 const Response& response);
 
 /// A bare failure Response carrying `what` (no timeout/overload flags).
-/// Both front-ends and the TCP server use it for parse/validation errors.
 Response error_response(const std::string& what);
 
-/// Best-effort id for a line that failed validation: echoes its "id"
-/// field when the line is at least well-formed JSON, else falls back to
-/// the 1-based line number (the same default parse_request_doc assigns).
-obs::JsonValue salvage_request_id(std::string_view line, i64 line_no);
+/// One request line on its way to its answer: the id to echo plus the
+/// engine's ticket, or the reply when it is already known (admin answers
+/// and refusals).
+struct StagedLine {
+  obs::JsonValue id;
+  std::optional<Engine::Ticket> ticket;
+  obs::JsonValue reply;
+
+  /// Answers the line with `what` as its error response.
+  void refuse(const std::string& what);
+};
+
+/// The response bytes of a staged line, newline included: waits on its
+/// ticket if it has one.  Every front-end writes its answers through
+/// this.  `overload`, when given, reports an Engine::try_submit refusal.
+std::string render_line(StagedLine& line, bool* overload = nullptr);
+
+/// One request line, classified by parse_line.
+struct ParsedLine {
+  enum class Kind { Blank, Admin, Query, Refused };
+  Kind kind = Kind::Blank;
+  StagedLine staged;    ///< the id (its "id", else the line number); a
+                        ///< Refused line's error reply
+  obs::JsonValue doc;   ///< Admin: the request document
+  Request request;      ///< Query: the canonical request
+};
+
+/// Parses and classifies one line; never throws.  A blank line (spaces,
+/// tabs, CR) is not a request.  A line that is not valid JSON, not an
+/// object, or not a valid request is Refused with the parse error, and
+/// still echoes the line's "id" when it has one.
+ParsedLine parse_line(std::string_view line, i64 line_no);
+
+/// Answers an Admin line into parsed.staged.reply.  An admin request with
+/// an unknown field or a bad "format" is refused instead, and the call
+/// returns false.  Sets *quit on quitz.
+bool answer_admin(Engine& engine, ParsedLine& parsed, bool* quit);
 
 /// Reads every request line from `in`, submits them all to the engine
 /// (identical keys coalesce / hit the cache), and writes one response
-/// line per request in input order.  Malformed lines produce in-place
-/// error responses instead of aborting the batch.  Returns the number of
-/// requests processed.
+/// line per request in input order, flushing once at the end.  Malformed
+/// lines produce in-place error responses instead of aborting the batch.
+/// Returns the number of requests processed.
 i64 run_batch(Engine& engine, std::istream& in, std::ostream& out);
 
-/// Request/response loop for `serve --stdio`: answers each line as it
-/// arrives and flushes after every response, so interactive and piped
-/// clients both work.  Returns the number of requests served.
+/// Request/response loop for `serve --stdio`: the batch loop answering
+/// and flushing after every line, so interactive and piped clients both
+/// work.  Returns the number of requests served.
 i64 run_serve(Engine& engine, std::istream& in, std::ostream& out);
 
 }  // namespace tp::service

@@ -6,7 +6,8 @@
 //   Engine                  worker pool + coalescing + deadlines (engine.h)
 //   RequestSpan/SlowQueryLog per-request telemetry            (telemetry.h)
 //   is_admin_op/handle_admin statusz/metricsz/cachez/slowz/quitz (admin.h)
-//   run_batch / run_serve   JSONL front-ends                      (jsonl.h)
+//   parse_line/render_line  the request-line path of every
+//                           transport; run_batch/run_serve   (jsonl.h)
 //   save/load_cache_snapshot crash-safe PlanCache persistence (snapshot.h)
 //   CheckpointJournal       completed-cell journal for long runs
 //                                                            (checkpoint.h)

@@ -20,16 +20,15 @@ class Error : public std::runtime_error {
 };
 
 namespace detail {
+// The message names the failed expression, not its source location:
+// service answers carry it, and they must not change with the checkout or
+// with the line a check sits on.
 [[noreturn]] inline void raise(const char* kind, const char* expr,
-                               const char* file, int line,
                                const std::string& msg) {
   std::string full(kind);
   full += ": (";
   full += expr;
-  full += ") at ";
-  full += file;
-  full += ":";
-  full += std::to_string(line);
+  full += ")";
   if (!msg.empty()) {
     full += " — ";
     full += msg;
@@ -40,16 +39,14 @@ namespace detail {
 
 }  // namespace tp
 
-#define TP_REQUIRE(cond, msg)                                             \
-  do {                                                                    \
-    if (!(cond))                                                          \
-      ::tp::detail::raise("precondition failed", #cond, __FILE__,         \
-                          __LINE__, (msg));                               \
+#define TP_REQUIRE(cond, msg)                                   \
+  do {                                                          \
+    if (!(cond))                                                \
+      ::tp::detail::raise("precondition failed", #cond, (msg)); \
   } while (false)
 
-#define TP_ASSERT(cond, msg)                                              \
-  do {                                                                    \
-    if (!(cond))                                                          \
-      ::tp::detail::raise("internal invariant violated", #cond, __FILE__, \
-                          __LINE__, (msg));                               \
+#define TP_ASSERT(cond, msg)                                            \
+  do {                                                                  \
+    if (!(cond))                                                        \
+      ::tp::detail::raise("internal invariant violated", #cond, (msg)); \
   } while (false)

@@ -191,24 +191,40 @@ TEST(ParseHostPort, RejectsMalformedSpecs) {
 // ------------------------------------------------------------- TCP server
 
 TEST(TcpServer, ByteIdentityWithBatch) {
-  // The same request stream — plans, loads, bounds, a parse error, a
-  // blank line, an id-less line — must produce byte-identical output over
-  // TCP and through run_batch (responses are a pure function of the
-  // request; ordering is input order on both paths).
+  // The same request stream — plans, loads, bounds, blank and
+  // whitespace-only lines, a CRLF line, an id-less line, parse and
+  // validation errors (one echoing an object id), refused admin ops and an
+  // expired deadline — must produce byte-identical output through
+  // run_batch, run_serve and TCP (responses are a pure function of the
+  // request; ordering is input order on every path).
   const std::string stream =
       "{\"id\":1,\"op\":\"plan\",\"d\":2,\"k\":4}\n"
       "{\"id\":\"two\",\"op\":\"load\",\"d\":2,\"k\":6,\"router\":\"udr\"}\n"
       "\n"
       "{\"op\":\"bounds\",\"d\":3,\"k\":4}\n"
       "{\"id\":5,\"op\":\"nope\"}\n"
-      "{\"id\":6,\"op\":\"plan\",\"d\":2,\"k\":4}\n";
+      "{\"id\":6,\"op\":\"plan\",\"d\":2,\"k\":4}\n"
+      " \t \n"
+      "{\"id\":\"crlf\",\"op\":\"plan\",\"d\":2,\"k\":6}\r\n"
+      "[1]\n"
+      "{\"id\":{\"o\":1},\"op\":\"plan\",\"d\":2,\"k\":4,\"typo\":1}\n"
+      "{\"id\":\"adm\",\"op\":\"cachez\",\"verbose\":true}\n"
+      "{\"id\":\"fmt\",\"op\":\"metricsz\",\"format\":\"xml\"}\n"
+      "{\"id\":\"dl0\",\"op\":\"plan\",\"d\":2,\"k\":4,\"deadline_ms\":0}\n";
 
-  std::ostringstream batch_out;
-  {
+  const auto stdio_output = [&stream](auto run) {
     Engine engine(EngineConfig{});
     std::istringstream in(stream);
-    service::run_batch(engine, in, batch_out);
-  }
+    std::ostringstream out;
+    EXPECT_EQ(run(engine, in, out), 11);  // blank lines are not requests
+    return out.str();
+  };
+  const std::string batch_out = stdio_output(service::run_batch);
+  EXPECT_EQ(stdio_output(service::run_serve), batch_out);
+  EXPECT_NE(batch_out.find("{\"id\":{\"o\":1},\"ok\":false"),
+            std::string::npos);
+  EXPECT_NE(batch_out.find("{\"id\":\"crlf\",\"ok\":true"), std::string::npos);
+  EXPECT_NE(batch_out.find("\"timeout\":true"), std::string::npos);
 
   Engine engine(EngineConfig{});
   TcpServer server(engine, TcpServerConfig{});
@@ -216,7 +232,12 @@ TEST(TcpServer, ByteIdentityWithBatch) {
   Client client(server.port());
   client.send(stream);
   client.sock.shutdown_write();
-  EXPECT_EQ(client.slurp(), batch_out.str());
+  EXPECT_EQ(client.slurp(), batch_out);
+  // net.parse_errors counts every refused line: the three that fail to
+  // parse or validate and the two refused admin ops.
+  const TcpServerStats stats = server.stats();
+  EXPECT_EQ(stats.requests, 11);
+  EXPECT_EQ(stats.parse_errors, 5);
 }
 
 TEST(TcpServer, HalfClosedSocketAnswersResidualLine) {

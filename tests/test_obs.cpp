@@ -330,38 +330,38 @@ TEST(Export, ScopeRecordsDurationAndSpanOnLocalSingletons) {
 
 // --- rolling windows ------------------------------------------------------
 
-TEST(RollingSeries, WindowedStatsCoverOnlyTheRequestedTicks) {
-  obs::RollingSeries ring(64);
+TEST(RollingHistogram, WindowedStatsCoverOnlyTheRequestedTicks) {
+  obs::RollingHistogram ring({10, 100}, 64);
   ring.record(0, 10);
   ring.record(1, 20);
   ring.record(1, 30);
   ring.record(5, 40);
 
-  const obs::WindowStats last1 = ring.last(5, 1);  // tick 5 only
+  const obs::HistogramData last1 = ring.merged(5, 1);  // tick 5 only
   EXPECT_EQ(last1.count, 1);
   EXPECT_EQ(last1.sum, 40);
 
-  const obs::WindowStats last5 = ring.last(5, 5);  // ticks 1..5
+  const obs::HistogramData last5 = ring.merged(5, 5);  // ticks 1..5
   EXPECT_EQ(last5.count, 3);
   EXPECT_EQ(last5.sum, 90);
   EXPECT_EQ(last5.min, 20);
   EXPECT_EQ(last5.max, 40);
 
-  const obs::WindowStats all = ring.last(5, 100);  // clamped to capacity
+  const obs::HistogramData all = ring.merged(5, 100);  // clamped to capacity
   EXPECT_EQ(all.count, 4);
   EXPECT_EQ(all.sum, 100);
 }
 
-TEST(RollingSeries, StaleSlotsAreLazilyOverwrittenOnWraparound) {
-  obs::RollingSeries ring(4);
+TEST(RollingHistogram, StaleSlotsAreLazilyOverwrittenOnWraparound) {
+  obs::RollingHistogram ring({10, 100}, 4);
   ring.record(0, 100);  // slot 0
   ring.record(4, 7);    // same slot, 4 ticks later: must evict tick 0
-  const obs::WindowStats w = ring.last(4, 4);
+  const obs::HistogramData w = ring.merged(4, 4);
   EXPECT_EQ(w.count, 1);
   EXPECT_EQ(w.sum, 7);
 
   // An idle stretch leaves only stale slots behind: reads ignore them.
-  EXPECT_EQ(ring.last(100, 4).count, 0);
+  EXPECT_EQ(ring.merged(100, 4).count, 0);
 }
 
 TEST(RollingHistogram, MergedPercentilesSpanTheWindow) {

@@ -8,6 +8,7 @@
 #include <set>
 
 #include "src/load/complete_exchange.h"
+#include "src/obs/profiler.h"
 #include "src/obs/registry.h"
 #include "src/placement/placement.h"
 #include "src/util/error.h"
@@ -130,6 +131,39 @@ TEST(ParallelLoads, PairsEvaluatedExactUnderThreads) {
 
   reg.set_enabled(false);
   reg.reset();
+}
+
+/// Threads that recorded a profiler phase during one width-4 ODR call.
+i32 odr_phase_threads(const Torus& t, const Placement& p) {
+  obs::ProfilerConfig config;
+  config.sampling = false;
+  config.counters = false;
+  obs::profiler().reset();
+  obs::profiler().start(config);
+  odr_orbit_loads(t, p, TieBreak::PositiveOnly, 4);
+  obs::profiler().stop();
+  const i32 threads = obs::profiler().report().threads;
+  obs::profiler().reset();
+  return threads;
+}
+
+TEST(ParallelLoads, CutoverKeepsSmallTorusSerial) {
+  // T_8^3's linear placement folds to one coset representative: 63 routed
+  // pairs, below the work-size cutover, so no worker is spawned and only
+  // the calling thread records phases (benchstat checks the same).
+  const Torus t(3, 8);
+  const Placement p = linear_placement(t);
+  ASSERT_EQ(translation_fold(t, p).reps.size(), 1u);
+  EXPECT_EQ(odr_phase_threads(t, p), 1);
+}
+
+TEST(ParallelLoads, CutoverSpawnsWorkersPastIt) {
+  // 100 random nodes of T_8^3 have no translation symmetry: 9900 routed
+  // pairs, enough for two workers.
+  const Torus t(3, 8);
+  const Placement p = random_placement(t, 100, 7);
+  ASSERT_EQ(translation_fold(t, p).stabilizer_size, 1);
+  EXPECT_GE(odr_phase_threads(t, p), 2);
 }
 
 TEST(WorkerContext, PoolWorkerScopeNestsAndRestores) {

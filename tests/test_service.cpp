@@ -415,6 +415,18 @@ TEST(Jsonl, RejectsMalformedRequests) {
   EXPECT_THROW(parse_request_line(R"({"d":3,"k":8,"deadline_ms":-5})", 1),
                Error);
   EXPECT_THROW(parse_request_line(R"({"d":99,"k":2})", 1), Error);
+
+  // The error text names the failed check, never a source location: the
+  // answer must not change with the checkout or the line a check sits on.
+  std::istringstream in(R"({"id":1,"d":2})" "\n");
+  std::ostringstream out;
+  Engine engine(EngineConfig{});
+  run_batch(engine, in, out);
+  EXPECT_EQ(out.str(),
+            "{\"id\":1,\"ok\":false,\"error\":\"precondition failed: "
+            "(d != nullptr && k != nullptr) — request needs 'd' and 'k' "
+            "(or 'radices')\"}\n");
+  EXPECT_EQ(out.str().find(".cpp:"), std::string::npos);
 }
 
 TEST(Jsonl, ResponseEchoesArbitraryIdValues) {

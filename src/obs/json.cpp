@@ -1,5 +1,6 @@
 #include "src/obs/json.h"
 
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 
@@ -95,15 +96,17 @@ void JsonValue::dump_to(std::string& out) const {
       out += bool_ ? "true" : "false";
       break;
     case Kind::Number: {
+      // to_chars writes the bytes of "%lld" and "%.17g" (test_obs pins
+      // this), without snprintf's format parsing and locale lookup.
       char buf[40];
-      if (is_int_ || (std::nearbyint(num_) == num_ &&
-                      std::fabs(num_) < 9.007199254740992e15)) {
-        std::snprintf(buf, sizeof(buf), "%lld",
-                      static_cast<long long>(num_));
-      } else {
-        std::snprintf(buf, sizeof(buf), "%.17g", num_);
-      }
-      out += buf;
+      const std::to_chars_result r =
+          is_int_ || (std::nearbyint(num_) == num_ &&
+                      std::fabs(num_) < 9.007199254740992e15)
+              ? std::to_chars(buf, buf + sizeof buf,
+                              static_cast<long long>(num_))
+              : std::to_chars(buf, buf + sizeof buf, num_,
+                              std::chars_format::general, 17);
+      out.append(buf, r.ptr);
       break;
     }
     case Kind::String:

@@ -27,7 +27,7 @@ class JsonValue {
   JsonValue(bool b) : kind_(Kind::Bool), bool_(b) {}
   JsonValue(double n) : kind_(Kind::Number), num_(n) {}
   JsonValue(i64 n)
-      : kind_(Kind::Number), num_(static_cast<double>(n)), is_int_(true) {}
+      : kind_(Kind::Number), is_int_(true), num_(static_cast<double>(n)) {}
   JsonValue(std::string s) : kind_(Kind::String), str_(std::move(s)) {}
   JsonValue(const char* s) : kind_(Kind::String), str_(s) {}
 
@@ -69,10 +69,12 @@ class JsonValue {
   std::string dump() const;
 
  private:
+  // The flags share kind_'s word instead of padding num_ on both sides:
+  // batch keeps two values per request line until its input is answered.
   Kind kind_ = Kind::Null;
   bool bool_ = false;
-  double num_ = 0.0;
   bool is_int_ = false;
+  double num_ = 0.0;
   std::string str_;
   std::vector<JsonValue> items_;
   std::vector<std::pair<std::string, JsonValue>> members_;

@@ -5,6 +5,7 @@
 
 #include "src/obs/phase_stack.h"
 #include "src/obs/trace.h"
+#include "src/service/jsonl.h"
 #include "src/service/snapshot.h"
 #include "src/util/error.h"
 #include "src/util/parallel.h"
@@ -320,6 +321,15 @@ Engine::Ticket Engine::submit_impl(const Request& req, bool may_block) {
     // two and recompute a plan that is being (or has been) computed.
     const MutexLock lock(inflight_mu_);
     if (auto cached = cache_.get(req.key)) {
+      if (cached->body.empty()) {
+        // Restored from a snapshot, which stores no body: render it on
+        // this first hit and swap the entry in place, keeping its age.
+        // Under inflight_mu_, concurrent first hits render it once.
+        auto rendered = std::make_shared<QueryResult>(*cached);
+        rendered->body = render_body(*rendered);
+        cached = std::move(rendered);
+        cache_.replace(req.key, cached);
+      }
       {
         const MutexLock stats_lock(stats_mu_);
         ++counters_.cache_hits;
@@ -501,10 +511,10 @@ void Engine::execute(const std::shared_ptr<InFlight>& job, std::size_t slot) {
   const Clock::time_point start = Clock::now();
   try {
     TP_PROF_PHASE("service.compute");
-    auto result = std::make_shared<const QueryResult>(
-        compute_query(job->key, config_.measure_threads));
+    QueryResult result = compute_query(job->key, config_.measure_threads);
+    result.body = render_body(result);
     response.ok = true;
-    response.result = std::move(result);
+    response.result = std::make_shared<const QueryResult>(std::move(result));
   } catch (const Error& e) {
     response.ok = false;
     response.error = e.what();

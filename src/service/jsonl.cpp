@@ -94,19 +94,11 @@ BatchRequest parse_request_line(std::string_view line, i64 line_no) {
   return BatchRequest{echo_id(doc, line_no), parse_request_doc(doc)};
 }
 
-obs::JsonValue response_to_json(const obs::JsonValue& id,
-                                const Response& response) {
-  obs::JsonValue out = obs::JsonValue::object();
-  out.set("id", id);
-  out.set("ok", obs::JsonValue(response.ok));
-  if (!response.ok) {
-    out.set("error", obs::JsonValue(response.error));
-    if (response.timeout) out.set("timeout", obs::JsonValue(true));
-    if (response.overload) out.set("overload", obs::JsonValue(true));
-    return out;
-  }
+namespace {
 
-  const QueryResult& r = *response.result;
+/// The members of an ok answer after its id, in wire order.
+void set_answer_members(obs::JsonValue& out, const QueryResult& r) {
+  out.set("ok", obs::JsonValue(true));
   out.set("op", obs::JsonValue(op_name(r.key.op())));
   out.set("key", obs::JsonValue(r.key.str()));
   out.set("d", obs::JsonValue(static_cast<i64>(r.key.dims())));
@@ -144,7 +136,31 @@ obs::JsonValue response_to_json(const obs::JsonValue& id,
     }
   }
   out.set("summary", obs::JsonValue(r.summary));
+}
+
+}  // namespace
+
+obs::JsonValue response_to_json(const obs::JsonValue& id,
+                                const Response& response) {
+  obs::JsonValue out = obs::JsonValue::object();
+  out.set("id", id);
+  if (response.ok) {
+    set_answer_members(out, *response.result);
+    return out;
+  }
+  out.set("ok", obs::JsonValue(false));
+  out.set("error", obs::JsonValue(response.error));
+  if (response.timeout) out.set("timeout", obs::JsonValue(true));
+  if (response.overload) out.set("overload", obs::JsonValue(true));
   return out;
+}
+
+std::string render_body(const QueryResult& result) {
+  obs::JsonValue out = obs::JsonValue::object();
+  set_answer_members(out, result);
+  std::string text = out.dump();
+  text.erase(0, 1);  // its '{' goes before the id
+  return text;
 }
 
 Response error_response(const std::string& what) {
@@ -159,15 +175,26 @@ void StagedLine::refuse(const std::string& what) {
 }
 
 std::string render_line(StagedLine& line, bool* overload) {
-  // A ticket's reply is built and dropped here, not kept in the line:
-  // batch holds every staged line until its whole input is answered.
+  // An answer's bytes are built here and handed on, never kept in the
+  // line: batch holds every staged line until its whole input is answered.
   std::string text;
-  if (line.ticket) {
+  if (!line.ticket) {
+    text = line.reply.dump();
+  } else {
     const Response response = line.ticket->wait();
     if (overload != nullptr) *overload = response.overload;
-    text = response_to_json(line.id, response).dump();
-  } else {
-    text = line.reply.dump();
+    if (response.ok) {
+      const std::string& body = response.result->body;
+      TP_ASSERT(!body.empty(), "an engine answer carries its rendered body");
+      const std::string id = line.id.dump();
+      text.reserve(id.size() + body.size() + 8);
+      text += "{\"id\":";
+      text += id;
+      text += ',';
+      text += body;
+    } else {
+      text = response_to_json(line.id, response).dump();
+    }
   }
   text += '\n';
   return text;
@@ -207,6 +234,10 @@ bool answer_admin(Engine& engine, ParsedLine& parsed, bool* quit) {
 
 namespace {
 
+/// Answers reach the stream in blocks that end with the line taking them
+/// past this size, and at every flush.
+constexpr std::size_t kBlockBytes = 64 * 1024;
+
 /// The stdio front-ends' one loop.  Lines are staged in input order and
 /// answered, then flushed, every `window` lines and at the end of input
 /// (or after quitz).  Admin ops are answered when staged — their point is
@@ -214,9 +245,19 @@ namespace {
 i64 answer_lines(Engine& engine, std::istream& in, std::ostream& out,
                  std::size_t window) {
   std::vector<StagedLine> staged;
+  std::string block;
+  block.reserve(kBlockBytes + kBlockBytes / 8);  // a block and its last line
   i64 answered = 0;
   const auto answer = [&] {
-    for (StagedLine& line : staged) out << render_line(line);
+    for (StagedLine& line : staged) {
+      block += render_line(line);
+      if (block.size() >= kBlockBytes) {
+        out << block;
+        block.clear();
+      }
+    }
+    out << block;
+    block.clear();
     out.flush();
     answered += static_cast<i64>(staged.size());
     staged.clear();

@@ -46,6 +46,11 @@
 // answers an admin line, and render_line turns a StagedLine into its
 // response bytes.  net/tcp_server.h adds only socket framing and its own
 // limits.
+//
+// An answer is rendered once: render_body writes everything after its
+// id, the engine keeps those bytes in QueryResult::body, and render_line
+// splices `{"id":<id>,` in front of them on every hit.  Errors, timeouts,
+// overloads and admin replies are rendered through the JsonValue DOM.
 
 #pragma once
 
@@ -74,6 +79,11 @@ BatchRequest parse_request_line(std::string_view line, i64 line_no);
 obs::JsonValue response_to_json(const obs::JsonValue& id,
                                 const Response& response);
 
+/// An ok answer's bytes after `{"id":<id>,`: the members response_to_json
+/// writes after the id, and the closing brace.  Stored once per result in
+/// QueryResult::body.
+std::string render_body(const QueryResult& result);
+
 /// A bare failure Response carrying `what` (no timeout/overload flags).
 Response error_response(const std::string& what);
 
@@ -90,8 +100,9 @@ struct StagedLine {
 };
 
 /// The response bytes of a staged line, newline included: waits on its
-/// ticket if it has one.  Every front-end writes its answers through
-/// this.  `overload`, when given, reports an Engine::try_submit refusal.
+/// ticket if it has one.  An ok answer is its id spliced before the
+/// stored body.  Every front-end writes its answers through this.
+/// `overload`, when given, reports an Engine::try_submit refusal.
 std::string render_line(StagedLine& line, bool* overload = nullptr);
 
 /// One request line, classified by parse_line.
@@ -117,9 +128,9 @@ bool answer_admin(Engine& engine, ParsedLine& parsed, bool* quit);
 
 /// Reads every request line from `in`, submits them all to the engine
 /// (identical keys coalesce / hit the cache), and writes one response
-/// line per request in input order, flushing once at the end.  Malformed
-/// lines produce in-place error responses instead of aborting the batch.
-/// Returns the number of requests processed.
+/// line per request in input order, in 64 KiB blocks, flushing once at
+/// the end.  Malformed lines produce in-place error responses instead of
+/// aborting the batch.  Returns the number of requests processed.
 i64 run_batch(Engine& engine, std::istream& in, std::ostream& out);
 
 /// Request/response loop for `serve --stdio`: the batch loop answering

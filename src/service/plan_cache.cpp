@@ -50,6 +50,15 @@ void PlanCache::put(const QueryKey& key,
   shard.index.emplace(key, shard.lru.begin());
 }
 
+void PlanCache::replace(const QueryKey& key,
+                        std::shared_ptr<const QueryResult> result) {
+  TP_REQUIRE(result != nullptr, "cannot cache a null result");
+  Shard& shard = *shards_[shard_of(key)];
+  const MutexLock lock(shard.mu);
+  const auto it = shard.index.find(key);
+  if (it != shard.index.end()) it->second->result = std::move(result);
+}
+
 PlanCache::Stats PlanCache::stats() const {
   Stats total;
   for (const auto& shard : shards_) {

@@ -50,6 +50,11 @@ class PlanCache {
   /// replaces the value and promotes it.
   void put(const QueryKey& key, std::shared_ptr<const QueryResult> result);
 
+  /// Swaps a resident entry's result in place: its LRU position and age
+  /// stay, and nothing is counted.  No-op when the key is not resident.
+  void replace(const QueryKey& key,
+               std::shared_ptr<const QueryResult> result);
+
   /// Aggregated over all shards.
   Stats stats() const;
 

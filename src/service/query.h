@@ -10,7 +10,8 @@
 //
 // QueryResult is the complete, immutable answer: everything any front-end
 // (JSONL batch/serve, CLI sweep/analyze, benches) needs to render a
-// response without recomputing.  Results are shared by const pointer
+// response without recomputing, and, once the engine has rendered it,
+// the response bytes themselves.  Results are shared by const pointer
 // between the cache and all coalesced waiters; render paths must treat
 // them as frozen.
 
@@ -102,6 +103,12 @@ struct QueryResult {
   std::vector<BoundValue> bound_table;
   bool has_slab = false;
   SlabBound slab;
+
+  /// The answer's response bytes after `{"id":<id>,` (render_body,
+  /// jsonl.h), so that every hit writes stored bytes.  The engine renders
+  /// it right after computing, and on the first hit of a result restored
+  /// from a snapshot, which does not store it.  Empty until then.
+  std::string body;
 };
 
 /// Executes a query synchronously — the engine's work function, also

@@ -26,9 +26,9 @@ class Rational {
   i64 num() const { return num_; }
   i64 den() const { return den_; }
 
-  double to_double() const {
-    return static_cast<double>(num_) / static_cast<double>(den_);
-  }
+  /// num/den correctly rounded (to nearest, ties to even), also when num
+  /// or den is past 2^53, where dividing two rounded doubles is not.
+  double to_double() const;
 
   std::string str() const {
     return den_ == 1 ? std::to_string(num_)

@@ -349,9 +349,18 @@ TEST(Engine, TrySubmitRejectsWithOverloadWhenQueueFull) {
   config.queue_capacity = 1;
   Engine engine(config);
 
-  // Distinct keys submitted much faster than one worker can plan them:
-  // the 1-deep queue must overflow, and try_submit answers the overflow
-  // with a structured overload response instead of blocking.
+  // Park the one worker on a key that plans for tens of milliseconds
+  // (odd k: the hyperplane sweep over 61^3 nodes).  While it computes,
+  // the first distinct key fills the 1-deep queue and the next ones must
+  // overflow: try_submit answers them with a structured overload
+  // response instead of blocking.
+  service::Request parked;
+  parked.key = service::make_query_key(Radices{61, 61, 61}, 1, RouterKind::Odr,
+                                       service::QueryOp::Plan);
+  Engine::Ticket parked_ticket = engine.try_submit(parked);
+  while (engine.worker_states()[0] == "idle")
+    std::this_thread::sleep_for(std::chrono::microseconds(100));
+
   i64 overloads = 0;
   std::vector<Engine::Ticket> tickets;
   for (i32 i = 0; i < 40; ++i) {
@@ -369,6 +378,7 @@ TEST(Engine, TrySubmitRejectsWithOverloadWhenQueueFull) {
     }
   }
   EXPECT_GT(overloads, 0);
+  EXPECT_TRUE(parked_ticket.wait().ok);
 
   // The engine still answers: a fresh blocking submit works fine.
   service::Request again;

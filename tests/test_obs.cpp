@@ -7,10 +7,17 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <cstdio>
+#include <limits>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "src/obs/obs.h"
 #include "src/util/error.h"
+#include "src/util/prng.h"
 
 namespace tp {
 namespace {
@@ -240,6 +247,53 @@ TEST(Json, KindMismatchThrows) {
   EXPECT_THROW(v.as_string(), Error);
   EXPECT_THROW(v.as_bool(), Error);
   EXPECT_THROW(v.items(), Error);
+}
+
+/// The bytes dump() wrote for a number when it formatted with snprintf.
+std::string snprintf_number(double x, bool is_int) {
+  char buf[40];
+  if (is_int ||
+      (std::nearbyint(x) == x && std::fabs(x) < 9.007199254740992e15))
+    std::snprintf(buf, sizeof buf, "%lld", static_cast<long long>(x));
+  else
+    std::snprintf(buf, sizeof buf, "%.17g", x);
+  return buf;
+}
+
+TEST(Json, NumbersDumpTheBytesOfSnprintf) {
+  using Limits = std::numeric_limits<double>;
+  std::vector<double> values = {
+      0.0, -0.0, 1.0, -1.0, 0.1, 1.0 / 3.0, 1e-300, 1e300,
+      Limits::infinity(), -Limits::infinity(), Limits::quiet_NaN(),
+      -Limits::quiet_NaN(), Limits::denorm_min(), -Limits::denorm_min(),
+      Limits::min(), Limits::max(), Limits::lowest(), Limits::epsilon(),
+      9007199254740991.0, 9007199254740992.0, 9007199254740994.0,
+      -9007199254740992.0, 4503599627370495.5, 123456789.125};
+  Xoshiro256SS rng(20261018);
+  for (int i = 0; i < 100000; ++i) {
+    const u64 bits = rng();
+    values.push_back(std::bit_cast<double>(bits));  // any bit pattern
+    values.push_back(std::bit_cast<double>(bits & 0x800fffffffffffffULL));
+    // Short fractions and integers of every size up to 2^64.
+    values.push_back(std::ldexp(static_cast<double>(bits >> 11),
+                                static_cast<int>(bits % 64) - 52));
+  }
+  i64 mismatches = 0;
+  for (const double x : values)
+    if (obs::JsonValue(x).dump() != snprintf_number(x, false) &&
+        ++mismatches <= 5)
+      ADD_FAILURE() << "double " << snprintf_number(x, false) << " dumps as "
+                    << obs::JsonValue(x).dump();
+  for (int i = 0; i < 100000; ++i) {
+    // Integer ids and counters: |n| < 2^53 is what a double holds exactly.
+    const i64 n = static_cast<i64>(rng() >> 11) * (i % 2 == 0 ? 1 : -1);
+    if (obs::JsonValue(n).dump() !=
+            snprintf_number(static_cast<double>(n), true) &&
+        ++mismatches <= 5)
+      ADD_FAILURE() << "integer " << n << " dumps as "
+                    << obs::JsonValue(n).dump();
+  }
+  EXPECT_EQ(mismatches, 0);
 }
 
 // --- exporters ------------------------------------------------------------

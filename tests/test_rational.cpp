@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "src/load/complete_exchange.h"
 #include "src/load/formulas.h"
 #include "src/routing/odr.h"
@@ -45,6 +47,29 @@ TEST(Rational, StringAndDouble) {
   EXPECT_EQ(Rational(3, 2).str(), "3/2");
   EXPECT_EQ(Rational(4, 2).str(), "2");
   EXPECT_DOUBLE_EQ(Rational(1, 4).to_double(), 0.25);
+}
+
+TEST(Rational, ToDoubleRoundsOnceAboveTwoToThe53) {
+  // (2^54 + 3) / 3 = 6004799503160662.33...; dividing the two rounded
+  // doubles gave ...663.
+  const i64 n = (i64{1} << 54) + 3;
+  EXPECT_EQ(Rational(n, 3).to_double(), 6004799503160662.0);
+  EXPECT_EQ(Rational(-n, 3).to_double(), -6004799503160662.0);
+  // Ties go to even: 2^53 + 1 and 2^53 + 3 sit halfway between doubles.
+  EXPECT_EQ(Rational((i64{1} << 53) + 1).to_double(), 9007199254740992.0);
+  EXPECT_EQ(Rational((i64{1} << 53) + 3).to_double(), 9007199254740996.0);
+  // Quotients that double division misrounds, checked against Python's
+  // correctly rounded int / int.
+  EXPECT_EQ(Rational(488237506811863913, 136169369683).to_double(),
+            0x1.b5af631eaeb01p+21);
+  EXPECT_EQ(Rational(8028009935186225314, 417670849963).to_double(),
+            0x1.2549a4b4e4b4fp+24);
+  EXPECT_EQ(Rational(1184209087075631206, 7586041681).to_double(),
+            0x1.29be810e21636p+27);
+  EXPECT_EQ(Rational(1, std::numeric_limits<i64>::max()).to_double(),
+            1.0842021724855044e-19);
+  EXPECT_EQ(Rational(-std::numeric_limits<i64>::max()).to_double(), -0x1p63);
+  EXPECT_EQ(Rational(0, 5).to_double(), 0.0);
 }
 
 TEST(Rational, SumOfHarmonicLikeSeriesIsExact) {

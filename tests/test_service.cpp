@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <memory>
 #include <sstream>
@@ -484,6 +485,127 @@ TEST(Jsonl, ServeAnswersLineByLine) {
   EXPECT_EQ(l1, l3);  // second answer came from the cache, same bytes
   EXPECT_NE(l2.find("\"ok\":false"), std::string::npos);
   EXPECT_EQ(engine.stats().cache_hits, 1);
+}
+
+/// One answer line of `engine` for `key`, echoing `id`.
+std::string hit_line(Engine& engine, const QueryKey& key,
+                     const obs::JsonValue& id) {
+  StagedLine line;
+  line.id = id;
+  line.ticket = engine.submit({key});
+  return render_line(line);
+}
+
+TEST(Jsonl, RenderLineSplicesTheIdBeforeTheStoredBody) {
+  // Over the analyze grid, an ok line (id + stored body) and an error line
+  // (the DOM) are exactly response_to_json's bytes.
+  EngineConfig config;
+  config.threads = 4;
+  Engine engine(config);
+  const obs::JsonValue ids[] = {obs::JsonValue(i64{42}),
+                                obs::JsonValue("req-\"7\""),
+                                obs::parse_json(R"({"n":[1,2.5]})")};
+  std::vector<QueryKey> keys;
+  std::vector<StagedLine> staged;
+  for (i32 d = 2; d <= 4; ++d)
+    for (i32 k = 2; k <= 12; ++k)
+      for (i32 t = 1; t <= 3; ++t)
+        for (RouterKind r :
+             {RouterKind::Odr, RouterKind::Udr, RouterKind::Adaptive}) {
+          keys.push_back(key_dk(d, k, t, r, QueryOp::Analyze));
+          staged.emplace_back();
+          staged.back().id = ids[keys.size() % 3];
+          staged.back().ticket = engine.submit({keys.back()});
+        }
+  i64 errors = 0;
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    const Response response = engine.run({keys[i]});
+    EXPECT_EQ(render_line(staged[i]),
+              response_to_json(staged[i].id, response).dump() + "\n")
+        << keys[i].str();
+    if (!response.ok) ++errors;
+  }
+  EXPECT_EQ(keys.size(), 297u);
+  EXPECT_EQ(errors, 9);  // t = 3 > k = 2, for each d and router
+}
+
+// ------------------------------------------------------- restored entries
+
+/// Computes `keys` on a fresh engine, saves its cache to `path` and
+/// returns each key's cold answer line (id 7).
+std::vector<std::string> save_warm_snapshot(const std::string& path,
+                                            const std::vector<QueryKey>& keys) {
+  std::remove(path.c_str());
+  EngineConfig config;
+  config.threads = 2;
+  config.snapshot_path = path;
+  Engine engine(config);
+  std::vector<std::string> lines;
+  for (const QueryKey& key : keys)
+    lines.push_back(hit_line(engine, key, obs::JsonValue(i64{7})));
+  EXPECT_TRUE(engine.save_snapshot());
+  return lines;
+}
+
+EngineConfig warm_boot_config(const std::string& path) {
+  EngineConfig config;
+  config.threads = 2;
+  config.snapshot_path = path;
+  config.snapshot_load = true;
+  return config;
+}
+
+TEST(Engine, RestoredEntryIsRenderedOnceOnItsFirstHit) {
+  const std::string path = ::testing::TempDir() + "/tp_restored_body.snap";
+  const std::vector<QueryKey> keys = {
+      key_dk(2, 8, 1, RouterKind::Odr, QueryOp::Analyze),
+      key_dk(3, 4, 2, RouterKind::Udr, QueryOp::Load)};
+  const std::vector<std::string> cold = save_warm_snapshot(path, keys);
+
+  Engine engine(warm_boot_config(path));
+  ASSERT_EQ(engine.snapshot_status().load_outcome, "warm");
+  // Every entry is older than this pause; a first hit that re-inserted
+  // its entry would make it younger.
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    const Response first = engine.run({keys[i]});
+    const Response later = engine.run({keys[i]});
+    ASSERT_TRUE(first.ok);
+    EXPECT_EQ(first.result.get(), later.result.get());  // one render
+    EXPECT_EQ(hit_line(engine, keys[i], obs::JsonValue(i64{7})), cold[i]);
+  }
+  EXPECT_EQ(engine.stats().plans_computed, 0);
+  EXPECT_EQ(engine.stats().cache_hits, 6);
+  EXPECT_GE(engine.cache().age_histogram().min, 20000);
+  std::remove(path.c_str());
+}
+
+TEST(Engine, ConcurrentFirstHitsOnARestoredKeyGetIdenticalLines) {
+  const std::string path = ::testing::TempDir() + "/tp_restored_race.snap";
+  const QueryKey key = key_dk(2, 6, 1, RouterKind::Udr, QueryOp::Analyze);
+  const std::vector<std::string> cold = save_warm_snapshot(path, {key});
+
+  Engine engine(warm_boot_config(path));
+  constexpr int kThreads = 8;
+  std::atomic<bool> go{false};
+  std::vector<std::string> lines(kThreads);
+  std::vector<std::shared_ptr<const QueryResult>> results(kThreads);
+  std::vector<std::thread> threads;
+  for (int i = 0; i < kThreads; ++i)
+    threads.emplace_back([&, i] {
+      while (!go.load()) std::this_thread::yield();
+      lines[static_cast<std::size_t>(i)] =
+          hit_line(engine, key, obs::JsonValue(i64{7}));
+      results[static_cast<std::size_t>(i)] = engine.run({key}).result;
+    });
+  go.store(true);
+  for (auto& t : threads) t.join();
+  for (int i = 0; i < kThreads; ++i) {
+    EXPECT_EQ(lines[static_cast<std::size_t>(i)], cold[0]);
+    EXPECT_EQ(results[static_cast<std::size_t>(i)], results[0]);
+  }
+  EXPECT_EQ(engine.stats().plans_computed, 0);
+  std::remove(path.c_str());
 }
 
 // -------------------------------------------------------------- Telemetry

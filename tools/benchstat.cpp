@@ -262,6 +262,16 @@ std::vector<BenchResult> run_benchmarks(int reps) {
     results.push_back(time_fn("service_warm_hit/T16^2", reps, [&] {
       g_sink += warm.run({key}).result->measured_emax;
     }));
+    // One warm analyze line through the request-line path every
+    // transport shares: parse it, submit it, render its answer.
+    warm.run({service::make_query_key(radices, 1, RouterKind::Odr,
+                                      service::QueryOp::Analyze)});
+    const std::string line = R"({"id":1,"op":"analyze","d":2,"k":16})";
+    results.push_back(time_fn("service_hit_line/T16^2", reps, [&] {
+      service::ParsedLine parsed = service::parse_line(line, 1);
+      parsed.staged.ticket = warm.submit(parsed.request);
+      g_sink += static_cast<double>(service::render_line(parsed.staged).size());
+    }));
     results.push_back(time_fn("service_coalesced64/T16^2", reps, [&] {
       service::EngineConfig config;
       config.threads = 4;

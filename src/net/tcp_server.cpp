@@ -261,7 +261,7 @@ bool TcpServer::process_line(Conn& conn, const LineBuffer::Line& line,
   service::ParsedLine parsed;
   if (line.oversized) {
     parsed.kind = Kind::Refused;
-    parsed.staged.id = salvage_id_prefix(line.text, line_no);
+    parsed.staged.id = salvage_id_prefix(line.text, line_no).dump();
     parsed.staged.refuse("oversized request line: exceeded max_line_bytes=" +
                          std::to_string(config_.max_line_bytes) +
                          " and was discarded");

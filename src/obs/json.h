@@ -69,8 +69,8 @@ class JsonValue {
   std::string dump() const;
 
  private:
-  // The flags share kind_'s word instead of padding num_ on both sides:
-  // batch keeps two values per request line until its input is answered.
+  // The flags share kind_'s word instead of padding num_ on both sides,
+  // which keeps every node 8 B smaller.
   Kind kind_ = Kind::Null;
   bool bool_ = false;
   bool is_int_ = false;

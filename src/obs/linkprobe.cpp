@@ -17,21 +17,6 @@ LinkProbe::LinkProbe(i64 num_directed_edges, i32 dims, i64 window_width,
              "link count is not 2 * dims * nodes");
 }
 
-std::vector<double> LinkProbe::forwards_table() const {
-  std::vector<double> out(links_.size(), 0.0);
-  for (std::size_t i = 0; i < links_.size(); ++i)
-    out[i] = static_cast<double>(links_[i].forwards);
-  return out;
-}
-
-std::vector<double> LinkProbe::utilization_table(i64 cycles) const {
-  const double denom = static_cast<double>(cycles > 0 ? cycles : 1);
-  std::vector<double> out(links_.size(), 0.0);
-  for (std::size_t i = 0; i < links_.size(); ++i)
-    out[i] = static_cast<double>(links_[i].busy_cycles) / denom;
-  return out;
-}
-
 i64 LinkProbe::total_forwards() const {
   i64 n = 0;
   for (const LinkCounters& c : links_) n += c.forwards;

@@ -91,13 +91,6 @@ class LinkProbe {
   }
   const std::vector<LinkCounters>& links() const { return links_; }
 
-  /// Per-link forwards as a flat table indexed by edge id — the
-  /// LoadMap-compatible view (measured counterpart of the analytic E(l);
-  /// see analysis/imbalance.h probe_load_map).
-  std::vector<double> forwards_table() const;
-  /// Per-link utilization: busy_cycles / max(cycles, 1).
-  std::vector<double> utilization_table(i64 cycles) const;
-
   const TimeSeries& forwards_series() const { return forwards_series_; }
   const TimeSeries& queue_series() const { return queue_series_; }
   const TimeSeries& stall_series() const { return stall_series_; }

@@ -1,27 +1,34 @@
 // Umbrella header for the observability subsystem.
 //
-//   MetricsRegistry  named counters / gauges / histograms (registry.h)
-//   Stopwatch        steady_clock timing                  (timer.h)
-//   Tracer           Chrome-trace phase spans + counters  (trace.h)
-//   LinkProbe        per-directed-link accumulators       (linkprobe.h)
-//   TimeSeries       bounded windowed time series         (timeseries.h)
+//   MetricsRegistry   named counters / gauges / histograms (registry.h)
+//   Stopwatch         steady_clock timing                  (timer.h)
+//   Tracer            Chrome-trace phase spans + counters  (trace.h)
+//   Profiler          phase attribution + SIGPROF sampling (profiler.h)
+//   LinkProbe         per-directed-link accumulators       (linkprobe.h)
+//   TimeSeries        bounded windowed time series         (timeseries.h)
+//   RollingHistogram  sliding-window latency histograms    (timeseries.h)
 //   export_json / export_chrome_trace / export_link_jsonl (export.h)
+//   Prometheus text exposition of a registry snapshot    (prometheus.h)
 //
-// Instrumentation idiom — a phase span that both times and traces:
+// Instrumentation idiom — a phase span that times, traces and profiles:
 //
 //   void NetworkSim::run(...) {
-//     TP_OBS_SCOPE("sim.run");          // histogram sim.run_us + trace span
+//     TP_OBS_SCOPE("sim.run");   // sim.run_us + trace span + profiler phase
 //     ...
 //   }
+//
+// a profiler-only phase, for a grain too fine for a metric or a span:
+//
+//   TP_PROF_PHASE("odr.walk");   // profiler phase only
 //
 // and a named counter bumped from a hot call site:
 //
 //   TP_OBS_COUNT("router.tie_breaks");              // += 1
 //   TP_OBS_COUNT("router.paths_enumerated", n);     // += n
 //
-// Both compile to the real instrumentation unconditionally; with the
-// registry and tracer disabled (the default) they cost a handful of
-// branch-predicted no-ops, verified against bench_perf (see
+// All compile to the real instrumentation unconditionally; with the
+// registry, tracer and profiler disabled (the default) they cost a
+// handful of branch-predicted no-ops, verified against bench_perf (see
 // docs/observability.md).  Naming conventions are documented there too.
 
 #pragma once
@@ -39,25 +46,38 @@
 
 namespace tp::obs {
 
-/// RAII phase span: opens a trace span (if the tracer is enabled),
-/// records the elapsed time into the histogram `<name>_us` (if the
-/// registry is enabled), and pushes the name onto the profiler's phase
-/// stack (if profiling is enabled — phase_stack.h).  Inactive when all
-/// three are disabled.  Unlike the registry, the profiler is NOT gated
-/// on pool workers: kernels running under parallel_for or the service
-/// pool are exactly what phase attribution is for.
+/// A phase name and its path hash, both fixed at compile time.  The
+/// consteval constructor takes only a constant string, which the
+/// profiler's tables keep by pointer (phase_stack.h).
+struct PhaseName {
+  // Implicit, so a literal converts where a PhaseName is expected.
+  consteval PhaseName(const char* n) : name(n), hash(prof::ct_hash(n)) {}
+  const char* name;
+  u64 hash;
+};
+
+/// RAII phase span with up to three sinks: a trace span (if the tracer is
+/// enabled), the histogram `<name>_us` (if the registry is enabled), and
+/// the profiler's phase stack (if profiling is enabled).  Sinks::kProfiler
+/// keeps only the last, for a grain too fine for a metric or a span but
+/// right for attribution; profile-only phases never reach a trace.
+/// Inactive when its sinks are disabled.  Unlike the registry, the
+/// profiler is NOT gated on pool workers: kernels running under
+/// parallel_for or the service pool are exactly what phase attribution is
+/// for.
 class Scope {
  public:
-  explicit Scope(const char* name, const char* cat = "phase") : name_(name) {
-    trace_ = tracer().enabled();
-    const bool metrics = registry().enabled();
-    active_ = trace_ || metrics;
-    if (active_) {
-      if (trace_) tracer().begin(name_, cat);
-      start_ns_ = Stopwatch::now_ns();
+  enum class Sinks { kAll, kProfiler };
+
+  explicit Scope(PhaseName phase, Sinks sinks = Sinks::kAll)
+      : name_(phase.name) {
+    if (sinks == Sinks::kAll) {
+      trace_ = tracer().enabled();
+      timed_ = trace_ || registry().enabled();
+      if (trace_) tracer().begin(name_);
+      if (timed_) start_ns_ = Stopwatch::now_ns();
     }
-    if (prof::phases_on())
-      prof_ = prof::phase_push(name, prof::ct_hash(name));
+    if (prof::phases_on()) prof_ = prof::phase_push(phase.name, phase.hash);
   }
 
   Scope(const Scope&) = delete;
@@ -65,7 +85,7 @@ class Scope {
 
   ~Scope() {
     if (prof_) prof::phase_pop();
-    if (!active_) return;
+    if (!timed_) return;
     const i64 us = (Stopwatch::now_ns() - start_ns_) / 1000;
     if (trace_) tracer().end(name_);
     registry().record_duration_us(name_, us);
@@ -74,7 +94,7 @@ class Scope {
  private:
   const char* name_;
   i64 start_ns_ = 0;
-  bool active_ = false;
+  bool timed_ = false;
   bool trace_ = false;
   bool prof_ = false;
 };
@@ -84,9 +104,16 @@ class Scope {
 #define TP_OBS_CONCAT_INNER(a, b) a##b
 #define TP_OBS_CONCAT(a, b) TP_OBS_CONCAT_INNER(a, b)
 
-/// Times and traces the enclosing scope as a named phase.
-#define TP_OBS_SCOPE(...) \
-  const ::tp::obs::Scope TP_OBS_CONCAT(tp_obs_scope_, __LINE__)(__VA_ARGS__)
+/// Times, traces and profiles the enclosing scope as phase `name` (a
+/// string literal).
+#define TP_OBS_SCOPE(name) \
+  const ::tp::obs::Scope TP_OBS_CONCAT(tp_obs_scope_, __LINE__)(name)
+
+/// Attributes the enclosing scope to phase `name` (a string literal) in
+/// the profiler alone; one predicted branch when profiling is off.
+#define TP_PROF_PHASE(name)                                       \
+  const ::tp::obs::Scope TP_OBS_CONCAT(tp_prof_phase_, __LINE__)( \
+      name, ::tp::obs::Scope::Sinks::kProfiler)
 
 /// Adds to a named counter (default increment 1).  The handle is resolved
 /// once per call site (function-local static); a disabled registry never

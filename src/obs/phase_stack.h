@@ -3,11 +3,10 @@
 //
 // Every instrumented region (TP_OBS_SCOPE / TP_PROF_PHASE) pushes a tag
 // onto the calling thread's phase stack when profiling is enabled.  The
-// pop accumulates exclusive (self) and inclusive (total) wall-ns — plus
-// hardware-counter deltas when a PMU is available — into a per-thread
-// open-addressed table keyed by the *path* (the full stack of tags), so
-// "load.odr called from plan.measure" and "load.odr called from a
-// benchmark" are distinct rows.  Tables are single-writer (the owning
+// pop accumulates exclusive (self) and inclusive (total) wall-ns into a
+// per-thread open-addressed table keyed by the *path* (the full stack of
+// tags), so "load.odr called from plan.measure" and "load.odr called
+// from a benchmark" are distinct rows.  Tables are single-writer (the owning
 // thread); the profiler merges them across threads at report time
 // (profiler.h), matching the registry's single-writer philosophy without
 // its pool-worker gate — pool workers DO profile, because kernels are
@@ -33,15 +32,13 @@
 // gates on odr_loads/service_warm_hit.
 //
 // Phase tags must be string literals (or otherwise immortal): tables
-// store the pointers.
+// store the pointers.  obs::PhaseName (obs.h) accepts only constants.
 
 #pragma once
 
 #include <atomic>
 #include <cstdint>
-#include <type_traits>
 
-#include "src/obs/perf_counters.h"
 #include "src/obs/timer.h"
 #include "src/util/math.h"
 
@@ -62,16 +59,12 @@ constexpr u32 kSampleRingSlots = 8192;
 constexpr u32 kNoSlot = 0xffffffffu;
 
 /// Profiling mode bits in g_modes.
-constexpr u32 kPhaseBit = 1u;    ///< phase attribution (push/pop active)
-constexpr u32 kSampleBit = 2u;   ///< SIGPROF sampling
-constexpr u32 kCounterBit = 4u;  ///< hardware counters at phase bounds
+constexpr u32 kPhaseBit = 1u;   ///< phase attribution (push/pop active)
+constexpr u32 kSampleBit = 2u;  ///< SIGPROF sampling
 
 inline std::atomic<u32> g_modes{0};
 /// Bumped by every Profiler::start so threads re-arm their samplers.
 inline std::atomic<u64> g_sample_epoch{0};
-/// Counter reads stop below this path depth (syscall cost vs. phase
-/// grain; see docs/profiling.md).
-inline std::atomic<i32> g_counter_depth{4};
 
 inline bool phases_on() {
   return (g_modes.load(std::memory_order_relaxed) & kPhaseBit) != 0;
@@ -111,8 +104,6 @@ struct PhaseSlot {
   std::atomic<i64> total_ns{0};
   std::atomic<i64> self_ns{0};
   std::atomic<i64> samples{0};
-  std::atomic<bool> has_counters{false};
-  std::atomic<i64> counters[kNumPerfCounters] = {};  ///< self deltas
 };
 
 /// One live stack entry.
@@ -122,9 +113,6 @@ struct Frame {
   u32 slot = kNoSlot;
   i64 start_ns = 0;
   i64 child_ns = 0;
-  bool counted = false;  ///< hardware counters read at entry
-  i64 enter_counts[kNumPerfCounters] = {};
-  i64 child_counts[kNumPerfCounters] = {};
 };
 
 /// Everything the profiler knows about one thread.  Owned via shared_ptr
@@ -163,13 +151,11 @@ struct ThreadState {
   std::atomic<u32> ring_tail{0};
   std::atomic<i64> dropped_samples{0};
 
-  // Sampler + counters, owned by this thread.
+  // Sampler, owned by this thread.
   u64 sample_epoch = 0;  ///< last g_sample_epoch this thread armed for
   bool timer_armed = false;
   void* timer = nullptr;  ///< timer_t, opaque here (POSIX types stay out
                           ///< of this header)
-  PerfCounterSet counters;
-  i32 counter_state = 0;  ///< 0 untried, 1 open, 2 unavailable
   i64 tid = 0;            ///< dense id for trace sample lanes
   std::atomic<bool> alive{true};
 };
@@ -189,9 +175,6 @@ void unregister_thread(ThreadState& st);
 
 /// Lazily arms this thread's SIGPROF sampler for the current epoch.
 void arm_sampler(ThreadState& st);
-
-/// Tries to open this thread's hardware counter group once.
-void open_thread_counters(ThreadState& st);
 
 inline ThreadState& state() {
   ThreadState* st = detail::t_state;
@@ -237,8 +220,7 @@ inline void slot_add(std::atomic<i64>& a, i64 v) {
 /// so pops stay balanced even if the profiler stops mid-scope).
 inline bool phase_push(const char* tag, u64 tag_hash) {
   ThreadState& st = state();
-  const u32 modes = g_modes.load(std::memory_order_relaxed);
-  if ((modes & kSampleBit) != 0 &&
+  if ((g_modes.load(std::memory_order_relaxed) & kSampleBit) != 0 &&
       st.sample_epoch != g_sample_epoch.load(std::memory_order_relaxed))
     arm_sampler(st);
   const i32 d = st.depth.load(std::memory_order_relaxed);
@@ -253,15 +235,6 @@ inline bool phase_push(const char* tag, u64 tag_hash) {
   f.hash = mix_hash(parent, tag_hash);
   f.slot = find_or_insert(st, f.hash, d, tag);
   f.child_ns = 0;
-  f.counted = false;
-  if ((modes & kCounterBit) != 0) {
-    if (st.counter_state == 0) open_thread_counters(st);
-    if (st.counter_state == 1 &&
-        st.base_depth + d < g_counter_depth.load(std::memory_order_relaxed))
-      f.counted = st.counters.read(f.enter_counts);
-  }
-  if (f.counted)
-    for (i32 i = 0; i < kNumPerfCounters; ++i) f.child_counts[i] = 0;
   f.start_ns = Stopwatch::now_ns();
   st.depth.store(d + 1, std::memory_order_release);
   return true;
@@ -284,67 +257,11 @@ inline void phase_pop() {
   i64 self = elapsed - f.child_ns;
   if (self < 0) self = 0;
   if (d > 0) st.frames[d - 1].child_ns += elapsed;
-  i64 delta[kNumPerfCounters];
-  bool have_delta = false;
-  if (f.counted) {
-    i64 now_counts[kNumPerfCounters];
-    if (st.counters.read(now_counts)) {
-      have_delta = true;
-      for (i32 i = 0; i < kNumPerfCounters; ++i)
-        delta[i] = now_counts[i] - f.enter_counts[i];
-      if (d > 0 && st.frames[d - 1].counted)
-        for (i32 i = 0; i < kNumPerfCounters; ++i)
-          st.frames[d - 1].child_counts[i] += delta[i];
-    }
-  }
   if (f.slot == kNoSlot) return;
   PhaseSlot& s = st.slots[f.slot];
   slot_add(s.calls, 1);
   slot_add(s.total_ns, elapsed);
   slot_add(s.self_ns, self);
-  if (have_delta) {
-    for (i32 i = 0; i < kNumPerfCounters; ++i) {
-      i64 self_c = delta[i] - f.child_counts[i];
-      if (self_c < 0) self_c = 0;
-      slot_add(s.counters[i], self_c);
-    }
-    s.has_counters.store(true, std::memory_order_relaxed);
-  }
 }
 
 }  // namespace tp::obs::prof
-
-namespace tp::obs {
-
-/// RAII phase for profiling-only instrumentation, cheaper than a full
-/// obs::Scope (no trace span, no registry histogram) — use where the
-/// grain is too fine for a metric but right for attribution.
-class PhaseScope {
- public:
-  PhaseScope(const char* tag, u64 tag_hash) {
-    if (prof::phases_on()) pushed_ = prof::phase_push(tag, tag_hash);
-  }
-  ~PhaseScope() {
-    if (pushed_) prof::phase_pop();
-  }
-
-  PhaseScope(const PhaseScope&) = delete;
-  PhaseScope& operator=(const PhaseScope&) = delete;
-
- private:
-  bool pushed_ = false;
-};
-
-}  // namespace tp::obs
-
-#define TP_PROF_CONCAT_INNER(a, b) a##b
-#define TP_PROF_CONCAT(a, b) TP_PROF_CONCAT_INNER(a, b)
-
-/// Attributes the enclosing scope to phase `name` (a string literal) when
-/// profiling is enabled; one predicted branch otherwise.  The tag hash is
-/// computed at compile time.
-#define TP_PROF_PHASE(name)                                              \
-  const ::tp::obs::PhaseScope TP_PROF_CONCAT(tp_prof_phase_, __LINE__)(  \
-      name,                                                              \
-      ::std::integral_constant<::tp::u64,                                \
-                               ::tp::obs::prof::ct_hash(name)>::value)

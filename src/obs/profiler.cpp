@@ -217,10 +217,6 @@ void arm_sampler(ThreadState& st) {
     st.timer_armed = create_thread_timer(st, p.config_.sample_interval_us);
 }
 
-void open_thread_counters(ThreadState& st) {
-  st.counter_state = st.counters.open() ? 1 : 2;
-}
-
 void unregister_thread(ThreadState& st) {
   Profiler& p = profiler();
   {
@@ -229,7 +225,6 @@ void unregister_thread(ThreadState& st) {
     st.timer_armed = false;
     st.alive.store(false, std::memory_order_release);
   }
-  st.counters.close();
   detail::t_state = nullptr;
 }
 
@@ -237,20 +232,6 @@ void unregister_thread(ThreadState& st) {
 
 ThreadHandle::~ThreadHandle() {
   if (state != nullptr) prof::unregister_thread(*state);
-}
-
-double PhaseRow::ipc() const {
-  return counters[kPerfCycles] > 0
-             ? static_cast<double>(counters[kPerfInstructions]) /
-                   static_cast<double>(counters[kPerfCycles])
-             : 0.0;
-}
-
-double PhaseRow::cache_miss_rate() const {
-  return counters[kPerfCacheRefs] > 0
-             ? static_cast<double>(counters[kPerfCacheMisses]) /
-                   static_cast<double>(counters[kPerfCacheRefs])
-             : 0.0;
 }
 
 double PhaseReport::coverage() const {
@@ -284,18 +265,6 @@ void Profiler::start(const ProfilerConfig& config) {
       prof::g_sample_epoch.fetch_add(1, std::memory_order_relaxed);
     }
   }
-  if (config.counters) {
-    PerfCounterSet probe;
-    counters_ok_ = probe.open();
-    counters_note_ = counters_ok_ ? "" : probe.error();
-    probe.close();
-    if (counters_ok_) modes |= prof::kCounterBit;
-  } else {
-    counters_ok_ = false;
-    counters_note_ = "disabled by config";
-  }
-  prof::g_counter_depth.store(config.counter_depth,
-                              std::memory_order_relaxed);
   set_phase_context_hooks(&kHooks);
   prof::g_modes.store(modes, std::memory_order_release);
 }
@@ -315,22 +284,10 @@ bool Profiler::sampling_enabled() const {
           prof::kSampleBit) != 0;
 }
 
-bool Profiler::counters_available() const {
-  const MutexLock lock(mu_);
-  return counters_ok_;
-}
-
-std::string Profiler::counters_note() const {
-  const MutexLock lock(mu_);
-  return counters_note_;
-}
-
 PhaseReport Profiler::report() {
   const MutexLock lock(mu_);
   PhaseReport rep;
   rep.sampling = config_.sampling;
-  rep.counters_available = counters_ok_;
-  rep.counters_note = counters_note_;
   rep.wall_ns = epoch_ns_ > 0 ? Stopwatch::now_ns() - epoch_ns_ : 0;
 
   std::map<std::string, PhaseRow> merged;
@@ -352,11 +309,6 @@ PhaseReport Profiler::report() {
       row.total_ns += s.total_ns.load(std::memory_order_relaxed);
       row.self_ns += s.self_ns.load(std::memory_order_relaxed);
       row.samples += samples;
-      if (s.has_counters.load(std::memory_order_relaxed)) {
-        row.has_counters = true;
-        for (i32 i = 0; i < kNumPerfCounters; ++i)
-          row.counters[i] += s.counters[i].load(std::memory_order_relaxed);
-      }
     }
     if (contributed) ++rep.threads;
     rep.dropped_samples +=
@@ -391,9 +343,6 @@ void Profiler::reset() {
       s.total_ns.store(0, std::memory_order_relaxed);
       s.self_ns.store(0, std::memory_order_relaxed);
       s.samples.store(0, std::memory_order_relaxed);
-      s.has_counters.store(false, std::memory_order_relaxed);
-      for (i32 i = 0; i < kNumPerfCounters; ++i)
-        s.counters[i].store(0, std::memory_order_relaxed);
     }
     st->ring_tail.store(st->ring_head.load(std::memory_order_relaxed),
                         std::memory_order_relaxed);
@@ -454,8 +403,6 @@ std::string format_phase_table(const PhaseReport& report) {
       << std::setw(10) << "calls" << std::setw(13) << "ns/call"
       << std::setw(14) << "self_ns" << std::setw(14) << "total_ns";
   if (report.total_samples > 0) out << std::setw(9) << "samples";
-  if (report.counters_available)
-    out << std::setw(7) << "ipc" << std::setw(8) << "miss%";
   out << "  path\n";
   for (const PhaseRow& row : report.rows) {
     out << std::fixed << std::setprecision(1) << std::setw(6)
@@ -466,14 +413,6 @@ std::string format_phase_table(const PhaseReport& report) {
         << (row.calls > 0 ? row.total_ns / row.calls : 0) << std::setw(14)
         << row.self_ns << std::setw(14) << row.total_ns;
     if (report.total_samples > 0) out << std::setw(9) << row.samples;
-    if (report.counters_available) {
-      if (row.has_counters)
-        out << std::setw(7) << std::setprecision(2) << row.ipc()
-            << std::setw(7) << std::setprecision(1)
-            << 100.0 * row.cache_miss_rate() << '%';
-      else
-        out << std::setw(7) << "-" << std::setw(8) << "-";
-    }
     out << "  " << join_path(row.path) << '\n';
   }
   out << std::setprecision(1)
@@ -487,45 +426,7 @@ std::string format_phase_table(const PhaseReport& report) {
   if (report.depth_overflow > 0)
     out << ", " << report.depth_overflow << " over-depth pushes";
   out << '\n';
-  if (report.counters_available)
-    out << "hardware counters: live (perf_event_open)\n";
-  else
-    out << "hardware counters: unavailable, wall-clock only ("
-        << report.counters_note << ")\n";
   return out.str();
-}
-
-JsonValue phase_report_json(const PhaseReport& report) {
-  JsonValue doc = JsonValue::object();
-  doc.set("schema", "torusplace-profile/1");
-  doc.set("wall_ns", report.wall_ns);
-  doc.set("coverage", report.coverage());
-  doc.set("threads", JsonValue(static_cast<i64>(report.threads)));
-  doc.set("total_samples", report.total_samples);
-  doc.set("dropped_samples", report.dropped_samples);
-  doc.set("dropped_paths", report.dropped_paths);
-  doc.set("depth_overflow", report.depth_overflow);
-  doc.set("counters_available", report.counters_available);
-  if (!report.counters_available)
-    doc.set("counters_note", report.counters_note);
-  JsonValue rows = JsonValue::array();
-  for (const PhaseRow& row : report.rows) {
-    JsonValue r = JsonValue::object();
-    r.set("path", join_path(row.path));
-    r.set("calls", row.calls);
-    r.set("total_ns", row.total_ns);
-    r.set("self_ns", row.self_ns);
-    r.set("samples", row.samples);
-    if (row.has_counters) {
-      for (i32 i = 0; i < kNumPerfCounters; ++i)
-        r.set(perf_counter_name(i), row.counters[i]);
-      r.set("ipc", row.ipc());
-      r.set("cache_miss_rate", row.cache_miss_rate());
-    }
-    rows.push_back(std::move(r));
-  }
-  doc.set("rows", std::move(rows));
-  return doc;
 }
 
 JsonValue profiler_status_json() {
@@ -534,7 +435,6 @@ JsonValue profiler_status_json() {
   JsonValue doc = JsonValue::object();
   doc.set("enabled", p.enabled());
   doc.set("sampling", p.sampling_enabled());
-  doc.set("counters", rep.counters_available);
   doc.set("paths", JsonValue(static_cast<i64>(rep.rows.size())));
   doc.set("samples", rep.total_samples);
   return doc;

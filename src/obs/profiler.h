@@ -1,34 +1,30 @@
-// In-process profiler: phase attribution, SIGPROF sampling, hardware
-// counters, flamegraph export.
+// In-process profiler: phase attribution, SIGPROF sampling, flamegraph
+// export.
 //
 // The Profiler turns the per-thread phase tables (phase_stack.h) into
 // reports:
 //
-//   obs::profiler().start({});          // phases + sampling + counters
+//   obs::profiler().start({});          // phases + sampling
 //   ... run the workload ...
 //   obs::PhaseReport r = obs::profiler().report();
 //   std::cout << obs::format_phase_table(r);   // sorted self-time table
 //   obs::write_collapsed(r, out);              // "a;b;c 42" flamegraph
 //
-// Three independently switchable modes (ProfilerConfig):
+// Two modes; start() always turns on the first, ProfilerConfig switches
+// the second:
 //   phases    deterministic wall-ns attribution at every TP_OBS_SCOPE /
 //             TP_PROF_PHASE boundary (exclusive + inclusive, per path)
 //   sampling  a per-thread timer_create(CLOCK_THREAD_CPUTIME_ID)/SIGPROF
 //             sampler that attributes statistical samples to the current
 //             phase path — fine-grain insight with no inner-loop
 //             instrumentation
-//   counters  perf_event_open cycles/instructions/cache/branch-miss
-//             deltas per phase, feature-detected at runtime; unprivileged
-//             or PMU-less hosts degrade to wall-only and the report says
-//             so (counters_note)
 //
 // report() merges every thread's table by path (calls/ns/samples summed),
 // so results are thread-count invariant in paths and call counts.
 // reset() clears the tables; call it only while no instrumented work is
 // in flight (the tables are single-writer per thread).
 //
-// See docs/profiling.md for the phase model, the flamegraph workflow and
-// perf_event permission notes.
+// See docs/profiling.md for the phase model and the flamegraph workflow.
 
 #pragma once
 
@@ -46,9 +42,7 @@ namespace tp::obs {
 
 struct ProfilerConfig {
   bool sampling = true;
-  bool counters = true;  ///< attempt; falls back to wall-only
   i64 sample_interval_us = 997;  ///< prime, to dodge lockstep with loops
-  i32 counter_depth = 4;  ///< no counter syscalls below this path depth
 };
 
 /// One merged row: a phase path with its accumulated costs.
@@ -58,13 +52,6 @@ struct PhaseRow {
   i64 total_ns = 0;  ///< inclusive
   i64 self_ns = 0;   ///< exclusive
   i64 samples = 0;
-  bool has_counters = false;
-  i64 counters[kNumPerfCounters] = {};  ///< exclusive deltas
-
-  /// Instructions per cycle; 0 when unavailable.
-  double ipc() const;
-  /// cache_misses / cache_refs; 0 when unavailable.
-  double cache_miss_rate() const;
 };
 
 struct PhaseReport {
@@ -76,9 +63,6 @@ struct PhaseReport {
   i64 depth_overflow = 0;   ///< pushes past kMaxPhaseDepth
   i32 threads = 0;          ///< threads that recorded at least one path
   bool sampling = false;
-  bool counters_available = false;
-  std::string counters_note;  ///< why counters are unavailable (empty
-                              ///< when they are live)
 
   /// Fraction of wall_ns covered by root phases (depth-1 paths) — the
   /// attribution coverage the acceptance gate checks.
@@ -97,8 +81,6 @@ class Profiler {
 
   bool enabled() const { return prof::phases_on(); }
   bool sampling_enabled() const;
-  bool counters_available() const TP_EXCLUDES(mu_);
-  std::string counters_note() const TP_EXCLUDES(mu_);
 
   /// Merges every thread's table into one report.  Callable while
   /// threads are still running (single-writer tables, atomic fields);
@@ -123,9 +105,6 @@ class Profiler {
   mutable Mutex mu_;
   std::vector<std::shared_ptr<prof::ThreadState>> states_ TP_GUARDED_BY(mu_);
   ProfilerConfig config_ TP_GUARDED_BY(mu_);
-  bool counters_ok_ TP_GUARDED_BY(mu_) = false;
-  std::string counters_note_ TP_GUARDED_BY(mu_) =
-      "counters never enabled";
   i64 epoch_ns_ TP_GUARDED_BY(mu_) = 0;  ///< wall_ns origin
   i64 next_tid_ TP_GUARDED_BY(mu_) = 0;
   bool handler_installed_ TP_GUARDED_BY(mu_) = false;
@@ -140,15 +119,12 @@ Profiler& profiler();
 /// still produce a well-formed flamegraph.
 void write_collapsed(const PhaseReport& report, std::ostream& out);
 
-/// Renders the sorted phase table (self%, total%, calls, ns/call, and —
-/// when counters are live — IPC and cache-miss rate).
+/// Renders the sorted phase table (self%, total%, calls, ns/call, self
+/// and total ns, and samples when the sampler ran).
 std::string format_phase_table(const PhaseReport& report);
 
-/// JSON form of the report (rows + totals), used by --stats-json.
-JsonValue phase_report_json(const PhaseReport& report);
-
 /// Compact profiler state for statusz: {"enabled":..., "sampling":...,
-/// "counters":..., "paths":N, "samples":N}.
+/// "paths":N, "samples":N}.
 JsonValue profiler_status_json();
 
 }  // namespace tp::obs

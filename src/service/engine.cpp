@@ -3,8 +3,7 @@
 #include <chrono>
 #include <cstdio>
 
-#include "src/obs/phase_stack.h"
-#include "src/obs/trace.h"
+#include "src/obs/obs.h"
 #include "src/service/jsonl.h"
 #include "src/service/snapshot.h"
 #include "src/util/error.h"
@@ -37,7 +36,6 @@ struct Engine::Pending {
   bool done TP_GUARDED_BY(mu) = false;
   Response response TP_GUARDED_BY(mu);
 
-  Engine* engine = nullptr;
   QueryKey key;
   std::string id;
   Clock::time_point submitted;
@@ -201,10 +199,20 @@ Response Engine::timeout_response(const QueryKey& key) {
 }
 
 void Engine::fulfill(const std::shared_ptr<Pending>& pending,
-                     Response response, bool count_completed) {
-  // Count BEFORE waking the waiter: once done flips, the submitter may
-  // read stats()/publish_stats() and must see this request accounted for.
+                     Response response) {
+  // Everything up to `done` happens under the waiter's lock, so the
+  // outcome cannot change between the decision and the wake-up: a
+  // Ticket::wait that timed out first held this lock past the deadline,
+  // so `now` here is past it too.  The counts are taken before `done`
+  // flips, so a submitter returning from wait() (or drain()) sees this
+  // request accounted for.
+  MutexLock lock(pending->mu);
   const Clock::time_point now = Clock::now();
+  // A request times out iff its answer was not ready by its deadline: a
+  // late result is still cached (by execute), but this waiter gets the
+  // structured timeout, whichever of wait() and fulfill runs first.
+  if (response.ok && pending->expired(now))
+    response = timeout_response(pending->key);
   const i64 us = us_between(pending->submitted, now);
 
   RequestSpan span;
@@ -221,21 +229,16 @@ void Engine::fulfill(const std::shared_ptr<Pending>& pending,
         std::chrono::duration_cast<std::chrono::microseconds>(
             pending->deadline - now)
             .count();
-  if (!response.ok)
-    span.outcome = response.timeout ? SpanOutcome::Timeout : SpanOutcome::Error;
-  else if (pending->expired(now))
-    // The result arrived, but past the deadline: the waiter's wait() has
-    // already returned the structured timeout, so that is what this
-    // request's span must say happened.
-    span.outcome = SpanOutcome::Timeout;
-  else
+  if (response.ok)
     span.outcome = pending->outcome;
+  else
+    span.outcome = response.timeout ? SpanOutcome::Timeout : SpanOutcome::Error;
 
   const i64 tick = std::chrono::duration_cast<std::chrono::seconds>(
                        now - start_)
                        .count();
   {
-    const MutexLock lock(stats_mu_);
+    const MutexLock stats_lock(stats_mu_);
     request_us_.record(us);
     queue_wait_us_.record(span.queue_us);
     fanin_.record(span.fanin);
@@ -245,7 +248,14 @@ void Engine::fulfill(const std::shared_ptr<Pending>& pending,
     slow_log_.record(span);
     requests_ring_.record(tick, span.outcome == SpanOutcome::Hit ? 1 : 0);
     latency_ring_.record(tick, us);
-    if (response.ok && count_completed) ++counters_.completed;
+    // The only place outcomes are counted: each request once, as what
+    // its waiter receives.
+    if (response.ok)
+      ++counters_.completed;
+    else if (response.timeout)
+      ++counters_.timeouts;
+    else
+      ++counters_.errors;
   }
 
   // Trace outside the stats lock: the tracer has its own mutex and (when
@@ -256,11 +266,10 @@ void Engine::fulfill(const std::shared_ptr<Pending>& pending,
     tracer.complete(span.request_id + " " + span.key, us * 1000, "service");
 
   response.request_id = pending->id;
-  {
-    const MutexLock lock(pending->mu);
-    pending->response = std::move(response);
-    pending->done = true;
-  }
+  pending->response = std::move(response);
+  pending->done = true;
+  // Wake after unlocking, so the waiter does not wake into a held lock.
+  lock.unlock();
   pending->cv.notify_all();
 }
 
@@ -274,7 +283,6 @@ Engine::Ticket Engine::try_submit(const Request& req) {
 
 Engine::Ticket Engine::submit_impl(const Request& req, bool may_block) {
   auto pending = std::make_shared<Pending>();
-  pending->engine = this;
   pending->key = req.key;
   pending->submitted = Clock::now();
 
@@ -304,11 +312,7 @@ Engine::Ticket Engine::submit_impl(const Request& req, bool may_block) {
   }
 
   if (pending->expired(pending->submitted)) {
-    {
-      const MutexLock lock(stats_mu_);
-      ++counters_.timeouts;
-    }
-    fulfill(pending, timeout_response(req.key), /*count_completed=*/false);
+    fulfill(pending, timeout_response(req.key));
     return Ticket(std::move(pending));
   }
 
@@ -338,7 +342,7 @@ Engine::Ticket Engine::submit_impl(const Request& req, bool may_block) {
       r.ok = true;
       r.result = std::move(cached);
       pending->outcome = SpanOutcome::Hit;
-      fulfill(pending, std::move(r), /*count_completed=*/true);
+      fulfill(pending, std::move(r));
       return Ticket(std::move(pending));
     }
     const auto it = inflight_.find(req.key);
@@ -395,14 +399,11 @@ void Engine::reject_overloaded(const std::shared_ptr<InFlight>& job) {
     const MutexLock lock(inflight_mu_);
     waiters = std::move(job->waiters);
     inflight_.erase(job->key);
-    --inflight_jobs_;
   }
-  drain_cv_.notify_all();
   {
-    const MutexLock lock(stats_mu_);
-    counters_.errors += static_cast<i64>(waiters.size());
     // The miss never became a computation: keep cache_misses meaning
     // "computations started" (its documented contract).
+    const MutexLock lock(stats_mu_);
     --counters_.cache_misses;
   }
   Response r;
@@ -411,7 +412,8 @@ void Engine::reject_overloaded(const std::shared_ptr<InFlight>& job) {
   r.error = "overloaded: submission queue full (capacity " +
             std::to_string(config_.queue_capacity) + "), dropped " +
             job->key.str();
-  for (const auto& w : waiters) fulfill(w, r, /*count_completed=*/false);
+  for (const auto& w : waiters) fulfill(w, r);
+  retire();
 }
 
 Response Engine::run(const Request& req) { return submit(req).wait(); }
@@ -424,16 +426,10 @@ Response Engine::Ticket::wait() {
       if (p.cv.wait_until(lock, p.deadline) == std::cv_status::timeout &&
           !p.done) {
         // Deadline passed first.  The computation (if any) continues and
-        // will land in the cache; only this response times out.
-        Engine* engine = p.engine;
-        const std::string id = p.id;
-        lock.unlock();
-        {
-          const MutexLock stats_lock(engine->stats_mu_);
-          ++engine->counters_.timeouts;
-        }
+        // will land in the cache; fulfill() stores and counts this same
+        // timeout when the late answer arrives.
         Response r = timeout_response(p.key);
-        r.request_id = id;
+        r.request_id = p.id;
         return r;
       }
     }
@@ -491,18 +487,13 @@ void Engine::execute(const std::shared_ptr<InFlight>& job, std::size_t slot) {
       mark_idle(slot);
       std::vector<std::shared_ptr<Pending>> waiters = std::move(job->waiters);
       inflight_.erase(job->key);
-      --inflight_jobs_;
       lock.unlock();
-      drain_cv_.notify_all();
-      {
-        const MutexLock stats_lock(stats_mu_);
-        counters_.timeouts += static_cast<i64>(waiters.size());
-      }
       for (const auto& w : waiters) {
         w->queue_us = us_between(w->submitted, dequeued);
         w->fanin = static_cast<i64>(waiters.size());
-        fulfill(w, timeout_response(job->key), /*count_completed=*/false);
+        fulfill(w, timeout_response(job->key));
       }
+      retire();
       return;
     }
   }
@@ -533,22 +524,28 @@ void Engine::execute(const std::shared_ptr<InFlight>& job, std::size_t slot) {
     const MutexLock lock(inflight_mu_);
     waiters = std::move(job->waiters);
     inflight_.erase(job->key);
-    --inflight_jobs_;
   }
-  drain_cv_.notify_all();
 
   {
     const MutexLock lock(stats_mu_);
     ++counters_.plans_computed;
     compute_us_.record(compute_us);
-    if (!response.ok) counters_.errors += static_cast<i64>(waiters.size());
   }
   for (const auto& w : waiters) {
     w->queue_us = us_between(w->submitted, dequeued);
     w->compute_us = compute_us;
     w->fanin = static_cast<i64>(waiters.size());
-    fulfill(w, response, /*count_completed=*/true);
+    fulfill(w, response);
   }
+  retire();
+}
+
+void Engine::retire() {
+  {
+    const MutexLock lock(inflight_mu_);
+    --inflight_jobs_;
+  }
+  drain_cv_.notify_all();
 }
 
 void Engine::drain() {
@@ -568,7 +565,7 @@ EngineStats Engine::stats() const {
   }
   {
     const MutexLock lock(inflight_mu_);
-    s.inflight = inflight_jobs_;
+    s.inflight = static_cast<i64>(inflight_.size());
   }
   const PlanCache::Stats cs = cache_.stats();
   s.cache_entries = cs.entries;

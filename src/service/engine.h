@@ -14,16 +14,20 @@
 // key is planned exactly once no matter how many clients hammer it
 // (EngineStats::plans_computed counts real computations).
 //
-// Deadlines: a request may carry a relative deadline.  It is checked at
-// submit (an already-expired deadline is answered with a structured
-// timeout response without ever enqueueing), at dequeue (a job whose
-// waiters have all expired is dropped without computing), and while
-// waiting (Ticket::wait returns the timeout response when the deadline
-// passes first; the computation still completes and is cached — timeouts
-// never poison the cache with partial results).
+// Deadlines: a request may carry a relative deadline, and it times out
+// iff its answer was not ready by then.  It is checked at submit (an
+// already-expired deadline is answered with a structured timeout response
+// without ever enqueueing), at dequeue (a job whose waiters have all
+// expired is dropped without computing), while waiting (Ticket::wait
+// returns the timeout response when the deadline passes first) and when
+// the answer lands (a waiter whose deadline has passed is fulfilled with
+// the timeout).  A late computation still completes and is cached —
+// timeouts never poison the cache with partial results.  Each request's
+// outcome is counted once, when it is fulfilled, as exactly one of
+// completed / timeouts / errors.
 //
 // Shutdown drains gracefully: the destructor waits for every queued and
-// in-flight computation to finish before joining the pool, so tickets
+// in-flight request to be answered before joining the pool, so tickets
 // already fulfilled stay valid and nothing is dropped mid-compute.
 //
 // Request-scoped observability: every request carries a stable id
@@ -132,7 +136,9 @@ struct Response {
   std::string request_id;
 };
 
-/// Exact point-in-time engine statistics (all counted atomically).
+/// Exact point-in-time engine statistics (all counted atomically).  Every
+/// answered request is in exactly one of completed / timeouts / errors, so
+/// after drain() requests == completed + timeouts + errors.
 struct EngineStats {
   i64 requests = 0;        ///< total submits
   i64 completed = 0;       ///< responses fulfilled with a result
@@ -141,7 +147,8 @@ struct EngineStats {
   i64 coalesced = 0;       ///< requests attached to an in-flight compute
   i64 plans_computed = 0;  ///< compute_query executions
   i64 timeouts = 0;        ///< structured deadline responses
-  i64 errors = 0;          ///< error responses (invalid parameters)
+  i64 errors = 0;          ///< error responses (invalid parameters,
+                           ///< overloads)
   i64 queue_depth = 0;     ///< current submission-queue depth
   i64 peak_queue_depth = 0;
   i64 inflight = 0;        ///< jobs queued or executing right now
@@ -192,8 +199,10 @@ class Engine {
   Response run(const Request& req)
       TP_EXCLUDES(queue_mu_, inflight_mu_, stats_mu_);
 
-  /// Blocks until every request submitted so far has been computed (or
-  /// dropped as expired).  The pool stays alive for further submits.
+  /// Blocks until every request submitted so far has been answered:
+  /// computed (or dropped as expired) and its waiters fulfilled, so
+  /// stats() then counts every one of them.  The pool stays alive for
+  /// further submits.
   void drain() TP_EXCLUDES(inflight_mu_);
 
   EngineStats stats() const TP_EXCLUDES(stats_mu_, queue_mu_, inflight_mu_);
@@ -245,7 +254,8 @@ class Engine {
   class Ticket {
    public:
     /// Blocks until the response is ready or the request's deadline
-    /// expires, whichever is first.  Safe to call once per ticket.
+    /// expires, whichever is first; a late answer is the same timeout.
+    /// Safe to call once per ticket.
     Response wait();
 
    private:
@@ -266,8 +276,12 @@ class Engine {
   /// retires so a caller returning from drain() sees every worker idle.
   void execute(const std::shared_ptr<InFlight>& job, std::size_t slot);
   void mark_idle(std::size_t slot) TP_EXCLUDES(stats_mu_);
-  void fulfill(const std::shared_ptr<Pending>& pending, Response response,
-               bool count_completed);
+  /// Answers one waiter: stores the response (the timeout instead when
+  /// its deadline has passed), counts its outcome and records its span.
+  void fulfill(const std::shared_ptr<Pending>& pending, Response response)
+      TP_EXCLUDES(stats_mu_);
+  /// Takes a job out of drain()'s count once its waiters are fulfilled.
+  void retire() TP_EXCLUDES(inflight_mu_);
   static Response timeout_response(const QueryKey& key);
 
   EngineConfig config_;
@@ -289,7 +303,8 @@ class Engine {
   std::unordered_map<QueryKey, std::shared_ptr<InFlight>, QueryKeyHash>
       inflight_ TP_GUARDED_BY(inflight_mu_);
   i64 inflight_jobs_ TP_GUARDED_BY(inflight_mu_) =
-      0;  ///< queued or executing jobs (for drain)
+      0;  ///< jobs not yet answered: queued, executing or fulfilling
+          ///< their waiters (for drain)
 
   // Exact stats and request-scoped telemetry.  Counters live behind
   // stats_mu_ together with the local latency histograms, the slow-query

@@ -138,29 +138,56 @@ void set_answer_members(obs::JsonValue& out, const QueryResult& r) {
   out.set("summary", obs::JsonValue(r.summary));
 }
 
+/// The members of a failure answer after its id, in wire order.
+void set_failure_members(obs::JsonValue& out, const Response& response) {
+  out.set("ok", obs::JsonValue(false));
+  out.set("error", obs::JsonValue(response.error));
+  if (response.timeout) out.set("timeout", obs::JsonValue(true));
+  if (response.overload) out.set("overload", obs::JsonValue(true));
+}
+
+/// An object's bytes without its '{', which goes before the id.
+std::string members_after_id(const obs::JsonValue& object) {
+  std::string text = object.dump();
+  text.erase(0, 1);
+  return text;
+}
+
+/// `{"id":<id>,` then `members` (from members_after_id).
+std::string splice_id(std::string_view id, std::string_view members) {
+  std::string text;
+  text.reserve(id.size() + members.size() + 8);
+  text += "{\"id\":";
+  text += id;
+  text += ',';
+  text += members;
+  return text;
+}
+
+/// A failure answer's bytes, the same as response_to_json's.
+std::string render_failure(std::string_view id, const Response& response) {
+  obs::JsonValue out = obs::JsonValue::object();
+  set_failure_members(out, response);
+  return splice_id(id, members_after_id(out));
+}
+
 }  // namespace
 
 obs::JsonValue response_to_json(const obs::JsonValue& id,
                                 const Response& response) {
   obs::JsonValue out = obs::JsonValue::object();
   out.set("id", id);
-  if (response.ok) {
+  if (response.ok)
     set_answer_members(out, *response.result);
-    return out;
-  }
-  out.set("ok", obs::JsonValue(false));
-  out.set("error", obs::JsonValue(response.error));
-  if (response.timeout) out.set("timeout", obs::JsonValue(true));
-  if (response.overload) out.set("overload", obs::JsonValue(true));
+  else
+    set_failure_members(out, response);
   return out;
 }
 
 std::string render_body(const QueryResult& result) {
   obs::JsonValue out = obs::JsonValue::object();
   set_answer_members(out, result);
-  std::string text = out.dump();
-  text.erase(0, 1);  // its '{' goes before the id
-  return text;
+  return members_after_id(out);
 }
 
 Response error_response(const std::string& what) {
@@ -171,29 +198,25 @@ Response error_response(const std::string& what) {
 }
 
 void StagedLine::refuse(const std::string& what) {
-  reply = response_to_json(id, error_response(what));
+  reply = render_failure(id, error_response(what));
 }
 
 std::string render_line(StagedLine& line, bool* overload) {
-  // An answer's bytes are built here and handed on, never kept in the
-  // line: batch holds every staged line until its whole input is answered.
+  // An engine answer's bytes are built here and handed on, never kept in
+  // the line: batch holds every staged line until its whole input is
+  // answered.
   std::string text;
   if (!line.ticket) {
-    text = line.reply.dump();
+    text = line.reply;
   } else {
     const Response response = line.ticket->wait();
     if (overload != nullptr) *overload = response.overload;
     if (response.ok) {
       const std::string& body = response.result->body;
       TP_ASSERT(!body.empty(), "an engine answer carries its rendered body");
-      const std::string id = line.id.dump();
-      text.reserve(id.size() + body.size() + 8);
-      text += "{\"id\":";
-      text += id;
-      text += ',';
-      text += body;
+      text = splice_id(line.id, body);
     } else {
-      text = response_to_json(line.id, response).dump();
+      text = render_failure(line.id, response);
     }
   }
   text += '\n';
@@ -203,19 +226,22 @@ std::string render_line(StagedLine& line, bool* overload) {
 ParsedLine parse_line(std::string_view line, i64 line_no) {
   ParsedLine out;
   if (obs::blank_line(line)) return out;
-  out.staged.id = obs::JsonValue(line_no);
+  bool is_json = false;
   try {
     obs::JsonValue doc = obs::parse_json(line);
-    out.staged.id = echo_id(doc, line_no);
+    is_json = true;
+    out.staged.id = echo_id(doc, line_no).dump();
     if (is_admin_op(doc)) {
       out.kind = ParsedLine::Kind::Admin;
       out.doc = std::move(doc);
+      out.line_no = line_no;
     } else {
       out.request = parse_request_doc(doc);
       out.kind = ParsedLine::Kind::Query;
     }
   } catch (const Error& e) {
     out.kind = ParsedLine::Kind::Refused;
+    if (!is_json) out.staged.id = obs::JsonValue(line_no).dump();
     out.staged.refuse(e.what());
   }
   return out;
@@ -224,7 +250,9 @@ ParsedLine parse_line(std::string_view line, i64 line_no) {
 bool answer_admin(Engine& engine, ParsedLine& parsed, bool* quit) {
   try {
     parsed.staged.reply =
-        handle_admin(engine, parsed.doc, parsed.staged.id, quit);
+        handle_admin(engine, parsed.doc, echo_id(parsed.doc, parsed.line_no),
+                     quit)
+            .dump();
     return true;
   } catch (const Error& e) {
     parsed.staged.refuse(e.what());

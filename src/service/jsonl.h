@@ -49,7 +49,9 @@
 //
 // An answer is rendered once: render_body writes everything after its
 // id, the engine keeps those bytes in QueryResult::body, and render_line
-// splices `{"id":<id>,` in front of them on every hit.  Errors, timeouts,
+// splices `{"id":<id>,` in front of them on every hit.  A staged line
+// keeps bytes too: its id's JSON text, written once by parse_line, and
+// the finished reply of an admin line or a refusal.  Errors, timeouts,
 // overloads and admin replies are rendered through the JsonValue DOM.
 
 #pragma once
@@ -89,20 +91,22 @@ Response error_response(const std::string& what);
 
 /// One request line on its way to its answer: the id to echo plus the
 /// engine's ticket, or the reply when it is already known (admin answers
-/// and refusals).
+/// and refusals).  Batch keeps every staged line until its input is
+/// answered, so a line holds bytes, not JSON trees.
 struct StagedLine {
-  obs::JsonValue id;
+  std::string id = "null";  ///< the id's JSON text
   std::optional<Engine::Ticket> ticket;
-  obs::JsonValue reply;
+  std::string reply;  ///< a finished reply's bytes, without the newline
 
   /// Answers the line with `what` as its error response.
   void refuse(const std::string& what);
 };
 
 /// The response bytes of a staged line, newline included: waits on its
-/// ticket if it has one.  An ok answer is its id spliced before the
-/// stored body.  Every front-end writes its answers through this.
-/// `overload`, when given, reports an Engine::try_submit refusal.
+/// ticket if it has one.  Every answer is its id spliced before the rest
+/// of its members: the stored body when ok.  Every front-end writes its
+/// answers through this.  `overload`, when given, reports an
+/// Engine::try_submit refusal.
 std::string render_line(StagedLine& line, bool* overload = nullptr);
 
 /// One request line, classified by parse_line.
@@ -112,6 +116,7 @@ struct ParsedLine {
   StagedLine staged;    ///< the id (its "id", else the line number); a
                         ///< Refused line's error reply
   obs::JsonValue doc;   ///< Admin: the request document
+  i64 line_no = 0;      ///< Admin: the id when the document has none
   Request request;      ///< Query: the canonical request
 };
 

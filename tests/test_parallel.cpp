@@ -137,7 +137,6 @@ TEST(ParallelLoads, PairsEvaluatedExactUnderThreads) {
 i32 odr_phase_threads(const Torus& t, const Placement& p) {
   obs::ProfilerConfig config;
   config.sampling = false;
-  config.counters = false;
   obs::profiler().reset();
   obs::profiler().start(config);
   odr_orbit_loads(t, p, TieBreak::PositiveOnly, 4);

@@ -280,11 +280,131 @@ TEST(Engine, DrainWaitsForAllSubmitted) {
     tickets.push_back(engine.submit({key_dk(2, k, 1, RouterKind::Odr,
                                             QueryOp::Load)}));
   engine.drain();
-  // After drain every ticket is already fulfilled; wait() returns
-  // immediately with the result.
+  // After drain every ticket is already fulfilled and counted; wait()
+  // returns immediately with the result.
+  EXPECT_EQ(engine.stats().completed, 5);
   for (auto& t : tickets) EXPECT_TRUE(t.wait().ok);
   EXPECT_EQ(engine.stats().plans_computed, 5);
   EXPECT_EQ(engine.stats().queue_depth, 0);
+}
+
+/// A key that plans for ~0.1 s (odd k: the hyperplane sweep over 81^3
+/// nodes), several times the deadlines below, which in turn leave a
+/// loaded host's scheduler room to dequeue a request before they pass.
+QueryKey slow_key() { return key_dk(3, 81); }
+
+/// Parks a one-worker engine's worker on slow_key().
+Engine::Ticket park_worker(Engine& engine) {
+  Engine::Ticket parked = engine.submit({slow_key()});
+  while (engine.worker_states()[0] == "idle")
+    std::this_thread::sleep_for(std::chrono::microseconds(100));
+  return parked;
+}
+
+/// A request whose deadline passed while its key computed gets the
+/// timeout, counted once, and its late result is still cached.
+void expect_one_late_timeout(Engine& engine, const Response& r) {
+  EXPECT_FALSE(r.ok);
+  EXPECT_TRUE(r.timeout);
+  EXPECT_EQ(r.request_id, "late");
+  const EngineStats s = engine.stats();
+  EXPECT_EQ(s.plans_computed, 1);  // computed, not dropped at dequeue
+  EXPECT_EQ(s.timeouts, 1);
+  EXPECT_EQ(s.completed, 0);
+  const auto failures = engine.recent_failures();
+  ASSERT_FALSE(failures.empty());
+  EXPECT_EQ(failures[0].request_id, "late");
+  EXPECT_EQ(failures[0].outcome, SpanOutcome::Timeout);
+  EXPECT_TRUE(engine.run({slow_key()}).ok);
+  EXPECT_EQ(engine.stats().cache_hits, 1);
+}
+
+Request late_request() {
+  Request late;
+  late.key = slow_key();
+  late.id = "late";
+  late.deadline_ms = 25;
+  return late;
+}
+
+TEST(Engine, LateAnswerIsOneTimeoutWhenWaitGivesUpFirst) {
+  EngineConfig config;
+  config.threads = 1;
+  Engine engine(config);
+  Engine::Ticket ticket = engine.submit(late_request());
+  const Response r = ticket.wait();  // returns at the deadline
+  engine.drain();                    // the answer lands after it
+  expect_one_late_timeout(engine, r);
+}
+
+TEST(Engine, LateAnswerIsOneTimeoutWhenItLandsBeforeWait) {
+  EngineConfig config;
+  config.threads = 1;
+  Engine engine(config);
+  Engine::Ticket ticket = engine.submit(late_request());
+  engine.drain();  // the answer has landed, past the deadline
+  expect_one_late_timeout(engine, ticket.wait());
+}
+
+TEST(Engine, DrainReturnsWithEveryOutcomeCountedOnce) {
+  EngineConfig config;
+  config.threads = 1;
+  config.queue_capacity = 4;
+  Engine engine(config);
+  const QueryKey hot = key_dk(2, 4, 1, RouterKind::Odr, QueryOp::Load);
+  ASSERT_TRUE(engine.run({hot}).ok);
+
+  // Everything below queues behind the parked worker.
+  std::vector<Engine::Ticket> tickets;
+  tickets.push_back(park_worker(engine));
+  // A coalesced fan-in of 40 waiters on one job.
+  for (int i = 0; i < 40; ++i) tickets.push_back(engine.submit({key_dk(2, 6)}));
+  // Late deadlines: a job whose only waiter expires in the queue (dropped
+  // at dequeue), and a waiter coalesced onto a patient request's job,
+  // which gives up in wait() before its answer lands.
+  Request expires_queued;
+  expires_queued.key = key_dk(2, 8);
+  expires_queued.deadline_ms = 5;
+  tickets.push_back(engine.submit(expires_queued));
+  tickets.push_back(engine.submit({key_dk(2, 10)}));
+  Request gives_up;
+  gives_up.key = key_dk(2, 10);
+  gives_up.deadline_ms = 5;
+  Engine::Ticket gives_up_ticket = engine.submit(gives_up);
+  // A t > k error fills the 4-deep queue, so try_submit overloads.
+  tickets.push_back(engine.submit({key_dk(2, 4, 99)}));
+  for (i32 k : {12, 14, 16}) tickets.push_back(engine.try_submit({key_dk(2, k)}));
+  // Expired at submit, and hits.
+  Request expired;
+  expired.key = hot;
+  expired.deadline_ms = 0;
+  for (int i = 0; i < 3; ++i) tickets.push_back(engine.submit(expired));
+  for (int i = 0; i < 5; ++i) tickets.push_back(engine.submit({hot}));
+  EXPECT_TRUE(gives_up_ticket.wait().timeout);
+
+  engine.drain();
+  const EngineStats s = engine.stats();
+  EXPECT_EQ(s.requests, s.completed + s.timeouts + s.errors);
+  EXPECT_EQ(s.requests, 57);
+  EXPECT_EQ(s.completed, 1 + 1 + 40 + 1 + 5);
+  EXPECT_EQ(s.timeouts, 1 + 1 + 3);
+  EXPECT_EQ(s.errors, 1 + 3);
+  EXPECT_EQ(s.cache_hits, 5);
+  EXPECT_EQ(s.coalesced, 39 + 1);
+  EXPECT_EQ(s.inflight, 0);
+
+  i64 ok = 0;
+  i64 timeouts = 0;
+  i64 overloads = 0;
+  for (auto& t : tickets) {
+    const Response r = t.wait();
+    ok += r.ok ? 1 : 0;
+    timeouts += r.timeout ? 1 : 0;
+    overloads += r.overload ? 1 : 0;
+  }
+  EXPECT_EQ(ok, s.completed - 1);  // less the first run()
+  EXPECT_EQ(timeouts, s.timeouts - 1);  // less gives_up
+  EXPECT_EQ(overloads, 3);
 }
 
 TEST(Engine, LruEvictionAppliesUnderTheEngine) {
@@ -491,7 +611,7 @@ TEST(Jsonl, ServeAnswersLineByLine) {
 std::string hit_line(Engine& engine, const QueryKey& key,
                      const obs::JsonValue& id) {
   StagedLine line;
-  line.id = id;
+  line.id = id.dump();
   line.ticket = engine.submit({key});
   return render_line(line);
 }
@@ -514,14 +634,14 @@ TEST(Jsonl, RenderLineSplicesTheIdBeforeTheStoredBody) {
              {RouterKind::Odr, RouterKind::Udr, RouterKind::Adaptive}) {
           keys.push_back(key_dk(d, k, t, r, QueryOp::Analyze));
           staged.emplace_back();
-          staged.back().id = ids[keys.size() % 3];
+          staged.back().id = ids[keys.size() % 3].dump();
           staged.back().ticket = engine.submit({keys.back()});
         }
   i64 errors = 0;
   for (std::size_t i = 0; i < keys.size(); ++i) {
     const Response response = engine.run({keys[i]});
     EXPECT_EQ(render_line(staged[i]),
-              response_to_json(staged[i].id, response).dump() + "\n")
+              response_to_json(ids[(i + 1) % 3], response).dump() + "\n")
         << keys[i].str();
     if (!response.ok) ++errors;
   }

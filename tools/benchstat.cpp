@@ -13,14 +13,6 @@
 //    "benchmarks": {"odr_loads/T8^3": {"mean_ns": ..., "min_ns": ...,
 //                                      "reps": N}, ...}}
 //
-// When perf_event hardware counters are readable (see
-// src/obs/perf_counters.h) each benchmark additionally carries
-// "instructions", "cycles", "ipc" and (when cache events exist)
-// "cache_miss_rate", aggregated over the timed reps on the calling
-// thread.  Machines without a PMU simply omit the fields — /2 baselines
-// stay diffable against /1 baselines either way, and the counter columns
-// appear in the diff only when both sides carry them.
-//
 // The results are diffed against the most recent prior BENCH_*.json found
 // in --dir (lexicographically latest name other than --out).  A benchmark
 // whose mean regressed by more than --threshold (default 10%) is flagged;
@@ -58,7 +50,6 @@
 #include "src/net/tcp_server.h"
 #include "src/obs/json.h"
 #include "src/obs/linkprobe.h"
-#include "src/obs/perf_counters.h"
 #include "src/obs/profiler.h"
 #include "src/obs/timer.h"
 #include "src/service/service.h"
@@ -72,18 +63,6 @@ struct BenchResult {
   double mean_ns = 0.0;
   i64 min_ns = 0;
   int reps = 0;
-  // Hardware counters over the timed reps (calling thread); present only
-  // when perf_event is readable on this machine.
-  bool has_counters = false;   ///< instructions + cycles were measured
-  i64 instructions = 0;
-  i64 cycles = 0;
-  double cache_miss_rate = -1.0;  ///< < 0 when cache events are missing
-
-  double ipc() const {
-    return cycles > 0 ? static_cast<double>(instructions) /
-                            static_cast<double>(cycles)
-                      : 0.0;
-  }
 };
 
 // Accumulates a value per run so the optimizer cannot delete the work.
@@ -93,10 +72,6 @@ BenchResult time_fn(const std::string& name, int reps,
                     const std::function<void()>& fn) {
   BenchResult r{name, 0.0, 0, reps};
   fn();  // warm-up rep, not timed
-  obs::PerfCounterSet counters;
-  i64 before[obs::kNumPerfCounters] = {0, 0, 0, 0, 0};
-  i64 after[obs::kNumPerfCounters] = {0, 0, 0, 0, 0};
-  const bool counting = counters.open() && counters.read(before);
   i64 total = 0;
   for (int i = 0; i < reps; ++i) {
     obs::Stopwatch watch;
@@ -105,25 +80,6 @@ BenchResult time_fn(const std::string& name, int reps,
     total += ns;
     r.min_ns = i == 0 ? ns : std::min(r.min_ns, ns);
   }
-  if (counting && counters.read(after)) {
-    if (counters.available(obs::kPerfInstructions)) {
-      r.has_counters = true;
-      r.instructions = after[obs::kPerfInstructions] -
-                       before[obs::kPerfInstructions];
-      r.cycles = after[obs::kPerfCycles] - before[obs::kPerfCycles];
-    }
-    if (counters.available(obs::kPerfCacheRefs) &&
-        counters.available(obs::kPerfCacheMisses)) {
-      const i64 refs =
-          after[obs::kPerfCacheRefs] - before[obs::kPerfCacheRefs];
-      const i64 misses =
-          after[obs::kPerfCacheMisses] - before[obs::kPerfCacheMisses];
-      if (refs > 0)
-        r.cache_miss_rate =
-            static_cast<double>(misses) / static_cast<double>(refs);
-    }
-  }
-  counters.close();
   r.mean_ns = static_cast<double>(total) / static_cast<double>(reps);
   return r;
 }
@@ -395,13 +351,6 @@ void write_json(const std::string& path,
     b.set("mean_ns", obs::JsonValue(r.mean_ns));
     b.set("min_ns", obs::JsonValue(r.min_ns));
     b.set("reps", obs::JsonValue(static_cast<i64>(r.reps)));
-    if (r.has_counters) {
-      b.set("instructions", obs::JsonValue(r.instructions));
-      b.set("cycles", obs::JsonValue(r.cycles));
-      b.set("ipc", obs::JsonValue(r.ipc()));
-    }
-    if (r.cache_miss_rate >= 0.0)
-      b.set("cache_miss_rate", obs::JsonValue(r.cache_miss_rate));
     benches.set(r.name, std::move(b));
   }
   obs::JsonValue root = obs::JsonValue::object();
@@ -482,77 +431,36 @@ int diff_against(const std::string& baseline_path,
   TP_REQUIRE(benches != nullptr && benches->is_object(),
              "baseline has no benchmarks object: " + baseline_path);
 
-  // Hardware-counter columns appear only when both sides carry the
-  // numbers for at least one benchmark — diffing a /2 file against a /1
-  // baseline (or a counter-less machine) keeps the plain wall-time table.
-  bool show_ipc = false;
-  bool show_miss = false;
-  for (const BenchResult& r : results) {
-    const obs::JsonValue* old_bench = benches->find(r.name);
-    if (old_bench == nullptr) continue;
-    if (r.has_counters && old_bench->find("ipc") != nullptr) show_ipc = true;
-    if (r.cache_miss_rate >= 0.0 &&
-        old_bench->find("cache_miss_rate") != nullptr)
-      show_miss = true;
-  }
-
   std::cout << "\ndiff vs " << baseline_path << " (threshold "
             << fmt(threshold * 100.0, 1) << "%):\n";
-  std::vector<std::string> header{"benchmark", "old mean", "new mean",
-                                  "delta", "status"};
-  if (show_ipc) {
-    header.push_back("old ipc");
-    header.push_back("new ipc");
-  }
-  if (show_miss) {
-    header.push_back("old miss%");
-    header.push_back("new miss%");
-  }
-  Table table(header);
+  Table table({"benchmark", "old mean", "new mean", "delta", "status"});
   int regressions = 0;
   for (const BenchResult& r : results) {
     const obs::JsonValue* old_bench = benches->find(r.name);
-    std::vector<std::string> row;
     if (old_bench == nullptr) {
-      row = {r.name, "-", fmt(r.mean_ns / 1e6, 3) + " ms", "-", "new"};
-    } else {
-      const obs::JsonValue* old_mean = old_bench->find("mean_ns");
-      TP_REQUIRE(old_mean != nullptr,
-                 "baseline benchmark missing mean_ns: " + r.name);
-      const double old_ns = old_mean->as_number();
-      const double delta = old_ns > 0.0 ? r.mean_ns / old_ns - 1.0 : 0.0;
-      const auto gate = gates.find(r.name);
-      const double limit = gate != gates.end() ? gate->second : threshold;
-      std::string status = "ok";
-      if (delta > limit) {
-        status = "REGRESSED";
-        ++regressions;
-      } else if (delta < -limit) {
-        status = "improved";
-      }
-      if (gate != gates.end() && status == "ok") status = "ok (gated)";
-      std::ostringstream delta_str;
-      delta_str << (delta >= 0 ? "+" : "") << fmt(delta * 100.0, 1) << "%";
-      row = {r.name, fmt(old_ns / 1e6, 3) + " ms",
-             fmt(r.mean_ns / 1e6, 3) + " ms", delta_str.str(), status};
+      table.add_row(
+          {r.name, "-", fmt(r.mean_ns / 1e6, 3) + " ms", "-", "new"});
+      continue;
     }
-    if (show_ipc) {
-      const obs::JsonValue* old_ipc =
-          old_bench != nullptr ? old_bench->find("ipc") : nullptr;
-      row.push_back(old_ipc != nullptr ? fmt(old_ipc->as_number(), 2) : "-");
-      row.push_back(r.has_counters ? fmt(r.ipc(), 2) : "-");
+    const obs::JsonValue* old_mean = old_bench->find("mean_ns");
+    TP_REQUIRE(old_mean != nullptr,
+               "baseline benchmark missing mean_ns: " + r.name);
+    const double old_ns = old_mean->as_number();
+    const double delta = old_ns > 0.0 ? r.mean_ns / old_ns - 1.0 : 0.0;
+    const auto gate = gates.find(r.name);
+    const double limit = gate != gates.end() ? gate->second : threshold;
+    std::string status = "ok";
+    if (delta > limit) {
+      status = "REGRESSED";
+      ++regressions;
+    } else if (delta < -limit) {
+      status = "improved";
     }
-    if (show_miss) {
-      const obs::JsonValue* old_miss =
-          old_bench != nullptr ? old_bench->find("cache_miss_rate") : nullptr;
-      row.push_back(old_miss != nullptr
-                        ? fmt(old_miss->as_number() * 100.0, 1)
-                        : "-");
-      row.push_back(r.cache_miss_rate >= 0.0
-                        ? fmt(r.cache_miss_rate * 100.0, 1)
-                        : "-");
-    }
-    table.add_row(row);
+    if (gate != gates.end() && status == "ok") status = "ok (gated)";
+    std::ostringstream delta_str;
+    delta_str << (delta >= 0 ? "+" : "") << fmt(delta * 100.0, 1) << "%";
+    table.add_row({r.name, fmt(old_ns / 1e6, 3) + " ms",
+                   fmt(r.mean_ns / 1e6, 3) + " ms", delta_str.str(), status});
   }
   table.print(std::cout);
   return regressions;
@@ -571,7 +479,6 @@ int check_parallel_cutover() {
   const Placement p = linear_placement(torus);
   obs::ProfilerConfig config;
   config.sampling = false;
-  config.counters = false;
   obs::profiler().reset();
   obs::profiler().start(config);
   g_sink += odr_orbit_loads(torus, p, TieBreak::PositiveOnly, 4).max_load();

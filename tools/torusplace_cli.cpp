@@ -460,14 +460,14 @@ int cmd_simulate(const Args& args) {
   // Phase spans: plan (design construction) -> route (path assignment)
   // -> sim (cycle-accurate execution).
   std::optional<obs::Scope> phase;
-  phase.emplace("plan");
+  phase.emplace(obs::PhaseName("plan"));
   Torus torus(d, k);
   const Placement p = multiple_linear_placement(torus, t);
   const auto router = make_router(kind);
   const EdgeSet faults = sample_wire_faults(torus, n_faults, seed);
   phase.reset();
 
-  phase.emplace("route");
+  phase.emplace(obs::PhaseName("route"));
   const auto traffic = complete_exchange_traffic(
       torus, p, *router, seed, n_faults > 0 ? &faults : nullptr);
   phase.reset();
@@ -478,7 +478,7 @@ int cmd_simulate(const Args& args) {
   config.flits_per_message = flits;
   config.probe = probe ? &*probe : nullptr;
   NetworkSim sim(torus, n_faults > 0 ? &faults : nullptr, config);
-  phase.emplace("sim");
+  phase.emplace(obs::PhaseName("sim"));
   const SimMetrics m = sim.run(traffic.messages);
   phase.reset();
 
@@ -571,7 +571,7 @@ int cmd_resilience(const Args& args) {
   config.horizon = args.get_int("horizon", 0);
 
   std::optional<obs::Scope> phase;
-  phase.emplace("plan");
+  phase.emplace(obs::PhaseName("plan"));
   Torus torus(d, k);
   const Placement p = multiple_linear_placement(torus, t);
   phase.reset();
@@ -602,7 +602,7 @@ int cmd_resilience(const Args& args) {
   i64 computed = 0;
 
   // Degradation curves: fault rate x router.
-  phase.emplace("sweep");
+  phase.emplace(obs::PhaseName("sweep"));
   std::vector<DegradationReport> all;
   Table table({"router", "fault rate", "delivered", "dropped",
                "delivered fraction", "makespan", "inflation",
@@ -674,7 +674,7 @@ int cmd_resilience(const Args& args) {
     const auto router = make_router(kind);
     const i32 threads =
         static_cast<i32>(args.get_int("threads", default_threads()));
-    phase.emplace("criticality");
+    phase.emplace(obs::PhaseName("criticality"));
     const auto ranking = wire_criticality(torus, p, *router, config, threads);
     phase.reset();
     std::cout << "\nmost critical wires under " << router->name()

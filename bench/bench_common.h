@@ -14,12 +14,12 @@
 // registry perturbs the timings by the recording cost; leave TP_OBS unset
 // for clean numbers.
 //
-// Profiling: TP_PROF=1 turns the in-process phase/sampling profiler on
-// for the whole run and prints the phase cost table after the timing
-// section; TP_PROF=<path> additionally writes collapsed stacks
-// (flamegraph input) to <path>.  Same caveat as TP_OBS: the phase
-// push/pop cost is inside the timed regions, so leave it unset for
-// numbers meant for benchstat gating.
+// Profiling: TP_PROF=1 turns the in-process phase profiler on for the
+// whole run and prints the phase cost table after the timing section;
+// TP_PROF=<path> additionally writes collapsed stacks (flamegraph input)
+// to <path>.  Same caveat as TP_OBS: the phase push/pop cost is inside
+// the timed regions, so leave it unset for numbers meant for benchstat
+// gating.
 
 #pragma once
 
@@ -58,8 +58,7 @@ inline void bench_banner(const char* experiment, const char* claim) {
 /// selects a collapsed-stack output file, reported by bench_obs_report).
 inline void bench_obs_init() {
   if (std::getenv("TP_OBS") != nullptr) obs::registry().set_enabled(true);
-  if (std::getenv("TP_PROF") != nullptr)
-    obs::profiler().start(obs::ProfilerConfig{});
+  if (std::getenv("TP_PROF") != nullptr) obs::profiler().start();
 }
 
 /// Prints the accumulated registry contents (and appends a JSON line to

@@ -11,6 +11,9 @@ namespace tp::net {
 
 namespace {
 
+/// Staged lines a connection may hold between its reader and writer.
+constexpr std::size_t kPipelineWindow = 64;
+
 std::vector<i64> request_count_bounds() {
   return {1, 4, 16, 64, 256, 1024, 4096};
 }
@@ -48,7 +51,6 @@ TcpServer::TcpServer(service::Engine& engine, TcpServerConfig config)
   TP_REQUIRE(config_.max_conns >= 1, "max_conns must be >= 1");
   TP_REQUIRE(config_.max_line_bytes >= 64,
              "max_line_bytes must be >= 64 (a minimal request is longer)");
-  TP_REQUIRE(config_.pipeline_window >= 1, "pipeline_window must be >= 1");
 }
 
 TcpServer::~TcpServer() {
@@ -285,7 +287,8 @@ bool TcpServer::process_line(Conn& conn, const LineBuffer::Line& line,
     const MutexLock lock(admin_mu_);
     if (parsed.doc.find("op")->as_string() == "metricsz")
       publish_stats_locked();
-    refused = !service::answer_admin(engine_, parsed, &quit);
+    refused =
+        !service::answer_admin(engine_, parsed, &quit, listener_status());
   }
   const bool drain_reject =
       parsed.kind == Kind::Query && draining_.load(std::memory_order_relaxed);
@@ -309,7 +312,7 @@ bool TcpServer::push_slot(Conn& conn, service::StagedLine slot) {
     MutexLock lock(conn.mu);
     // Per-connection backpressure: a full window blocks the reader (and
     // therefore stops consuming the socket) until the writer catches up.
-    while (conn.slots.size() >= config_.pipeline_window && !conn.write_failed)
+    while (conn.slots.size() >= kPipelineWindow && !conn.write_failed)
       conn.slots_nonfull.wait(lock);
     if (conn.write_failed) return false;
     conn.slots.push_back(std::move(slot));

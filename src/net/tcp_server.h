@@ -57,7 +57,6 @@ struct TcpServerConfig {
   u16 port = 0;                 ///< 0 = ephemeral (see TcpServer::port())
   i64 max_conns = 64;           ///< accepted beyond this are rejected
   std::size_t max_line_bytes = 1 << 20;  ///< request-line guard
-  std::size_t pipeline_window = 64;  ///< per-connection reader->writer slots
 };
 
 /// Exact point-in-time server counters (see publish_stats for the
@@ -113,8 +112,8 @@ class TcpServer {
 
   TcpServerStats stats() const TP_EXCLUDES(stats_mu_);
 
-  /// Listener block for statusz (install via
-  /// service::set_listener_status_provider; safe from any thread).
+  /// The listener block of the statusz answers this server gives (safe
+  /// from any thread).
   service::ListenerStatus listener_status() const TP_EXCLUDES(stats_mu_);
 
   /// Publishes counters/gauges/histograms into the global obs registry as

@@ -3,7 +3,7 @@
 //   MetricsRegistry   named counters / gauges / histograms (registry.h)
 //   Stopwatch         steady_clock timing                  (timer.h)
 //   Tracer            Chrome-trace phase spans + counters  (trace.h)
-//   Profiler          phase attribution + SIGPROF sampling (profiler.h)
+//   Profiler          exact per-path phase times           (profiler.h)
 //   LinkProbe         per-directed-link accumulators       (linkprobe.h)
 //   TimeSeries        bounded windowed time series         (timeseries.h)
 //   RollingHistogram  sliding-window latency histograms    (timeseries.h)

@@ -20,12 +20,8 @@
 // paths — though not nanoseconds, which genuinely differ — identical
 // across thread counts.
 //
-// Async-signal-safety: the SIGPROF sampling handler (profiler.cpp) runs
-// on the interrupted thread itself and only reads the frame the push
-// already completed: pushes publish the frame's slot index before the
-// release-store of depth, pops retract depth before touching the frame,
-// and sample counts land in atomics.  Nothing here takes a lock or
-// allocates on the push/pop path after thread registration.
+// Nothing here takes a lock or allocates on the push/pop path after
+// thread registration.
 //
 // Cost when disabled: one relaxed atomic load and a predicted branch per
 // scope (same pattern as the null LinkProbe) — verified by the benchstat
@@ -54,21 +50,13 @@ constexpr i32 kMaxPathLen = 2 * kMaxPhaseDepth;
 /// Per-thread path table size (power of two) and probe bound.
 constexpr u32 kPhaseTableSlots = 512;
 constexpr u32 kPhaseProbeLimit = 64;
-/// Per-thread SIGPROF sample ring capacity (power of two).
-constexpr u32 kSampleRingSlots = 8192;
 constexpr u32 kNoSlot = 0xffffffffu;
 
-/// Profiling mode bits in g_modes.
-constexpr u32 kPhaseBit = 1u;   ///< phase attribution (push/pop active)
-constexpr u32 kSampleBit = 2u;  ///< SIGPROF sampling
+/// True while the profiler runs (push/pop active); set by Profiler::start
+/// and cleared by Profiler::stop.
+inline std::atomic<bool> g_phases_on{false};
 
-inline std::atomic<u32> g_modes{0};
-/// Bumped by every Profiler::start so threads re-arm their samplers.
-inline std::atomic<u64> g_sample_epoch{0};
-
-inline bool phases_on() {
-  return (g_modes.load(std::memory_order_relaxed) & kPhaseBit) != 0;
-}
+inline bool phases_on() { return g_phases_on.load(std::memory_order_relaxed); }
 
 /// Compile-time FNV-1a over a string literal (path tags hash by content,
 /// so the same name from different translation units merges).
@@ -92,9 +80,7 @@ constexpr u64 mix_hash(u64 parent, u64 tag) {
 /// One accumulated row: a unique phase path observed on this thread.
 /// Scalar fields are written by the owning thread only; they are atomics
 /// so the report thread may read them concurrently (single-writer
-/// non-RMW stores — no lock prefix on the hot path).  `samples` is the
-/// exception: the SIGPROF handler increments it, but the handler runs on
-/// the owning thread, so it is still single-writer.
+/// non-RMW stores — no lock prefix on the hot path).
 struct PhaseSlot {
   std::atomic<bool> used{false};  ///< release-set after tags are written
   u64 hash = 0;
@@ -103,7 +89,6 @@ struct PhaseSlot {
   std::atomic<i64> calls{0};
   std::atomic<i64> total_ns{0};
   std::atomic<i64> self_ns{0};
-  std::atomic<i64> samples{0};
 };
 
 /// One live stack entry.
@@ -119,10 +104,8 @@ struct Frame {
 /// by both the thread (thread_local handle) and the global state registry
 /// (profiler.cpp), so tables survive thread exit until the next reset.
 struct ThreadState {
-  // Live stack.  depth is stored release after the frame is complete and
-  // retracted before a popped frame is reused, so the SIGPROF handler
-  // (same thread) always sees a consistent prefix.
-  std::atomic<i32> depth{0};
+  // Live stack, touched by the owning thread only.
+  i32 depth = 0;
   i32 skip = 0;  ///< pushes dropped past kMaxPhaseDepth (pop unwinds)
   Frame frames[kMaxPhaseDepth];
 
@@ -131,33 +114,12 @@ struct ThreadState {
   i32 base_depth = 0;
   u64 base_hash = kHashSeed;
   const char* base_tags[kMaxPhaseDepth] = {};
-  u32 base_slot = kNoSlot;  ///< slot for the base path itself (samples
-                            ///< landing between frames attribute here)
-  u32 idle_slot = kNoSlot;  ///< "(unattributed)" slot, set when sampling
 
   PhaseSlot slots[kPhaseTableSlots];
   i64 dropped_paths = 0;
   i64 depth_overflow = 0;
-
-  // SIGPROF sample ring: the handler produces, the report thread
-  // consumes.  Indices are free-running; slot kNoSlot entries never
-  // enqueue.
-  struct Sample {
-    i64 ts_ns;
-    u32 slot;
-  };
-  Sample ring[kSampleRingSlots];
-  std::atomic<u32> ring_head{0};
-  std::atomic<u32> ring_tail{0};
-  std::atomic<i64> dropped_samples{0};
-
-  // Sampler, owned by this thread.
-  u64 sample_epoch = 0;  ///< last g_sample_epoch this thread armed for
-  bool timer_armed = false;
-  void* timer = nullptr;  ///< timer_t, opaque here (POSIX types stay out
-                          ///< of this header)
-  i64 tid = 0;            ///< dense id for trace sample lanes
-  std::atomic<bool> alive{true};
+  bool alive = true;  ///< cleared at thread exit; guarded by the
+                      ///< profiler's mutex
 };
 
 namespace detail {
@@ -170,11 +132,8 @@ inline thread_local ThreadState* t_state = nullptr;
 ThreadState& register_thread();
 
 /// Thread-exit cleanup (called by the thread_local handle's destructor):
-/// disarms the sampler; the table stays registered for later reports.
+/// marks the state dead; the table stays registered for later reports.
 void unregister_thread(ThreadState& st);
-
-/// Lazily arms this thread's SIGPROF sampler for the current epoch.
-void arm_sampler(ThreadState& st);
 
 inline ThreadState& state() {
   ThreadState* st = detail::t_state;
@@ -201,7 +160,7 @@ inline u32 find_or_insert(ThreadState& st, u64 hash, i32 frame_depth,
       s.tags[n++] = st.base_tags[i];
     for (i32 i = 0; i < frame_depth && n < kMaxPathLen; ++i)
       s.tags[n++] = st.frames[i].tag;
-    if (tag != nullptr && n < kMaxPathLen) s.tags[n++] = tag;
+    if (n < kMaxPathLen) s.tags[n++] = tag;
     s.path_len = n;
     s.used.store(true, std::memory_order_release);
     return idx;
@@ -220,10 +179,7 @@ inline void slot_add(std::atomic<i64>& a, i64 v) {
 /// so pops stay balanced even if the profiler stops mid-scope).
 inline bool phase_push(const char* tag, u64 tag_hash) {
   ThreadState& st = state();
-  if ((g_modes.load(std::memory_order_relaxed) & kSampleBit) != 0 &&
-      st.sample_epoch != g_sample_epoch.load(std::memory_order_relaxed))
-    arm_sampler(st);
-  const i32 d = st.depth.load(std::memory_order_relaxed);
+  const i32 d = st.depth;
   if (st.skip > 0 || d >= kMaxPhaseDepth) {
     ++st.skip;
     ++st.depth_overflow;
@@ -236,23 +192,23 @@ inline bool phase_push(const char* tag, u64 tag_hash) {
   f.slot = find_or_insert(st, f.hash, d, tag);
   f.child_ns = 0;
   f.start_ns = Stopwatch::now_ns();
-  st.depth.store(d + 1, std::memory_order_release);
+  st.depth = d + 1;
   return true;
 }
 
-/// Pops the current phase and accumulates into its slot.  Runs regardless
-/// of the mode bits so stacks stay balanced across enable/disable.
+/// Pops the current phase and accumulates into its slot.  Runs whether or
+/// not the profiler is on, so stacks stay balanced across start/stop.
 inline void phase_pop() {
   ThreadState& st = state();
   if (st.skip > 0) {
     --st.skip;
     return;
   }
-  const i32 d = st.depth.load(std::memory_order_relaxed) - 1;
+  const i32 d = st.depth - 1;
   if (d < 0) return;
   const i64 end_ns = Stopwatch::now_ns();
   Frame& f = st.frames[d];
-  st.depth.store(d, std::memory_order_release);
+  st.depth = d;
   const i64 elapsed = end_ns - f.start_ns;
   i64 self = elapsed - f.child_ns;
   if (self < 0) self = 0;

@@ -56,15 +56,6 @@ void Tracer::complete(std::string_view name, i64 dur_ns,
   push(name, cat, 'X', 0, dur_ns < 0 ? 0 : dur_ns);
 }
 
-void Tracer::sample(std::string_view name, i64 ts_abs_ns, i64 tid,
-                    std::string_view cat) {
-  if (!enabled_) return;
-  const i64 ts = ts_abs_ns - epoch_ns_;
-  const MutexLock lock(mu_);
-  events_.push_back(
-      TraceEvent{std::string(name), std::string(cat), 'i', ts, tid, 0, 0});
-}
-
 std::vector<TraceEvent> Tracer::events() const {
   const MutexLock lock(mu_);
   return events_;

@@ -61,13 +61,6 @@ class Tracer {
   void counter(std::string_view name, i64 value,
                std::string_view cat = "counter");
 
-  /// An instant event at an explicit time and lane: `ts_abs_ns` is an
-  /// absolute Stopwatch::now_ns() reading (converted to the tracer's
-  /// epoch here) and `tid` picks the lane.  The profiler uses this to
-  /// emit SIGPROF samples recorded earlier than the export.
-  void sample(std::string_view name, i64 ts_abs_ns, i64 tid,
-              std::string_view cat = "sample");
-
   /// Copy of the recorded buffer (thread-safe).
   std::vector<TraceEvent> events() const TP_EXCLUDES(mu_);
 

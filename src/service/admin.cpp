@@ -1,6 +1,5 @@
 #include "src/service/admin.h"
 
-#include <functional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -18,21 +17,6 @@ namespace {
 
 constexpr const char* kAdminOps[] = {"statusz", "metricsz", "cachez", "slowz",
                                      "quitz"};
-
-// Listener provider (set_listener_status_provider).  A plain guarded
-// global: statusz is answered from front-end threads while the TCP
-// server installs/clears the provider around its lifetime.
-Mutex g_listener_mu;
-std::function<ListenerStatus()> g_listener_fn TP_GUARDED_BY(g_listener_mu);
-
-ListenerStatus current_listener_status() {
-  std::function<ListenerStatus()> fn;
-  {
-    const MutexLock lock(g_listener_mu);
-    fn = g_listener_fn;
-  }
-  return fn ? fn() : ListenerStatus{};
-}
 
 bool is_admin_name(const std::string& op) {
   for (const char* name : kAdminOps)
@@ -97,8 +81,7 @@ obs::JsonValue snapshot_to_json(Engine& engine) {
 /// Listener state for statusz.  Always present (the golden pins member
 /// order); "configured": false with state "none" when no network
 /// front-end is running (stdio/batch).
-obs::JsonValue listener_to_json() {
-  const ListenerStatus listener = current_listener_status();
+obs::JsonValue listener_to_json(const ListenerStatus& listener) {
   obs::JsonValue out = obs::JsonValue::object();
   out.set("configured", obs::JsonValue(listener.configured));
   out.set("address", obs::JsonValue(listener.address));
@@ -111,7 +94,8 @@ obs::JsonValue listener_to_json() {
   return out;
 }
 
-obs::JsonValue statusz(Engine& engine, const obs::JsonValue& id) {
+obs::JsonValue statusz(Engine& engine, const obs::JsonValue& id,
+                       const ListenerStatus& listener) {
   const BuildInfo& build = build_info();
   const EngineStats stats = engine.stats();
   const ServiceRates rates = engine.rates();
@@ -155,7 +139,7 @@ obs::JsonValue statusz(Engine& engine, const obs::JsonValue& id) {
   totals.set("errors", obs::JsonValue(stats.errors));
   out.set("totals", std::move(totals));
   out.set("snapshot", snapshot_to_json(engine));
-  out.set("listener", listener_to_json());
+  out.set("listener", listener_to_json(listener));
   // Present only while the in-process profiler is on, so default statusz
   // output (and its golden member-order test) is byte-identical to a
   // build without profiling.
@@ -231,11 +215,6 @@ obs::JsonValue slowz(Engine& engine, const obs::JsonValue& id) {
 
 }  // namespace
 
-void set_listener_status_provider(std::function<ListenerStatus()> provider) {
-  const MutexLock lock(g_listener_mu);
-  g_listener_fn = std::move(provider);
-}
-
 bool is_admin_op(const obs::JsonValue& doc) {
   if (!doc.is_object()) return false;
   const obs::JsonValue* op = doc.find("op");
@@ -243,10 +222,11 @@ bool is_admin_op(const obs::JsonValue& doc) {
 }
 
 obs::JsonValue handle_admin(Engine& engine, const obs::JsonValue& doc,
-                            const obs::JsonValue& id, bool* quit) {
+                            const obs::JsonValue& id, bool* quit,
+                            const ListenerStatus& listener) {
   const std::string& op = doc.find("op")->as_string();
   check_members(doc, op);
-  if (op == "statusz") return statusz(engine, id);
+  if (op == "statusz") return statusz(engine, id, listener);
   if (op == "metricsz") return metricsz(engine, doc, id);
   if (op == "cachez") return cachez(engine, id);
   if (op == "slowz") return slowz(engine, id);

@@ -23,7 +23,6 @@
 
 #pragma once
 
-#include <functional>
 #include <string>
 
 #include "src/obs/json.h"
@@ -32,9 +31,10 @@
 namespace tp::service {
 
 /// Network listener state surfaced by statusz.  The TCP server
-/// (src/net/tcp_server.h) installs a provider; the default (no provider)
-/// renders {"configured": false, "state": "none"} so the statusz member
-/// order is transport-independent, matching the snapshot-state precedent.
+/// (src/net/tcp_server.h) passes its own with every admin line it
+/// answers; the default renders {"configured": false, "state": "none"}, so
+/// the statusz member order is transport-independent, matching the
+/// snapshot-state precedent.
 struct ListenerStatus {
   bool configured = false;
   std::string address;
@@ -45,11 +45,6 @@ struct ListenerStatus {
   i64 rejected = 0;
 };
 
-/// Installs (or, with an empty function, clears) the statusz listener
-/// provider.  Thread-safe; the provider must itself be safe to call from
-/// any front-end thread and must outlive its installation.
-void set_listener_status_provider(std::function<ListenerStatus()> provider);
-
 /// True when `doc` is a request for one of the admin ops above (an object
 /// whose "op" member is one of the admin names).  Malformed documents are
 /// not admin requests — they fall through to normal request parsing and
@@ -57,10 +52,12 @@ void set_listener_status_provider(std::function<ListenerStatus()> provider);
 bool is_admin_op(const obs::JsonValue& doc);
 
 /// Answers one admin request.  `id` is echoed back (same contract as
-/// query responses).  Sets *quit when the op asks the front-end to stop
-/// reading (quitz).  Throws tp::Error on unknown members or a bad
+/// query responses); `listener` is the state of the front-end answering
+/// it, reported by statusz.  Sets *quit when the op asks the front-end to
+/// stop reading (quitz).  Throws tp::Error on unknown members or a bad
 /// "format", so typos fail loudly like query requests do.
 obs::JsonValue handle_admin(Engine& engine, const obs::JsonValue& doc,
-                            const obs::JsonValue& id, bool* quit);
+                            const obs::JsonValue& id, bool* quit,
+                            const ListenerStatus& listener = {});
 
 }  // namespace tp::service

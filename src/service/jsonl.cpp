@@ -247,11 +247,12 @@ ParsedLine parse_line(std::string_view line, i64 line_no) {
   return out;
 }
 
-bool answer_admin(Engine& engine, ParsedLine& parsed, bool* quit) {
+bool answer_admin(Engine& engine, ParsedLine& parsed, bool* quit,
+                  const ListenerStatus& listener) {
   try {
     parsed.staged.reply =
         handle_admin(engine, parsed.doc, echo_id(parsed.doc, parsed.line_no),
-                     quit)
+                     quit, listener)
             .dump();
     return true;
   } catch (const Error& e) {

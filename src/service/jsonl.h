@@ -62,6 +62,7 @@
 #include <string_view>
 
 #include "src/obs/json.h"
+#include "src/service/admin.h"
 #include "src/service/engine.h"
 
 namespace tp::service {
@@ -126,10 +127,12 @@ struct ParsedLine {
 /// still echoes the line's "id" when it has one.
 ParsedLine parse_line(std::string_view line, i64 line_no);
 
-/// Answers an Admin line into parsed.staged.reply.  An admin request with
-/// an unknown field or a bad "format" is refused instead, and the call
-/// returns false.  Sets *quit on quitz.
-bool answer_admin(Engine& engine, ParsedLine& parsed, bool* quit);
+/// Answers an Admin line into parsed.staged.reply; statusz reports
+/// `listener` (handle_admin).  An admin request with an unknown field or a
+/// bad "format" is refused instead, and the call returns false.  Sets
+/// *quit on quitz.
+bool answer_admin(Engine& engine, ParsedLine& parsed, bool* quit,
+                  const ListenerStatus& listener = {});
 
 /// Reads every request line from `in`, submits them all to the engine
 /// (identical keys coalesce / hit the cache), and writes one response

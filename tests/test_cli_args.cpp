@@ -40,6 +40,19 @@ TEST(CliArgs, RejectsUnknownOptions) {
                Error);
 }
 
+TEST(CliArgs, TrailingUnknownOptionIsUnknownNotMissingAValue) {
+  // The name is checked before a value is looked for: a typo as the last
+  // token must not read as a known option missing its value.
+  std::vector<std::string> storage{"prog", "cmd", "--d", "3", "--bogus"};
+  auto argv = argv_of(storage);
+  try {
+    Args(static_cast<int>(argv.size()), argv.data(), 2, {"d"});
+    FAIL() << "expected a UsageError";
+  } catch (const UsageError& e) {
+    EXPECT_STREQ(e.what(), "unknown option --bogus");
+  }
+}
+
 TEST(CliArgs, RejectsMissingValue) {
   std::vector<std::string> storage{"prog", "cmd", "--d"};
   auto argv = argv_of(storage);

@@ -78,16 +78,6 @@ void wait_for(const std::function<bool()>& pred) {
   ASSERT_TRUE(pred());
 }
 
-/// Installs the server as the statusz listener provider for one test and
-/// guarantees the global is cleared again (it outlives the server).
-struct ListenerProviderGuard {
-  explicit ListenerProviderGuard(TcpServer& server) {
-    service::set_listener_status_provider(
-        [&server] { return server.listener_status(); });
-  }
-  ~ListenerProviderGuard() { service::set_listener_status_provider({}); }
-};
-
 // ------------------------------------------------------------- LineBuffer
 
 TEST(LineBuffer, ReassemblesLinesAcrossChunks) {
@@ -450,7 +440,6 @@ TEST(TcpServer, StatuszReportsListenerState) {
   Engine engine(EngineConfig{});
   TcpServer server(engine, TcpServerConfig{});
   server.start();
-  const ListenerProviderGuard guard(server);
 
   Client client(server.port());
   client.send("{\"id\":\"s\",\"op\":\"statusz\"}\n");
@@ -464,6 +453,39 @@ TEST(TcpServer, StatuszReportsListenerState) {
   EXPECT_EQ(listener->find("state")->as_string(), "accepting");
   EXPECT_EQ(listener->find("open_connections")->as_int(), 1);
   EXPECT_EQ(listener->find("accepted")->as_int(), 1);
+}
+
+TEST(TcpServer, StatuszListenerComesFromTheServerThatAnswers) {
+  // Nothing is installed anywhere: each server reports itself.  Two
+  // servers over one engine, so the engine cannot be what tells them
+  // apart, and the stdio path over the same engine stays unconfigured.
+  Engine engine(EngineConfig{});
+  TcpServer first(engine, TcpServerConfig{});
+  TcpServer second(engine, TcpServerConfig{});
+  first.start();
+  second.start();
+
+  for (TcpServer* server : {&first, &second}) {
+    Client client(server->port());
+    client.send("{\"id\":\"s\",\"op\":\"statusz\"}\n");
+    auto line = client.read_line();
+    ASSERT_TRUE(line.has_value());
+    const obs::JsonValue doc = obs::parse_json(*line);
+    const obs::JsonValue* listener = doc.find("listener");
+    ASSERT_NE(listener, nullptr);
+    EXPECT_TRUE(listener->find("configured")->as_bool());
+    EXPECT_EQ(listener->find("address")->as_string(), server->address());
+    EXPECT_EQ(listener->find("state")->as_string(), "accepting");
+  }
+
+  std::istringstream in("{\"id\":\"s\",\"op\":\"statusz\"}\n");
+  std::ostringstream out;
+  service::run_batch(engine, in, out);
+  const obs::JsonValue doc = obs::parse_json(out.str());
+  const obs::JsonValue* listener = doc.find("listener");
+  ASSERT_NE(listener, nullptr);
+  EXPECT_FALSE(listener->find("configured")->as_bool());
+  EXPECT_EQ(listener->find("state")->as_string(), "none");
 }
 
 TEST(TcpServer, PublishesCountersIntoRegistry) {

@@ -135,10 +135,8 @@ TEST(ParallelLoads, PairsEvaluatedExactUnderThreads) {
 
 /// Threads that recorded a profiler phase during one width-4 ODR call.
 i32 odr_phase_threads(const Torus& t, const Placement& p) {
-  obs::ProfilerConfig config;
-  config.sampling = false;
   obs::profiler().reset();
-  obs::profiler().start(config);
+  obs::profiler().start();
   odr_orbit_loads(t, p, TieBreak::PositiveOnly, 4);
   obs::profiler().stop();
   const i32 threads = obs::profiler().report().threads;

@@ -1,7 +1,8 @@
 // Tests for the in-process profiler (src/obs/phase_stack.h + profiler.h):
 // phase attribution, thread-count invariance of paths/calls (the
-// parallel_for adoption hooks and the engine pool), the SIGPROF sampler's
-// lifecycle, and the collapsed-stack and table output formats.
+// parallel_for adoption hooks and the engine pool), a start/stop cycle
+// that leaves signal dispositions alone, and the collapsed-stack, table
+// and statusz output formats.
 //
 // The profiler is process-global; every test that starts it stops and
 // resets it before returning so later tests (and the disabled-mode test)
@@ -10,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <cctype>
+#include <csignal>
 #include <map>
 #include <sstream>
 #include <string>
@@ -27,12 +29,6 @@ namespace tp {
 namespace {
 
 double g_sink = 0.0;
-
-obs::ProfilerConfig phase_only() {
-  obs::ProfilerConfig config;
-  config.sampling = false;
-  return config;
-}
 
 /// path -> calls for every row of a report.
 std::map<std::vector<std::string>, i64> calls_by_path(
@@ -59,7 +55,32 @@ TEST(ProfilerDisabled, PhasesAreNoOps) {
   g_sink += odr_loads(torus, linear_placement(torus)).max_load();
   const obs::PhaseReport report = obs::profiler().report();
   EXPECT_TRUE(report.rows.empty());
-  EXPECT_EQ(report.total_samples, 0);
+}
+
+// --- lifecycle ------------------------------------------------------------
+
+TEST(Profiler, StartInstallsNoSignalHandler) {
+  // The profiler times phase boundaries and nothing else: a start/stop
+  // cycle leaves the SIGPROF disposition as it found it.
+  const auto disposition = [] {
+    struct sigaction sa {};
+    sigaction(SIGPROF, nullptr, &sa);
+    return sa;
+  };
+  const struct sigaction before = disposition();
+  obs::profiler().start();
+  {
+    TP_PROF_PHASE("lifecycle.spin");
+    spin_ns(1'000'000);
+  }
+  const struct sigaction during = disposition();
+  obs::profiler().stop();
+  obs::profiler().reset();
+  const struct sigaction after = disposition();
+  EXPECT_TRUE(during.sa_handler == before.sa_handler);
+  EXPECT_EQ(during.sa_flags, before.sa_flags);
+  EXPECT_TRUE(after.sa_handler == before.sa_handler);
+  EXPECT_EQ(after.sa_flags, before.sa_flags);
 }
 
 // --- one Scope, three sinks -----------------------------------------------
@@ -69,7 +90,7 @@ TEST(ScopeSinks, ObsScopeReachesAllThreeAndProfPhaseOnlyTheProfiler) {
   obs::registry().set_enabled(true);
   obs::tracer().clear();
   obs::tracer().set_enabled(true);
-  obs::profiler().start(phase_only());
+  obs::profiler().start();
   {
     TP_OBS_SCOPE("a");
     TP_PROF_PHASE("b");
@@ -133,7 +154,7 @@ TEST(PhaseAttribution, OdrLoadsBreaksDownIntoRouteAndWalk) {
   for (const auto& [p, routed] :
        {std::pair<Placement, i64>{random, random.size()},
         std::pair<Placement, i64>{linear_placement(torus), 1}}) {
-    obs::profiler().start(phase_only());
+    obs::profiler().start();
     g_sink += odr_loads(torus, p).max_load();
     obs::profiler().stop();
     const obs::PhaseReport report = obs::profiler().report();
@@ -166,7 +187,7 @@ TEST(PhaseAttribution, OdrLoadsBreaksDownIntoRouteAndWalk) {
 }
 
 TEST(PhaseAttribution, NestedSelfTimeExcludesChildren) {
-  obs::profiler().start(phase_only());
+  obs::profiler().start();
   {
     TP_PROF_PHASE("parent");
     spin_ns(2'000'000);
@@ -197,7 +218,7 @@ TEST(PhaseAttribution, NestedSelfTimeExcludesChildren) {
 
 TEST(PhaseInvariance, ParallelForWorkersAdoptCallerPath) {
   const auto run = [](i32 threads) {
-    obs::profiler().start(phase_only());
+    obs::profiler().start();
     {
       TP_PROF_PHASE("outer");
       // One sum per worker, combined after the join: workers must not
@@ -234,7 +255,7 @@ TEST(PhaseInvariance, ParallelForWorkersAdoptCallerPath) {
 
 TEST(PhaseInvariance, EnginePoolWidthDoesNotChangeAttribution) {
   const auto run = [](i32 threads) {
-    obs::profiler().start(phase_only());
+    obs::profiler().start();
     {
       service::EngineConfig config;
       config.threads = threads;
@@ -261,58 +282,11 @@ TEST(PhaseInvariance, EnginePoolWidthDoesNotChangeAttribution) {
   EXPECT_EQ(b.at(compute), 3);  // one per distinct key
 }
 
-// --- sampler ---------------------------------------------------------------
-
-TEST(Sampler, StartSampleStopIsCleanAndAttributes) {
-  obs::ProfilerConfig config;
-  config.sampling = true;
-  config.sample_interval_us = 500;
-  obs::profiler().start(config);
-  ASSERT_TRUE(obs::profiler().sampling_enabled());
-
-  obs::PhaseReport report;
-  // CPU-time sampling: spin until samples arrive (bounded by 2 s of
-  // wall — far beyond what ~ms of busy CPU at a 500 µs period needs).
-  const obs::Stopwatch deadline;
-  do {
-    TP_PROF_PHASE("sampled.spin");
-    spin_ns(20'000'000);
-    report = obs::profiler().report();
-  } while (report.total_samples == 0 &&
-           deadline.elapsed_ns() < 2'000'000'000);
-  obs::profiler().stop();
-  report = obs::profiler().report();
-  obs::profiler().reset();
-
-  EXPECT_TRUE(report.sampling);
-  EXPECT_GT(report.total_samples, 0);
-  i64 attributed = 0;
-  for (const obs::PhaseRow& row : report.rows)
-    if (!row.path.empty() && row.path.back() == "sampled.spin")
-      attributed += row.samples;
-  EXPECT_GT(attributed, 0);
-}
-
-TEST(Sampler, RestartAfterStopRearms) {
-  for (int round = 0; round < 2; ++round) {
-    obs::ProfilerConfig config;
-    config.sample_interval_us = 500;
-    obs::profiler().start(config);
-    {
-      TP_PROF_PHASE("rearm.spin");
-      spin_ns(5'000'000);
-    }
-    obs::profiler().stop();
-    obs::profiler().reset();
-  }
-  EXPECT_FALSE(obs::profiler().enabled());
-}
-
 // --- outputs ---------------------------------------------------------------
 
 TEST(Output, CollapsedStacksAreWellFormed) {
   Torus torus(2, 6);
-  obs::profiler().start(phase_only());
+  obs::profiler().start();
   g_sink += odr_loads(torus, linear_placement(torus)).max_load();
   obs::profiler().stop();
   const obs::PhaseReport report = obs::profiler().report();
@@ -343,7 +317,7 @@ TEST(Output, CollapsedStacksAreWellFormed) {
 
 TEST(Output, PhaseTableAndJsonCarryTheBreakdown) {
   Torus torus(2, 6);
-  obs::profiler().start(phase_only());
+  obs::profiler().start();
   g_sink += odr_loads(torus, linear_placement(torus)).max_load();
   obs::profiler().stop();
   const obs::PhaseReport report = obs::profiler().report();
@@ -353,11 +327,15 @@ TEST(Output, PhaseTableAndJsonCarryTheBreakdown) {
   EXPECT_NE(table.find("load.odr"), std::string::npos);
   EXPECT_NE(table.find("odr.route"), std::string::npos);
   EXPECT_NE(table.find("coverage"), std::string::npos);
+  // Exact times only: no samples column in the header, none in the footer.
+  const std::string header = table.substr(0, table.find('\n'));
+  EXPECT_EQ(header.find("samples"), std::string::npos) << header;
+  EXPECT_EQ(table.find("samples"), std::string::npos) << table;
 }
 
 TEST(Output, CoverageIsHighForARootWrappedWorkload) {
   Torus torus(3, 8);
-  obs::profiler().start(phase_only());
+  obs::profiler().start();
   // Pay the one-time thread registration (ThreadState allocation) before
   // the measured epoch, then restart the wall clock: real workloads
   // amortize it over milliseconds, this test runs for far less.
@@ -383,12 +361,15 @@ TEST(Output, StatuszExposesProfilerOnlyWhileEnabled) {
   const obs::JsonValue off = service::handle_admin(engine, doc, id, &quit);
   EXPECT_EQ(off.find("profiler"), nullptr);
 
-  obs::profiler().start(phase_only());
+  obs::profiler().start();
   const obs::JsonValue on = service::handle_admin(engine, doc, id, &quit);
   obs::profiler().stop();
   obs::profiler().reset();
   const obs::JsonValue* prof = on.find("profiler");
   ASSERT_NE(prof, nullptr);
+  std::vector<std::string> members;
+  for (const auto& [key, value] : prof->members()) members.push_back(key);
+  EXPECT_EQ(members, (std::vector<std::string>{"enabled", "paths"}));
   const obs::JsonValue* enabled = prof->find("enabled");
   ASSERT_NE(enabled, nullptr);
   EXPECT_TRUE(enabled->as_bool());

@@ -477,10 +477,8 @@ int diff_against(const std::string& baseline_path,
 int check_parallel_cutover() {
   Torus torus(3, 8);
   const Placement p = linear_placement(torus);
-  obs::ProfilerConfig config;
-  config.sampling = false;
   obs::profiler().reset();
-  obs::profiler().start(config);
+  obs::profiler().start();
   g_sink += odr_orbit_loads(torus, p, TieBreak::PositiveOnly, 4).max_load();
   obs::profiler().stop();
   const i32 threads = obs::profiler().report().threads;

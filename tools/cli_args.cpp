@@ -31,14 +31,17 @@ Args::Args(int argc, char** argv, int first, std::set<std::string> known,
     if (eq != std::string::npos) {
       value = arg.substr(eq + 1);
       arg = arg.substr(0, eq);
-    } else if (flags.find(arg) == flags.end()) {
-      if (i + 1 < argc)
-        value = argv[++i];
-      else
-        throw UsageError("option --" + arg + " needs a value");
     }
-    if (known.find(arg) == known.end() && flags.find(arg) == flags.end())
+    // The name is checked before any value is taken, so a trailing typo
+    // reads as unknown rather than as missing its value.
+    const bool flag = flags.count(arg) > 0;
+    if (!flag && known.count(arg) == 0)
       throw UsageError("unknown option --" + arg);
+    if (eq == std::string::npos && !flag) {
+      if (i + 1 >= argc)
+        throw UsageError("option --" + arg + " needs a value");
+      value = argv[++i];
+    }
     options_[arg] = value;
   }
 }

@@ -934,8 +934,6 @@ int cmd_serve(const Args& args) {
       static_cast<std::size_t>(args.get_int("max-line-bytes", 1 << 20));
   net::TcpServer server(engine, server_config);
   server.start();
-  service::set_listener_status_provider(
-      [&server] { return server.listener_status(); });
   g_drain_fd.store(server.drain_wakeup_fd());
   install_shutdown_handlers();
   std::cerr << "serve: listening on " << server.address() << "\n";
@@ -956,10 +954,6 @@ int cmd_serve(const Args& args) {
             << net_stats.responses << " response(s), " << net_stats.rejected
             << " rejected connection(s)\n";
   serve_epilogue(engine, net_stats.requests);
-  // The provider captures the server by reference; clear it before the
-  // server leaves scope (statusz has no caller past this point, but the
-  // contract is the provider must outlive its installation).
-  service::set_listener_status_provider({});
   return 0;
 }
 
@@ -1028,7 +1022,9 @@ int cmd_version() {
   return 0;
 }
 
-int usage() {
+/// Prints the usage text on stdout.  Returns kExitOk when it was asked
+/// for (help, --help, <command> --help), else kExitUsage.
+int usage(int rc = kExitUsage) {
   std::cout <<
       "torusplace — optimal placements in torus networks\n"
       "\n"
@@ -1081,6 +1077,7 @@ int usage() {
       "  (metricsz takes \"format\":\"json|prometheus\")\n"
       "\n"
       "global flags (all commands):\n"
+      "  --help               print this text (also `torusplace help`)\n"
       "  --stats-json <path>  dump counters/histograms as one JSON line\n"
       "  --trace <path>       write Chrome-trace phase spans + per-window\n"
       "                       counter tracks (Perfetto)\n"
@@ -1115,7 +1112,7 @@ int usage() {
       "                       and discarded, the connection survives\n"
       "  SIGTERM/quitz drain the server gracefully: accepted requests are\n"
       "  answered and flushed, never torn mid-line\n";
-  return kExitUsage;
+  return rc;
 }
 
 int dispatch(const std::string& cmd, const Args& args) {
@@ -1150,6 +1147,7 @@ bool is_command(const std::string& cmd) {
 int run(int argc, char** argv) {
   if (argc < 2) return usage();
   std::string cmd = argv[1];
+  if (cmd == "help" || cmd == "--help") return usage(kExitOk);
   int first = 2;
   // `torusplace profile <command> [options]` wraps any command with the
   // in-process profiler — equivalent to `torusplace <command> --profile`.
@@ -1173,8 +1171,9 @@ int run(int argc, char** argv) {
       "zipf-s", "universe"};
   const std::set<std::string> flags{"link-stats", "measured", "criticality",
                                     "stdio", "profile", "cache-load",
-                                    "cache-save"};
+                                    "cache-save", "help"};
   const Args args(argc, argv, first, known, flags);
+  if (args.has("help")) return usage(kExitOk);
 
   // Global observability flags: turn the registry/tracer on before the
   // command runs, export after it finishes (even a failing command leaves
@@ -1188,11 +1187,11 @@ int run(int argc, char** argv) {
   if (std::getenv("TP_OBS") != nullptr) obs::registry().set_enabled(true);
 
   // --profile[=out.folded] (or the `profile <command>` wrapper) turns the
-  // phase/sampling profiler on for the whole command and prints the phase
-  // table to stderr afterwards, so JSONL stdout stays parseable.
+  // phase profiler on for the whole command and prints the phase table to
+  // stderr afterwards, so JSONL stdout stays parseable.
   const bool profiling = profile_wrapped || args.has("profile");
   const std::string folded_path = args.get("profile");
-  if (profiling) obs::profiler().start(obs::ProfilerConfig{});
+  if (profiling) obs::profiler().start();
 
   int rc = 0;
   {
@@ -1203,7 +1202,6 @@ int run(int argc, char** argv) {
   }
 
   if (profiling) {
-    if (!trace_path.empty()) obs::profiler().emit_samples(obs::tracer());
     obs::profiler().stop();
     const obs::PhaseReport report = obs::profiler().report();
     std::cerr << obs::format_phase_table(report);

@@ -3,6 +3,7 @@
 #include <optional>
 
 #include "src/obs/obs.h"
+#include "src/load/counted_loads.h"
 #include "src/load/formulas.h"
 #include "src/routing/adaptive.h"
 #include "src/routing/odr.h"
@@ -91,6 +92,8 @@ FoldedLoads measure_orbit_loads(const Torus& torus, const Placement& p,
                                 RouterKind kind, i32 threads) {
   TP_OBS_SCOPE("plan.measure");
   TP_REQUIRE(threads >= 1, "need at least one analyzer thread");
+  if (const std::optional<CosetUnion> u = coset_union_of(torus, p))
+    return counted_orbit_loads(*u, kind);
   switch (kind) {
     case RouterKind::Odr:
       return odr_orbit_loads(torus, p, TieBreak::PositiveOnly, threads);

@@ -20,12 +20,6 @@
 
 namespace tp {
 
-enum class RouterKind {
-  Odr,       ///< one path per pair; smallest E_max (Theorem 2)
-  Udr,       ///< s! paths per pair; fault-tolerant (Theorem 4)
-  Adaptive,  ///< every minimal path; reference envelope
-};
-
 /// Creates the router for a kind (ODR/UDR use the canonical tie-break).
 std::unique_ptr<Router> make_router(RouterKind kind);
 
@@ -54,12 +48,14 @@ PlacementPlan plan_placement(const Torus& torus, i32 t = 1,
 double measure_emax(const Torus& torus, const PlacementPlan& plan);
 
 /// Exact loads per link orbit for any router kind on any placement — what
-/// E_max, the mean and the loaded-link count are read from — computed
-/// with `threads` analyzer workers.  Callers that own a worker pool (the
-/// service engine) pass their configured width instead of sizing each
-/// call off hardware_concurrency.  ODR and UDR results are bit-identical
-/// at any width, and Adaptive has no parallel analyzer (threads is
-/// ignored).
+/// E_max, the mean and the loaded-link count are read from.  The one
+/// dispatch point: a placement that is a union of cosets of {x : Σx ≡ 0
+/// (mod k)} on a uniform torus (coset_union_of: |P| == |C|·k^{d-1} for
+/// the residue set C of its nodes) is counted by counted_orbit_loads,
+/// which ignores `threads`; every other placement is walked by the
+/// folded kernels with `threads` analyzer workers (ODR and UDR results
+/// are bit-identical at any width; the adaptive walk has no parallel
+/// analyzer).  The choice reads the placement's nodes, never its name.
 FoldedLoads measure_orbit_loads(const Torus& torus, const Placement& p,
                                 RouterKind kind, i32 threads = 1);
 

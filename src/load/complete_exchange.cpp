@@ -301,6 +301,20 @@ i64 TranslationFold::orbit_of(NodeId n) const {
   return coset_of(*this, c.data()).label;
 }
 
+TranslationFold coordinate_sum_fold(const Torus& torus, i64 m) {
+  TP_REQUIRE(torus.is_uniform_radix() && m >= 1 && torus.radix(0) % m == 0,
+             "the coordinate-sum fold needs T_k^d and m dividing k");
+  TranslationFold fold{Lattice(torus)};
+  fold.num_factors = m > 1 ? 1 : 0;
+  fold.modulus[0] = m;
+  fold.weight[0] = 1;
+  for (std::size_t j = 0; j < fold.lat.d; ++j) fold.unit[j][0] = 1;
+  fold.num_orbits = m;
+  fold.stabilizer_size = fold.lat.num_nodes / m;
+  finish_labels(fold);
+  return fold;
+}
+
 TranslationFold translation_fold(const Torus& torus, const Placement& p) {
   p.check_torus(torus);
   const Lattice lat(torus);
@@ -315,8 +329,7 @@ double FoldedLoads::max_load() const {
 
 double FoldedLoads::mean_load() const {
   const i64 links = static_cast<i64>(orbit_load.size()) * fold.stabilizer_size;
-  return links == 0 ? 0.0
-                    : static_cast<double>(lee_total) / static_cast<double>(links);
+  return links == 0 ? 0.0 : Rational(lee_total, links).to_double();
 }
 
 i64 FoldedLoads::num_loaded_edges(double tol) const {

@@ -18,6 +18,13 @@
 //   udr_orbit_loads      O(R·|P| · s·2^s · k)      subset-weighted segment walk
 //   adaptive_orbit_loads O(R·|P| · corridor size)  multinomial path fractions
 //
+// and, for a union of cosets of {x : Σx ≡ 0 (mod k)} on T_k^d (every
+// multiple linear placement), the counted kernel of counted_loads.h, with
+// no Placement and no pair walk:
+//
+//   counted_orbit_loads  ODR O(d·|C|·k), UDR O(d² + |C|·k),
+//                        adaptive O(d²·k + Σ states + k·runs)
+//
 // plus finding H (O(|P|·log|H|) lookups on the paper's placements, at
 // most O(|P|²)), O(|P|·d) to label P's nodes and O(Σk_i) for the cosets
 // of each dimension's multiples.  A hop relabels in O(1) when its
@@ -33,7 +40,9 @@
 // once per bucket, so their doubles are the correctly rounded exact
 // rationals whatever the fold, thread count or summation order, and equal
 // reference_loads bit for bit.  Adaptive weights have no fixed
-// denominator; adaptive_orbit_loads keeps double buckets.
+// denominator; the adaptive walk, adaptive_orbit_loads, keeps double
+// buckets, a few ulp off the exact loads (the counted kernel rounds them
+// correctly).
 
 #pragma once
 
@@ -119,6 +128,12 @@ struct FoldedLoads {
 /// O(|P| · log|H|) lookups; a candidate that is not a period usually fails
 /// on its first lookup.  Profiles as fold.detect.
 TranslationFold translation_fold(const Torus& torus, const Placement& p);
+
+/// The fold of a union of cosets of L_0 = {x : Σx ≡ 0 (mod k)} on T_k^d
+/// whose residue set repeats with period m (m divides k): H = {x : Σx ≡ 0
+/// (mod m)}, and a node's orbit label is Σx mod m.  Built from (d, k, m)
+/// alone, so `reps` is left empty.
+TranslationFold coordinate_sum_fold(const Torus& torus, i64 m);
 
 /// ODR loads per link orbit (Section 6), routed by up to `threads`
 /// workers (bit-identical at any width).

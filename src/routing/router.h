@@ -28,6 +28,13 @@ enum class TieBreak {
   BothDirections,  ///< allow either direction (more paths, more tolerance)
 };
 
+/// The three routing families the paper compares.
+enum class RouterKind {
+  Odr,       ///< one path per pair; smallest E_max (Theorem 2)
+  Udr,       ///< s! paths per pair; fault-tolerant (Theorem 4)
+  Adaptive,  ///< every minimal path; reference envelope
+};
+
 /// Interface for routing algorithms.
 class Router {
  public:

@@ -75,7 +75,6 @@ Engine::Engine(EngineConfig config)
       requests_ring_({1}, 64),
       latency_ring_(obs::duration_bucket_bounds(), 64) {
   TP_REQUIRE(config_.queue_capacity >= 1, "queue capacity must be >= 1");
-  if (config_.measure_threads < 1) config_.measure_threads = 1;
   worker_state_.assign(static_cast<std::size_t>(pool_threads_), "idle");
 
   // Warm boot before the pool exists: the load touches the cache with no
@@ -502,7 +501,7 @@ void Engine::execute(const std::shared_ptr<InFlight>& job, std::size_t slot) {
   const Clock::time_point start = Clock::now();
   try {
     TP_PROF_PHASE("service.compute");
-    QueryResult result = compute_query(job->key, config_.measure_threads);
+    QueryResult result = compute_query(job->key);
     result.body = render_body(result);
     response.ok = true;
     response.result = std::make_shared<const QueryResult>(std::move(result));

@@ -73,12 +73,7 @@
 namespace tp::service {
 
 struct EngineConfig {
-  i32 threads = 0;          ///< worker pool width; 0 = default_threads()
-  i32 measure_threads = 1;  ///< analyzer width per query (the engine's
-                            ///< pool width is passed down instead of each
-                            ///< call sizing itself off hardware
-                            ///< concurrency); any width gives
-                            ///< byte-identical results
+  i32 threads = 0;  ///< worker pool width; 0 = default_threads()
   std::size_t queue_capacity = 256;   ///< bounded submission queue
   std::size_t cache_capacity = 1024;  ///< PlanCache entries
   std::size_t cache_shards = 8;

@@ -9,6 +9,7 @@
 
 #include "src/obs/obs.h"
 #include "src/service/admin.h"
+#include "src/torus/torus.h"
 #include "src/util/error.h"
 
 namespace tp::service {
@@ -84,6 +85,14 @@ Request parse_request_doc(const obs::JsonValue& doc) {
     TP_REQUIRE(ms >= 0, "'deadline_ms' must be >= 0");
     out.deadline_ms = ms;
   }
+  // Every key compute would refuse is refused here, with compute's own
+  // checks and reasons, so that it never reaches the engine: the torus
+  // (radices >= 2, 64-bit node ids), then plan_placement's.
+  const Torus torus(radices);
+  TP_REQUIRE(torus.is_uniform_radix(),
+             "planning requires the paper's T_k^d (uniform radix)");
+  const i32 k = torus.radix(0);
+  TP_REQUIRE(t >= 1 && t <= k, "multiplicity t must be in [1, k]");
   return out;
 }
 

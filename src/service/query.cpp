@@ -111,7 +111,7 @@ QueryKey make_query_key(const Radices& radices, i32 t, RouterKind router,
   return key;
 }
 
-QueryResult compute_query(const QueryKey& key, i32 measure_threads) {
+QueryResult compute_query(const QueryKey& key) {
   TP_REQUIRE(!key.radices.empty(), "query needs at least one dimension");
   const Torus torus(key.radices);
 
@@ -128,8 +128,8 @@ QueryResult compute_query(const QueryKey& key, i32 measure_threads) {
   r.lower_bound = plan.lower_bound;
 
   if (key.measure) {
-    const FoldedLoads loads = measure_orbit_loads(torus, plan.placement,
-                                                  key.router, measure_threads);
+    const FoldedLoads loads =
+        measure_orbit_loads(torus, plan.placement, key.router);
     r.measured_emax = loads.max_load();
     r.mean_load = loads.mean_load();
     r.loaded_links = loads.num_loaded_edges();

@@ -65,8 +65,9 @@ struct QueryKey {
 };
 
 /// Canonicalizes a request into its key (sorts the radices).  Radix and
-/// multiplicity *validity* is checked at compute time, not here: invalid
-/// requests still need a well-defined key to carry their error response.
+/// multiplicity *validity* is not checked here: parse_request_line
+/// refuses an invalid request before it has a key, and compute_query
+/// rechecks keys built directly.
 QueryKey make_query_key(const Radices& radices, i32 t, RouterKind router,
                         QueryOp op);
 
@@ -112,10 +113,11 @@ struct QueryResult {
 };
 
 /// Executes a query synchronously — the engine's work function, also
-/// usable directly for a poolless one-shot.  `measure_threads` is the
-/// analyzer width passed to the parallel load analyzers (1 = serial).
+/// usable directly for a poolless one-shot.  Every served placement is a
+/// union of cosets, whose loads are counted, so no analyzer width applies.
 /// Throws tp::Error on invalid parameters (non-uniform radices, t out of
-/// [1, k], ...); the engine converts the throw into an error response.
-QueryResult compute_query(const QueryKey& key, i32 measure_threads = 1);
+/// [1, k], ...), which parse_request_line refuses first; the engine
+/// converts the throw into an error response.
+QueryResult compute_query(const QueryKey& key);
 
 }  // namespace tp::service

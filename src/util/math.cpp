@@ -1,5 +1,8 @@
 #include "src/util/math.h"
 
+#include <algorithm>
+#include <bit>
+#include <cmath>
 #include <limits>
 #include <optional>
 
@@ -90,6 +93,28 @@ i64 cyclic_distance(i64 i, i64 j, i64 k) {
 i64 ceil_div(i64 a, i64 b) {
   TP_REQUIRE(b > 0 && a >= 0, "ceil_div requires a >= 0, b > 0");
   return (a + b - 1) / b;
+}
+
+double round_quotient(u128 n, u64 d) {
+  TP_REQUIRE(d > 0, "zero denominator");
+  const auto high = static_cast<u64>(n >> 64);
+  // An exact quotient below 2^53 is its own double (and skips the u128
+  // division).
+  if (high == 0 && static_cast<u64>(n) % d == 0 &&
+      static_cast<u64>(n) / d < (u64{1} << 53))
+    return static_cast<double>(static_cast<u64>(n) / d);
+  const auto n_bits = static_cast<int>(
+      high != 0 ? 64 + std::bit_width(high) : std::bit_width(static_cast<u64>(n)));
+  // Scale n by 2^shift so the integer quotient has at least 56 bits: its
+  // top 53 are the significand, the next one rounds, and the sticky bit
+  // (any remainder) lands below that, so the one rounding of the
+  // u128 -> double conversion is the rounding of the exact quotient.
+  const int shift =
+      std::max(0, 56 + static_cast<int>(std::bit_width(d)) - n_bits);
+  const u128 scaled = n << shift;
+  u128 q = scaled / d;
+  if (scaled % d != 0) q |= 1;
+  return std::ldexp(static_cast<double>(q), -shift);
 }
 
 i64 mod_inverse(i64 a, i64 m) {

@@ -13,6 +13,8 @@ using i32 = std::int32_t;
 using i64 = std::int64_t;
 using u16 = std::uint16_t;  ///< TCP port numbers (src/net/)
 using u64 = std::uint64_t;
+using i128 = __int128_t;   ///< exact load counts past 2^63 (src/load/)
+using u128 = __uint128_t;
 
 /// x mod m normalized into [0, m).  Requires m > 0; x may be negative.
 i64 mod_norm(i64 x, i64 m);
@@ -43,6 +45,11 @@ i64 cyclic_distance(i64 i, i64 j, i64 k);
 
 /// Ceiling division for non-negative integers.  Requires b > 0, a >= 0.
 i64 ceil_div(i64 a, i64 b);
+
+/// n/d correctly rounded to the nearest double (ties to even), for any
+/// n < 2^127, also where n and d are past 2^53 and dividing their rounded
+/// doubles is not.  Requires d > 0.
+double round_quotient(u128 n, u64 d);
 
 /// Modular inverse of a modulo m.  Requires m >= 1 and gcd(a, m) == 1.
 i64 mod_inverse(i64 a, i64 m);

@@ -1,26 +1,12 @@
 #include "src/util/rational.h"
 
-#include <algorithm>
-#include <bit>
-#include <cmath>
 #include <limits>
 
 namespace tp {
 
 double Rational::to_double() const {
-  if (num_ == 0) return 0.0;
   const u64 n = num_ < 0 ? 0 - static_cast<u64>(num_) : static_cast<u64>(num_);
-  const u64 d = static_cast<u64>(den_);
-  // Scale n by 2^shift so the integer quotient has at least 56 bits: its
-  // top 53 are the significand, the next one rounds, and the sticky bit
-  // (any remainder) lands below that, so the one rounding of the
-  // u128 -> double conversion is the rounding of the exact quotient.
-  const int shift = std::max(0, 56 + static_cast<int>(std::bit_width(d)) -
-                                    static_cast<int>(std::bit_width(n)));
-  const __uint128_t scaled = static_cast<__uint128_t>(n) << shift;
-  __uint128_t q = scaled / d;
-  if (scaled % d != 0) q |= 1;
-  const double magnitude = std::ldexp(static_cast<double>(q), -shift);
+  const double magnitude = round_quotient(n, static_cast<u64>(den_));
   return num_ < 0 ? -magnitude : magnitude;
 }
 

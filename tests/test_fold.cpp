@@ -10,24 +10,32 @@
 // ODR/UDR kernels at widths 1..8 must equal reference_loads, the literal
 // Definition 4 summed as exact Rationals and rounded once — `==` on raw(),
 // not a tolerance — and so must ODR in a non-identity correction order.
-// adaptive_loads must be within 1e-13 relative of reference_loads.
+// adaptive_loads must be within 1e-13 relative of reference_loads.  On
+// the coset unions among those families, the counted kernels
+// (src/load/counted_loads.h) must equal the walk under ==, and adaptive
+// counting must equal reference_loads under ==.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <optional>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/load/complete_exchange.h"
+#include "src/load/counted_loads.h"
+#include "src/load/formulas.h"
 #include "src/placement/modular.h"
 #include "src/placement/placement.h"
 #include "src/routing/adaptive.h"
 #include "src/routing/odr.h"
 #include "src/routing/udr.h"
 #include "src/util/prng.h"
+#include "src/util/rational.h"
 
 namespace tp {
 namespace {
@@ -540,6 +548,169 @@ TEST(TranslationFold, TinyPlacementsAreTrivial) {
     EXPECT_EQ(fold.stabilizer_size, 1);
     EXPECT_EQ(fold.reps.size(), static_cast<std::size_t>(n));
   }
+}
+
+// --- counted kernels ----------------------------------------------------
+
+/// The coset unions among placements_for's families on a uniform torus:
+/// multiple linear for every t, the unit-coefficient linear placement,
+/// shifted diagonal and full population.
+std::vector<Placement> coset_unions_for(const Torus& torus,
+                                        Xoshiro256SS& rng) {
+  const i32 k = torus.radix(0);
+  std::vector<Placement> out;
+  for (i32 t = 1; t <= k; ++t)
+    out.push_back(multiple_linear_placement(torus, t));
+  out.push_back(linear_placement(torus, draw(rng, 0, k - 1)));
+  out.push_back(shifted_diagonal_placement(torus, draw(rng, 0, k - 1)));
+  out.push_back(full_population(torus));
+  return out;
+}
+
+/// Counted and walked loads agree bit for bit, and so do their summaries.
+void expect_same_loads(const Torus& torus, const FoldedLoads& counted,
+                       const FoldedLoads& walked) {
+  EXPECT_EQ(counted.broadcast(torus).raw(), walked.broadcast(torus).raw());
+  EXPECT_EQ(counted.lee_total, walked.lee_total);
+  EXPECT_EQ(counted.max_load(), walked.max_load());
+  EXPECT_EQ(counted.mean_load(), walked.mean_load());
+  EXPECT_EQ(counted.num_loaded_edges(), walked.num_loaded_edges());
+}
+
+TEST(CountedLoads, CosetUnionsAreFoundByTheirProperty) {
+  // P is a union of L_0 cosets iff membership depends only on Σx mod k;
+  // every family of placements_for is checked against that definition.
+  Xoshiro256SS rng(20261019);
+  i64 unions = 0;
+  for (int i = 0; i < kTori; ++i) {
+    const Torus torus(draw_radices(rng, 1 + i % 4, (i / 4) % 2 == 0));
+    for (const Placement& p : placements_for(torus, rng)) {
+      SCOPED_TRACE(label(torus, p, TieBreak::PositiveOnly));
+      const std::optional<CosetUnion> u = coset_union_of(torus, p);
+      if (!torus.is_uniform_radix()) {
+        EXPECT_FALSE(u.has_value());
+        continue;
+      }
+      const i32 k = torus.radix(0);
+      std::vector<int> in(static_cast<std::size_t>(k), -1);  // -1: unseen
+      bool is_union = p.size() > 0;
+      for (NodeId n = 0; n < torus.num_nodes(); ++n) {
+        i64 sum = 0;
+        for (const i32 c : torus.coord(n)) sum += c;
+        int& seen = in[static_cast<std::size_t>(sum % k)];
+        const int member = p.contains(n) ? 1 : 0;
+        if (seen >= 0 && seen != member) is_union = false;
+        seen = member;
+      }
+      ASSERT_EQ(u.has_value(), is_union);
+      if (!is_union) continue;
+      ++unions;
+      for (i32 r = 0; r < k; ++r)
+        EXPECT_EQ(u->classes[static_cast<std::size_t>(r)],
+                  in[static_cast<std::size_t>(r)] == 1);
+    }
+  }
+  EXPECT_GT(unions, 100);
+}
+
+TEST(CountedLoads, OdrAndUdrEqualTheWalkOnEveryCosetUnion) {
+  Xoshiro256SS rng(20261020);
+  i64 compared = 0;
+  for (int i = 0; i < kTori; ++i) {
+    const Torus torus(draw_radices(rng, 1 + i % 4, true));
+    for (const Placement& p : coset_unions_for(torus, rng)) {
+      SCOPED_TRACE(label(torus, p, TieBreak::PositiveOnly));
+      const std::optional<CosetUnion> u = coset_union_of(torus, p);
+      ASSERT_TRUE(u.has_value());
+      expect_same_loads(torus, counted_orbit_loads(*u, RouterKind::Odr),
+                        odr_orbit_loads(torus, p));
+      expect_same_loads(torus, counted_orbit_loads(*u, RouterKind::Udr),
+                        udr_orbit_loads(torus, p));
+      compared += 2;
+    }
+  }
+  EXPECT_GT(compared, 400);
+}
+
+TEST(CountedLoads, OdrAndUdrEqualTheWalkOnTheAnalyzeGrid) {
+  // Every ODR and UDR key of the analyze grid: d = 2..4, k = 2..12,
+  // t = 1..3 with t <= k.
+  for (i32 d = 2; d <= 4; ++d)
+    for (i32 k = 2; k <= 12; ++k)
+      for (i32 t = 1; t <= std::min(k, 3); ++t) {
+        SCOPED_TRACE("T_" + std::to_string(k) + "^" + std::to_string(d) +
+                     " t=" + std::to_string(t));
+        const Torus torus(d, k);
+        const Placement p = multiple_linear_placement(torus, t);
+        const std::optional<CosetUnion> u = coset_union_of(torus, p);
+        ASSERT_TRUE(u.has_value());
+        expect_same_loads(torus, counted_orbit_loads(*u, RouterKind::Odr),
+                          odr_orbit_loads(torus, p));
+        expect_same_loads(torus, counted_orbit_loads(*u, RouterKind::Udr),
+                          udr_orbit_loads(torus, p));
+      }
+}
+
+TEST(CountedLoads, AdaptiveIsTheCorrectlyRoundedRational) {
+  // The walk's double buckets miss the exact loads by a few ulp; the
+  // count equals reference_loads, exact Rationals rounded once, under ==.
+  Xoshiro256SS rng(20261021);
+  const AdaptiveMinimalRouter router;
+  i64 compared = 0;
+  for (int i = 0; i < kTori; ++i) {
+    const Torus torus(draw_radices(rng, 1 + i % 4, true));
+    if (torus.num_nodes() > 100) continue;
+    for (const Placement& p : coset_unions_for(torus, rng)) {
+      SCOPED_TRACE(label(torus, p, TieBreak::BothDirections));
+      const std::optional<CosetUnion> u = coset_union_of(torus, p);
+      ASSERT_TRUE(u.has_value());
+      const FoldedLoads counted = counted_orbit_loads(*u, RouterKind::Adaptive);
+      EXPECT_EQ(counted.broadcast(torus).raw(),
+                reference_loads(torus, p, router).raw());
+      const FoldedLoads walked = adaptive_orbit_loads(torus, p);
+      EXPECT_EQ(counted.lee_total, walked.lee_total);
+      EXPECT_EQ(counted.mean_load(), walked.mean_load());
+      EXPECT_EQ(counted.num_loaded_edges(), walked.num_loaded_edges());
+      ++compared;
+    }
+  }
+  EXPECT_GT(compared, 100);
+}
+
+TEST(CountedLoads, AnswersPastTheWalksLimits) {
+  // T_32^5: 2^20 processors put 2^56 units on the links, past the walk's
+  // 2^53 guard.  T_400^2 and T_100^3 adaptive: past its Pascal table
+  // (and past UDR's upper bound on T_400^2: 1571.25 > 800).
+  const auto one_class = [](i32 d, i32 k) {
+    CosetUnion u{d, k, std::vector<bool>(static_cast<std::size_t>(k), false)};
+    u.classes[0] = true;
+    return u;
+  };
+  const CosetUnion t32 = one_class(5, 32);
+  const FoldedLoads odr = counted_orbit_loads(t32, RouterKind::Odr);
+  EXPECT_EQ(odr.max_load(), odr_linear_emax_overall(32, 5));
+  const FoldedLoads udr = counted_orbit_loads(t32, RouterKind::Udr);
+  EXPECT_EQ(udr.lee_total, odr.lee_total);
+  EXPECT_LT(udr.max_load(), odr.max_load());
+  EXPECT_GE(udr.max_load(), udr.mean_load());
+  for (const auto& [d, k] : {std::pair{2, 400}, std::pair{3, 100}}) {
+    const FoldedLoads adaptive =
+        counted_orbit_loads(one_class(d, k), RouterKind::Adaptive);
+    EXPECT_EQ(adaptive.lee_total,
+              counted_orbit_loads(one_class(d, k), RouterKind::Odr).lee_total);
+    EXPECT_GT(adaptive.max_load(), adaptive.mean_load());
+  }
+}
+
+TEST(CountedLoads, MeanIsRoundedOncePastTwoToThe53) {
+  // Every node of T_400^3: ΣLee is 1.2288e18, so lee_total / links must
+  // be one rounding of the exact quotient, not of two rounded doubles.
+  const CosetUnion full{3, 400, std::vector<bool>(400, true)};
+  const FoldedLoads loads = counted_orbit_loads(full, RouterKind::Odr);
+  EXPECT_GT(loads.lee_total, i64{1} << 53);
+  const i64 links = 2 * 3 * i64{400} * 400 * 400;
+  EXPECT_EQ(loads.mean_load(), Rational(loads.lee_total, links).to_double());
+  EXPECT_EQ(loads.fold.num_orbits, 1);
 }
 
 }  // namespace

@@ -1,5 +1,6 @@
 // Golden regression values: exact E_max of ODR and UDR on multiple linear
-// placements over a (d, k, t) grid.
+// placements over a (d, k, t) grid, and of adaptive routing on the analyze
+// grid.
 //
 // These numbers were produced by this library's exact load analysis and
 // cross-validated against the paper wherever a closed form exists (the
@@ -11,9 +12,16 @@
 
 #include <gtest/gtest.h>
 
+#include <iterator>
+#include <vector>
+
 #include "src/load/complete_exchange.h"
+#include "src/load/counted_loads.h"
 #include "src/load/formulas.h"
 #include "src/placement/placement.h"
+#include "src/routing/adaptive.h"
+#include "src/service/query.h"
+#include "src/util/rational.h"
 
 namespace tp {
 namespace {
@@ -147,23 +155,152 @@ TEST(GoldenAdaptive, UniformOverPathsCanBeWorseThanUdr) {
             udr_loads(t3, p3).max_load());
 }
 
+TEST(GoldenAdaptive, ServedEmaxIsTheExactRational) {
+  // The exact E_max of every adaptive key of the analyze grid (d = 2..4,
+  // k = 2..12, t = 1..3, t <= k) as num/den, from tools/adaptive_exact.py,
+  // which sums each pair's corridor multinomials as exact Fractions.  The
+  // served measured_emax is its correctly rounded double.
+  struct Exact {
+    i32 d, k, t;
+    i64 num, den;
+  };
+  // clang-format off
+  constexpr Exact kExact[] = {
+      {2, 2, 1, 1, 4},
+      {2, 2, 2, 1, 1},
+      {2, 3, 1, 1, 2},
+      {2, 3, 2, 2, 1},
+      {2, 3, 3, 3, 1},
+      {2, 4, 1, 5, 6},
+      {2, 4, 2, 7, 2},
+      {2, 4, 3, 11, 2},
+      {2, 5, 1, 4, 3},
+      {2, 5, 2, 16, 3},
+      {2, 5, 3, 49, 6},
+      {2, 6, 1, 26, 15},
+      {2, 6, 2, 217, 30},
+      {2, 6, 3, 2791, 240},
+      {2, 7, 1, 73, 30},
+      {2, 7, 2, 146, 15},
+      {2, 7, 3, 937, 60},
+      {2, 8, 1, 607, 210},
+      {2, 8, 2, 503, 42},
+      {2, 8, 3, 8363, 420},
+      {2, 9, 1, 79, 21},
+      {2, 9, 2, 316, 21},
+      {2, 9, 3, 501, 20},
+      {2, 10, 1, 269, 63},
+      {2, 10, 2, 739, 42},
+      {2, 10, 3, 37913, 1260},
+      {2, 11, 1, 667, 126},
+      {2, 11, 2, 1334, 63},
+      {2, 11, 3, 11422, 315},
+      {2, 12, 1, 8105, 1386},
+      {2, 12, 2, 33263, 1386},
+      {2, 12, 3, 26447, 630},
+      {3, 2, 1, 1, 2},
+      {3, 2, 2, 2, 1},
+      {3, 3, 1, 4, 3},
+      {3, 3, 2, 16, 3},
+      {3, 3, 3, 9, 1},
+      {3, 4, 1, 3, 1},
+      {3, 4, 2, 182, 15},
+      {3, 4, 3, 21, 1},
+      {3, 5, 1, 16, 3},
+      {3, 5, 2, 326, 15},
+      {3, 5, 3, 562, 15},
+      {3, 6, 1, 26, 3},
+      {3, 6, 2, 106, 3},
+      {3, 6, 3, 26219, 420},
+      {3, 7, 1, 194, 15},
+      {3, 7, 2, 5548, 105},
+      {3, 7, 3, 9902, 105},
+      {3, 8, 1, 55, 3},
+      {3, 8, 2, 4714, 63},
+      {3, 8, 3, 4749, 35},
+      {3, 9, 1, 2614, 105},
+      {3, 9, 2, 4574, 45},
+      {3, 9, 3, 117157, 630},
+      {3, 10, 1, 3434, 105},
+      {3, 10, 2, 462158, 3465},
+      {3, 10, 3, 854947, 3465},
+      {3, 11, 1, 13192, 315},
+      {3, 11, 2, 591688, 3465},
+      {3, 11, 3, 2204879, 6930},
+      {3, 12, 1, 16507, 315},
+      {3, 12, 2, 9614974, 45045},
+      {3, 12, 3, 36125917, 90090},
+      {4, 2, 1, 1, 1},
+      {4, 2, 2, 4, 1},
+      {4, 3, 1, 15, 4},
+      {4, 3, 2, 15, 1},
+      {4, 3, 3, 27, 1},
+      {4, 4, 1, 56, 5},
+      {4, 4, 2, 1572, 35},
+      {4, 4, 3, 408, 5},
+      {4, 5, 1, 1709, 70},
+      {4, 5, 2, 3433, 35},
+      {4, 5, 3, 24737, 140},
+      {4, 6, 1, 997327, 21120},
+      {4, 6, 2, 4683139, 24640},
+      {4, 6, 3, 7379269, 21120},
+      {4, 7, 1, 376331, 4620},
+      {4, 7, 2, 378902, 1155},
+      {4, 7, 3, 5603519, 9240},
+      {4, 8, 1, 655832, 5005},
+      {4, 8, 2, 7930126, 15015},
+      {4, 8, 3, 14863918, 15015},
+      {4, 9, 1, 90582, 455},
+      {4, 9, 2, 12049034, 15015},
+      {4, 9, 3, 999019, 660},
+      {4, 10, 1, 5124419539, 17736576},
+      {4, 10, 2, 5562962281, 4775232},
+      {4, 10, 3, 688762285339, 310390080},
+      {4, 11, 1, 715066897, 1763580},
+      {4, 11, 2, 7927886542, 4849845},
+      {4, 11, 3, 12148228765, 3879876},
+      {4, 12, 1, 22030999013, 39994240},
+      {4, 12, 2, 1441449666091, 648997440},
+      {4, 12, 3, 370828623455, 86532992},
+  };
+  // clang-format on
+  EXPECT_EQ(std::size(kExact), 96u);
+  for (const Exact& e : kExact) {
+    const service::QueryResult r = service::compute_query(service::make_query_key(
+        Radices(static_cast<std::size_t>(e.d), e.k), e.t, RouterKind::Adaptive,
+        service::QueryOp::Load));
+    EXPECT_EQ(r.measured_emax, Rational(e.num, e.den).to_double())
+        << r.key.str() << ": exact " << e.num << "/" << e.den;
+  }
+  // The generator reproduces the literal Definition 4, summed as exact
+  // Rationals, where that oracle takes at most a second (T_4^4 with t = 3
+  // agrees too, in 16 s).
+  for (const Exact& e : kExact) {
+    const bool small = e.t == 3 && ((e.d == 2 && (e.k == 6 || e.k == 12)) ||
+                                    (e.d == 3 && (e.k == 4 || e.k == 6)));
+    if (!small) continue;
+    const Torus torus(e.d, e.k);
+    EXPECT_EQ(reference_loads(torus, multiple_linear_placement(torus, e.t),
+                              AdaptiveMinimalRouter())
+                  .max_load(),
+              Rational(e.num, e.den).to_double())
+        << "T_" << e.k << "^" << e.d;
+  }
+}
+
 TEST(ConjecturedUdr, HoldsBeyondTheGoldenGrid) {
   // Every k of both parities, far past the golden table, compared with ==:
-  // the kernel's E_max is the correctly rounded rational, and so is the
-  // form's one division.  A check, not a proof, so the form stays out of
-  // prediction_exact.
-  for (i32 k = 2; k <= 64; ++k) {
-    Torus t(2, k);
-    EXPECT_EQ(udr_orbit_loads(t, linear_placement(t)).max_load(),
-              udr_linear_emax_conjectured(k, 2))
-        << "k=" << k;
-  }
-  for (i32 k = 2; k <= 48; ++k) {
-    Torus t(3, k);
-    EXPECT_EQ(udr_orbit_loads(t, linear_placement(t)).max_load(),
-              udr_linear_emax_conjectured(k, 3))
-        << "k=" << k;
-  }
+  // the counted E_max of the linear placement (C = {0}) is the correctly
+  // rounded rational, and so is the form's one division.  A check, not a
+  // proof, so the form stays out of prediction_exact.
+  for (const i32 d : {2, 3})
+    for (i32 k = 2; k <= 256; ++k) {
+      CosetUnion linear{d, k, std::vector<bool>(static_cast<std::size_t>(k))};
+      linear.classes[0] = true;
+      EXPECT_EQ(counted_orbit_loads(linear, RouterKind::Udr).max_load(),
+                udr_linear_emax_conjectured(k, d))
+          << "d=" << d << " k=" << k;
+    }
 }
 
 TEST_P(GoldenLoads, GoldenValuesAreInternallyConsistent) {

@@ -521,11 +521,11 @@ TEST(Jsonl, ParsesUniformAndExplicitRadices) {
   EXPECT_EQ(a.id.as_int(), 1);  // defaulted to the line number
 
   const BatchRequest b = parse_request_line(
-      R"({"id":"x","radices":[8,4,6],"t":1})", 7);
-  Radices expect{4, 6, 8};
-  EXPECT_EQ(b.request.key,
-            make_query_key(expect, 1, RouterKind::Odr, QueryOp::Plan));
+      R"({"id":"x","radices":[8,8,8],"t":1})", 7);
+  EXPECT_EQ(b.request.key, key_dk(3, 8, 1, RouterKind::Odr, QueryOp::Plan));
   EXPECT_EQ(b.id.as_string(), "x");
+  // Planning needs a uniform radix, so mixed radices are refused at parse.
+  EXPECT_THROW(parse_request_line(R"({"radices":[8,4,6]})", 7), Error);
 }
 
 TEST(Jsonl, RejectsMalformedRequests) {
@@ -585,6 +585,43 @@ TEST(Jsonl, BatchOutputIsByteIdenticalAcrossPoolWidths) {
   EXPECT_EQ(serial, parallel);
   // Repeat run: output is also stable across cold/warm engines.
   EXPECT_EQ(serial, batch_output(input, 8));
+}
+
+TEST(Jsonl, RefusedKeysNeverReachTheEngine) {
+  // Every key compute would refuse is refused at parse, with compute's own
+  // reasons, so a batch of them computes, coalesces and counts nothing —
+  // the same on every run, whatever the timing of the pool.
+  const std::string input =
+      R"({"op":"plan","d":3,"k":8,"t":9})" "\n"
+      R"({"op":"plan","d":3,"k":8,"t":9})" "\n"
+      R"({"op":"plan","d":3,"k":8,"t":0})" "\n"
+      R"({"op":"plan","radices":[4,6,8]})" "\n"
+      R"({"op":"plan","d":3,"k":1})" "\n";
+  const std::string t_error =
+      "\"ok\":false,\"error\":\"precondition failed: (t >= 1 && t <= k) — "
+      "multiplicity t must be in [1, k]\"}\n";
+  const std::string want =
+      "{\"id\":1," + t_error + "{\"id\":2," + t_error + "{\"id\":3," +
+      t_error +
+      "{\"id\":4,\"ok\":false,\"error\":\"precondition failed: "
+      "(torus.is_uniform_radix()) — planning requires the paper's T_k^d "
+      "(uniform radix)\"}\n"
+      "{\"id\":5,\"ok\":false,\"error\":\"precondition failed: "
+      "(radices_[i] >= 2) — torus radix must be >= 2\"}\n";
+  for (int run = 0; run < 5; ++run) {
+    EngineConfig config;
+    config.threads = 4;
+    Engine engine(config);
+    std::istringstream in(input);
+    std::ostringstream out;
+    EXPECT_EQ(run_batch(engine, in, out), 5);
+    EXPECT_EQ(out.str(), want);
+    const EngineStats s = engine.stats();
+    EXPECT_EQ(s.requests, 0);
+    EXPECT_EQ(s.plans_computed, 0);
+    EXPECT_EQ(s.coalesced, 0);
+    EXPECT_EQ(s.errors, 0);
+  }
 }
 
 TEST(Jsonl, ServeAnswersLineByLine) {

@@ -5,7 +5,7 @@
 //             [--check]
 //
 // Times a fixed set of representative workloads (load analyzers, the
-// lower-bound table, the cycle-accurate simulators with and without link
+// served measure_orbit_loads, the lower-bound table, the cycle-accurate simulators with and without link
 // probes and under a fault schedule, the hotspot analyzer) with
 // obs::Stopwatch, writes the results as
 //
@@ -143,6 +143,20 @@ std::vector<BenchResult> run_benchmarks(int reps) {
       g_sink += adaptive_loads(torus, p).max_load();
     }));
   }
+  // The served path: measure_orbit_loads counts the loads of a coset
+  // union (src/load/counted_loads.h) where the entries above route it.
+  const auto measure = [&](const std::string& name, i32 d, i32 k, i32 t,
+                           RouterKind kind) {
+    Torus torus(d, k);
+    const Placement p = multiple_linear_placement(torus, t);
+    results.push_back(time_fn(name, reps, [&] {
+      g_sink += measure_orbit_loads(torus, p, kind).max_load();
+    }));
+  };
+  measure("measure_odr/T400^3", 3, 400, 1, RouterKind::Odr);
+  measure("measure_udr/T400^3", 3, 400, 1, RouterKind::Udr);
+  measure("measure_adaptive/T66^3", 3, 66, 1, RouterKind::Adaptive);
+  measure("measure_adaptive/T30^2_t2", 2, 30, 2, RouterKind::Adaptive);
   {
     // The lower-bound table: T64^2's linear placement balances on a
     // dimension cut; T5^4's (25 processors a layer, 5 layers) cannot, so

@@ -98,8 +98,6 @@ std::vector<double> parse_double_list(const std::string& s) {
 service::EngineConfig engine_config(const Args& args) {
   service::EngineConfig config;
   config.threads = static_cast<i32>(args.get_int("threads", 0));
-  config.measure_threads =
-      static_cast<i32>(args.get_int("measure-threads", 1));
   config.cache_capacity =
       static_cast<std::size_t>(args.get_int("cache", 1024));
   config.default_deadline_ms = args.get_int("deadline-ms", 0);
@@ -1045,11 +1043,10 @@ int usage(int rc = kExitUsage) {
       "  sweep     E_max table across k               (--d --ks --t --router --threads --cache\n"
       "                                                --checkpoint <dir>)\n"
       "  batch     answer a JSONL request file        (<file> | --in <file>; --out <path>\n"
-      "                                                --threads --cache --measure-threads\n"
-      "                                                --deadline-ms)\n"
+      "                                                --threads --cache --deadline-ms)\n"
       "  serve     JSONL request/response server      (--stdio | --tcp <addr:port>;\n"
-      "                                                --threads --cache --measure-threads\n"
-      "                                                --deadline-ms --slow-log <N>;\n"
+      "                                                --threads --cache --deadline-ms\n"
+      "                                                --slow-log <N>;\n"
       "                                                TCP: --max-conns <N> --max-line-bytes <N>\n"
       "                                                --port-file <path>)\n"
       "  loadgen   drive a serve --tcp endpoint       (--connect <addr:port> --mode open|closed\n"
@@ -1071,7 +1068,7 @@ int usage(int rc = kExitUsage) {
       "JSONL request schema (batch/serve), one object per line:\n"
       "  {\"id\":1, \"op\":\"plan|bounds|load|analyze\", \"d\":3, \"k\":8,\n"
       "   \"t\":1, \"router\":\"odr\", \"deadline_ms\":250}\n"
-      "  (\"radices\":[4,6,8] instead of d/k for mixed-radix tori;\n"
+      "  (\"radices\":[8,8,8] instead of d/k; the radices must be equal;\n"
       "   see docs/service.md for the full schema)\n"
       "  admin ops: {\"op\":\"statusz|metricsz|cachez|slowz|quitz\"}\n"
       "  (metricsz takes \"format\":\"json|prometheus\")\n"
@@ -1164,7 +1161,7 @@ int run(int argc, char** argv) {
       "faults", "flits", "seed", "ks",     "placement", "size",
       "iters", "out", "stats-json", "trace", "link-json",
       "rates", "repair", "retries", "backoff", "horizon", "json",
-      "threads", "in", "cache", "measure-threads", "deadline-ms",
+      "threads", "in", "cache", "deadline-ms",
       "slow-log", "cache-file", "checkpoint",
       "tcp", "max-conns", "max-line-bytes", "port-file", "connect",
       "mode", "clients", "rate", "duration-ms", "warmup-ms", "skew",

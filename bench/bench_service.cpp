@@ -79,7 +79,7 @@ void BM_ServiceColdMiss(benchmark::State& state) {
 }
 
 // Warm hit: the engine is primed once; iterations measure the cache path
-// (submit -> shard lock -> LRU splice -> fulfilled ticket).
+// (submit -> shard lock -> LRU splice -> a ticket holding its answer).
 void BM_ServiceWarmHit(benchmark::State& state) {
   const service::QueryKey key = load_key(2, static_cast<i32>(state.range(0)));
   service::Engine engine;

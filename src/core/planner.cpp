@@ -61,8 +61,9 @@ PlacementPlan plan_placement(const Torus& torus, i32 t, RouterKind kind) {
         plan.prediction_exact = false;
         break;
       case RouterKind::Adaptive:
-        // No closed form in the paper; UDR's bound still applies since
-        // spreading over more paths can only reduce the worst link.
+        // No closed form in the paper.  UDR's bound is served, but it does
+        // not bound adaptive: the exact adaptive E_max passes it on 2-D
+        // tori from k = 115 on (T_115^2, t = 1: 230.448 > 230).
         plan.predicted_emax = multiple_udr_upper(t, k, d);
         plan.prediction_exact = false;
         break;

@@ -29,7 +29,8 @@ struct PlacementPlan {
   RouterKind router_kind;
   std::unique_ptr<Router> router;
 
-  double predicted_emax = 0.0;     ///< exact E_max or an upper bound
+  double predicted_emax = 0.0;     ///< exact E_max, or a closed form that
+                                   ///< bounds it (not for adaptive)
   bool prediction_exact = false;   ///< exact (ODR, t = 1, d >= 2) vs bound
   double lower_bound = 0.0;        ///< best applicable lower bound
   /// Every lower bound (all_bounds); .back() is the best, lower_bound.

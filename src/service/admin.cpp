@@ -44,7 +44,7 @@ obs::JsonValue admin_header(const obs::JsonValue& id, const std::string& op) {
 obs::JsonValue span_to_json(const RequestSpan& span) {
   obs::JsonValue out = obs::JsonValue::object();
   out.set("request_id", obs::JsonValue(span.request_id));
-  out.set("key", obs::JsonValue(span.key));
+  out.set("key", obs::JsonValue(span.key.str()));
   out.set("outcome", obs::JsonValue(span_outcome_name(span.outcome)));
   out.set("total_us", obs::JsonValue(span.total_us));
   out.set("queue_us", obs::JsonValue(span.queue_us));

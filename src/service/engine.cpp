@@ -22,15 +22,45 @@ i64 us_between(Clock::time_point from, Clock::time_point to) {
   return us < 0 ? 0 : us;
 }
 
+/// Shards of the engine's table: enough that requests for different keys
+/// rarely share a lock.
+constexpr std::size_t kCacheShards = 8;
+
 /// Coalesce fan-in buckets: small exact powers of two — fan-in is a count
 /// of waiters, not a duration.
 std::vector<i64> fanin_bucket_bounds() {
   return {1, 2, 4, 8, 16, 32, 64, 128};
 }
 
+constexpr Clock::time_point kNoDeadline = Clock::time_point::max();
+
+/// Fills in the span fields every outcome shares.
+void stamp(RequestSpan& span, const QueryKey& key, std::size_t shard,
+           Clock::time_point submitted, Clock::time_point deadline,
+           Clock::time_point now) {
+  span.key = key;
+  span.total_us = us_between(submitted, now);
+  span.shard = static_cast<i64>(shard);
+  span.has_deadline = deadline != kNoDeadline;
+  if (span.has_deadline)
+    span.deadline_margin_us =
+        std::chrono::duration_cast<std::chrono::microseconds>(deadline - now)
+            .count();
+}
+
+/// One Chrome complete event per answered request, when the tracer is on.
+void trace(const RequestSpan& span) {
+  obs::Tracer& tracer = obs::tracer();
+  if (tracer.enabled())
+    tracer.complete(span.request_id + " " + span.key.str(),
+                    span.total_us * 1000, "service");
+}
+
 }  // namespace
 
-struct Engine::Pending {
+/// A request that must wait for its key's computation.  Only its answer
+/// changes once the cache holds it, under its own lock.
+struct Pending {
   Mutex mu;
   CondVar cv;
   bool done TP_GUARDED_BY(mu) = false;
@@ -39,32 +69,13 @@ struct Engine::Pending {
   QueryKey key;
   std::string id;
   Clock::time_point submitted;
-  Clock::time_point deadline;
-  bool has_deadline = false;
-
-  // Span ingredients, written by the single thread that fulfills this
-  // request BEFORE fulfill() flips `done` (waiters only read `response`
-  // after `done`, so these need no extra lock).
-  SpanOutcome outcome = SpanOutcome::Hit;
-  i64 queue_us = 0;
-  i64 compute_us = 0;
-  i64 fanin = 1;
-
-  bool expired(Clock::time_point now) const {
-    return has_deadline && now >= deadline;
-  }
-};
-
-struct Engine::InFlight {
-  QueryKey key;
-  // Guarded by the engine's inflight_mu_.
-  std::vector<std::shared_ptr<Pending>> waiters;
+  Clock::time_point deadline = kNoDeadline;
 };
 
 Engine::Engine(EngineConfig config)
     : config_(config),
       pool_threads_(config.threads > 0 ? config.threads : default_threads()),
-      cache_(config.cache_capacity, config.cache_shards),
+      cache_(config.cache_capacity, kCacheShards),
       start_(Clock::now()),
       request_us_(obs::duration_bucket_bounds()),
       compute_us_(obs::duration_bucket_bounds()),
@@ -191,85 +202,107 @@ SnapshotStatus Engine::snapshot_status() const {
 
 Response Engine::timeout_response(const QueryKey& key) {
   Response r;
-  r.ok = false;
   r.timeout = true;
   r.error = "deadline exceeded: " + key.str();
   return r;
 }
 
-void Engine::fulfill(const std::shared_ptr<Pending>& pending,
-                     Response response) {
+std::string Engine::count_request(const Request& req) {
+  ++counters_.requests;
+  // Stable request id: client-supplied wins; otherwise derive one from
+  // the submit sequence number (unique for the engine's lifetime).
+  if (!req.id.empty()) return req.id;
+  char buf[24];
+  std::snprintf(buf, sizeof buf, "r%lld",
+                static_cast<long long>(counters_.requests));
+  return buf;
+}
+
+void Engine::account(const RequestSpan& span, Clock::time_point now) {
+  request_us_.record(span.total_us);
+  queue_wait_us_.record(span.queue_us);
+  fanin_.record(span.fanin);
+  if (span.has_deadline)
+    deadline_margin_us_.record(
+        span.deadline_margin_us < 0 ? 0 : span.deadline_margin_us);
+  slow_log_.record(span);
+  const i64 tick =
+      std::chrono::duration_cast<std::chrono::seconds>(now - start_).count();
+  requests_ring_.record(tick, span.outcome == SpanOutcome::Hit ? 1 : 0);
+  latency_ring_.record(tick, span.total_us);
+  // The only place outcomes are counted: each request once, as what it
+  // receives.
+  if (span.outcome == SpanOutcome::Timeout)
+    ++counters_.timeouts;
+  else if (span.outcome == SpanOutcome::Error)
+    ++counters_.errors;
+  else
+    ++counters_.completed;
+}
+
+void Engine::fulfill(Pending& pending, Response response, RequestSpan span) {
   // Everything up to `done` happens under the waiter's lock, so the
   // outcome cannot change between the decision and the wake-up: a
   // Ticket::wait that timed out first held this lock past the deadline,
   // so `now` here is past it too.  The counts are taken before `done`
   // flips, so a submitter returning from wait() (or drain()) sees this
   // request accounted for.
-  MutexLock lock(pending->mu);
+  MutexLock lock(pending.mu);
   const Clock::time_point now = Clock::now();
   // A request times out iff its answer was not ready by its deadline: a
-  // late result is still cached (by execute), but this waiter gets the
+  // late result is still cached (by publish), but this waiter gets the
   // structured timeout, whichever of wait() and fulfill runs first.
-  if (response.ok && pending->expired(now))
-    response = timeout_response(pending->key);
-  const i64 us = us_between(pending->submitted, now);
-
-  RequestSpan span;
-  span.request_id = pending->id;
-  span.key = pending->key.str();
-  span.total_us = us;
-  span.queue_us = pending->queue_us;
-  span.compute_us = pending->compute_us;
-  span.fanin = pending->fanin;
-  span.shard = static_cast<i64>(cache_.shard_of(pending->key));
-  span.has_deadline = pending->has_deadline;
-  if (pending->has_deadline)
-    span.deadline_margin_us =
-        std::chrono::duration_cast<std::chrono::microseconds>(
-            pending->deadline - now)
-            .count();
-  if (response.ok)
-    span.outcome = pending->outcome;
-  else
+  if (response.ok && now >= pending.deadline)
+    response = timeout_response(pending.key);
+  if (!response.ok)
     span.outcome = response.timeout ? SpanOutcome::Timeout : SpanOutcome::Error;
-
-  const i64 tick = std::chrono::duration_cast<std::chrono::seconds>(
-                       now - start_)
-                       .count();
+  span.request_id = pending.id;
+  stamp(span, pending.key, cache_.shard_of(pending.key), pending.submitted,
+        pending.deadline, now);
   {
     const MutexLock stats_lock(stats_mu_);
-    request_us_.record(us);
-    queue_wait_us_.record(span.queue_us);
-    fanin_.record(span.fanin);
-    if (span.has_deadline)
-      deadline_margin_us_.record(
-          span.deadline_margin_us < 0 ? 0 : span.deadline_margin_us);
-    slow_log_.record(span);
-    requests_ring_.record(tick, span.outcome == SpanOutcome::Hit ? 1 : 0);
-    latency_ring_.record(tick, us);
-    // The only place outcomes are counted: each request once, as what
-    // its waiter receives.
-    if (response.ok)
-      ++counters_.completed;
-    else if (response.timeout)
-      ++counters_.timeouts;
-    else
-      ++counters_.errors;
+    account(span, now);
   }
+  drain_cv_.notify_all();
+  trace(span);
 
-  // Trace outside the stats lock: the tracer has its own mutex and (when
-  // enabled) allocates.  'X' complete events need no per-thread nesting,
-  // so interleaved requests from many threads render correctly.
-  obs::Tracer& tracer = obs::tracer();
-  if (tracer.enabled())
-    tracer.complete(span.request_id + " " + span.key, us * 1000, "service");
-
-  response.request_id = pending->id;
-  pending->response = std::move(response);
-  pending->done = true;
+  response.request_id = pending.id;
+  pending.response = std::move(response);
+  pending.done = true;
   // Wake after unlocking, so the waiter does not wake into a held lock.
   lock.unlock();
-  pending->cv.notify_all();
+  pending.cv.notify_all();
+}
+
+std::shared_ptr<Pending> Engine::new_waiter(const Request& req,
+                                            Clock::time_point submitted,
+                                            Clock::time_point deadline) {
+  auto waiter = std::make_shared<Pending>();
+  waiter->key = req.key;
+  waiter->submitted = submitted;
+  waiter->deadline = deadline;
+  const MutexLock lock(stats_mu_);
+  waiter->id = count_request(req);
+  return waiter;
+}
+
+Engine::Ticket Engine::answer_at_submit(const Request& req, Response response,
+                                        SpanOutcome outcome,
+                                        Clock::time_point submitted,
+                                        Clock::time_point deadline) {
+  const Clock::time_point now = Clock::now();
+  RequestSpan span;
+  span.outcome = outcome;
+  stamp(span, req.key, cache_.shard_of(req.key), submitted, deadline, now);
+  {
+    const MutexLock lock(stats_mu_);
+    span.request_id = count_request(req);
+    if (outcome == SpanOutcome::Hit) ++counters_.cache_hits;
+    account(span, now);
+  }
+  trace(span);
+  response.request_id = std::move(span.request_id);
+  return Ticket(std::move(response));
 }
 
 Engine::Ticket Engine::submit(const Request& req) {
@@ -281,159 +314,90 @@ Engine::Ticket Engine::try_submit(const Request& req) {
 }
 
 Engine::Ticket Engine::submit_impl(const Request& req, bool may_block) {
-  auto pending = std::make_shared<Pending>();
-  pending->key = req.key;
-  pending->submitted = Clock::now();
-
-  const i64 deadline_ms = req.deadline_ms >= 0 ? req.deadline_ms
-                                               : config_.default_deadline_ms;
+  const Clock::time_point submitted = Clock::now();
   // Request-level 0 means "already expired"; a config default of 0 means
   // "no deadline" (the common case).
-  if (req.deadline_ms >= 0 || config_.default_deadline_ms > 0) {
-    pending->has_deadline = true;
-    pending->deadline =
-        pending->submitted + std::chrono::milliseconds(deadline_ms);
-  }
+  const i64 deadline_ms = req.deadline_ms >= 0 ? req.deadline_ms
+                                               : config_.default_deadline_ms;
+  const Clock::time_point deadline =
+      req.deadline_ms >= 0 || deadline_ms > 0
+          ? submitted + std::chrono::milliseconds(deadline_ms)
+          : kNoDeadline;
+  if (submitted >= deadline)
+    return answer_at_submit(req, timeout_response(req.key),
+                            SpanOutcome::Timeout, submitted, deadline);
 
-  {
+  std::shared_ptr<const QueryResult> hit;
+  std::shared_ptr<Pending> waiter;
+  const PlanCache::Probe probe = cache_.probe(req.key, deadline, &hit, [&] {
+    return waiter = new_waiter(req, submitted, deadline);
+  });
+  if (probe == PlanCache::Probe::Hit) {
+    Response r;
+    r.ok = true;
+    r.result = std::move(hit);
+    return answer_at_submit(req, std::move(r), SpanOutcome::Hit, submitted,
+                            deadline);
+  }
+  if (probe == PlanCache::Probe::Coalesced) {
     const MutexLock lock(stats_mu_);
-    ++counters_.requests;
-    // Stable request id: client-supplied wins; otherwise derive one from
-    // the submit sequence number (unique for the engine's lifetime).
-    if (req.id.empty()) {
-      char buf[24];
-      std::snprintf(buf, sizeof buf, "r%lld",
-                    static_cast<long long>(counters_.requests));
-      pending->id = buf;
-    } else {
-      pending->id = req.id;
-    }
+    ++counters_.coalesced;
+    return Ticket(std::move(waiter));
   }
 
-  if (pending->expired(pending->submitted)) {
-    fulfill(pending, timeout_response(req.key));
-    return Ticket(std::move(pending));
-  }
-
-  std::shared_ptr<InFlight> job;
+  // A new computation.  Bounded submission queue: back-pressure blocks
+  // the submitter, never a worker.
+  i64 depth = 0;
   {
-    // Cache lookup and in-flight attach are one critical section: a
-    // worker publishes a finished result to the cache *before* removing
-    // its in-flight entry, so under this lock every key is either cached,
-    // in flight, or genuinely new — a request can never slip between the
-    // two and recompute a plan that is being (or has been) computed.
-    const MutexLock lock(inflight_mu_);
-    if (auto cached = cache_.get(req.key)) {
-      if (cached->body.empty()) {
-        // Restored from a snapshot, which stores no body: render it on
-        // this first hit and swap the entry in place, keeping its age.
-        // Under inflight_mu_, concurrent first hits render it once.
-        auto rendered = std::make_shared<QueryResult>(*cached);
-        rendered->body = render_body(*rendered);
-        cached = std::move(rendered);
-        cache_.replace(req.key, cached);
-      }
-      {
-        const MutexLock stats_lock(stats_mu_);
-        ++counters_.cache_hits;
-      }
-      Response r;
-      r.ok = true;
-      r.result = std::move(cached);
-      pending->outcome = SpanOutcome::Hit;
-      fulfill(pending, std::move(r));
-      return Ticket(std::move(pending));
-    }
-    const auto it = inflight_.find(req.key);
-    if (it != inflight_.end()) {
-      pending->outcome = SpanOutcome::Coalesced;
-      it->second->waiters.push_back(pending);
-      const MutexLock stats_lock(stats_mu_);
-      ++counters_.coalesced;
-      return Ticket(std::move(pending));
-    }
-    pending->outcome = SpanOutcome::Computed;
-    job = std::make_shared<InFlight>();
-    job->key = req.key;
-    job->waiters.push_back(pending);
-    inflight_.emplace(req.key, job);
-    ++inflight_jobs_;
-    const MutexLock stats_lock(stats_mu_);
-    ++counters_.cache_misses;
-  }
-
-  {
-    // Bounded submission queue: back-pressure blocks the submitter, never
-    // a worker.  (Enqueued outside inflight_mu_ so a full queue cannot
-    // wedge workers trying to retire their in-flight entries.)
     MutexLock lock(queue_mu_);
     if (!may_block && queue_.size() >= config_.queue_capacity &&
         !stopping_) {
       lock.unlock();
-      reject_overloaded(job);
-      return Ticket(std::move(pending));
+      // The job never starts: it leaves the table, and every waiter (the
+      // submitter, plus any request that coalesced onto it meanwhile;
+      // overload errors are retryable) gets a structured overload error.
+      Response r;
+      r.overload = true;
+      r.error = "overloaded: submission queue full (capacity " +
+                std::to_string(config_.queue_capacity) + "), dropped " +
+                req.key.str();
+      answer_waiters(cache_.publish(req.key, nullptr), r, submitted, 0);
+      return Ticket(std::move(waiter));
     }
     while (queue_.size() >= config_.queue_capacity && !stopping_)
       queue_not_full_.wait(lock);
     TP_REQUIRE(!stopping_, "submit on a stopped engine");
-    queue_.push_back(std::move(job));
-    const i64 depth = static_cast<i64>(queue_.size());
-    const MutexLock stats_lock(stats_mu_);
+    queue_.push_back(req.key);
+    depth = static_cast<i64>(queue_.size());
+  }
+  queue_not_empty_.notify_one();
+  {
+    const MutexLock lock(stats_mu_);
+    ++counters_.cache_misses;
     if (depth > counters_.peak_queue_depth)
       counters_.peak_queue_depth = depth;
   }
-  queue_not_empty_.notify_one();
-  return Ticket(std::move(pending));
-}
-
-void Engine::reject_overloaded(const std::shared_ptr<InFlight>& job) {
-  // A non-blocking submit found the queue full AFTER registering this job
-  // as in flight.  Retire the registration and answer every waiter (the
-  // submitter, plus any request that coalesced onto the doomed job in the
-  // window between the two locks — overload errors are retryable, so a
-  // rare collateral rejection is the honest answer) with a structured
-  // overload error.
-  std::vector<std::shared_ptr<Pending>> waiters;
-  {
-    const MutexLock lock(inflight_mu_);
-    waiters = std::move(job->waiters);
-    inflight_.erase(job->key);
-  }
-  {
-    // The miss never became a computation: keep cache_misses meaning
-    // "computations started" (its documented contract).
-    const MutexLock lock(stats_mu_);
-    --counters_.cache_misses;
-  }
-  Response r;
-  r.ok = false;
-  r.overload = true;
-  r.error = "overloaded: submission queue full (capacity " +
-            std::to_string(config_.queue_capacity) + "), dropped " +
-            job->key.str();
-  for (const auto& w : waiters) fulfill(w, r);
-  retire();
+  return Ticket(std::move(waiter));
 }
 
 Response Engine::run(const Request& req) { return submit(req).wait(); }
 
 Response Engine::Ticket::wait() {
+  if (pending_ == nullptr) return answer_;
   Pending& p = *pending_;
   MutexLock lock(p.mu);
-  if (p.has_deadline) {
-    while (!p.done) {
-      if (p.cv.wait_until(lock, p.deadline) == std::cv_status::timeout &&
-          !p.done) {
-        // Deadline passed first.  The computation (if any) continues and
-        // will land in the cache; fulfill() stores and counts this same
-        // timeout when the late answer arrives.
-        Response r = timeout_response(p.key);
-        r.request_id = p.id;
-        return r;
-      }
+  while (!p.done) {
+    if (p.deadline == kNoDeadline) {
+      p.cv.wait(lock);
+    } else if (p.cv.wait_until(lock, p.deadline) == std::cv_status::timeout &&
+               !p.done) {
+      // Deadline passed first.  The computation (if any) continues and
+      // will land in the cache; fulfill() stores and counts this same
+      // timeout when the late answer arrives.
+      Response r = timeout_response(p.key);
+      r.request_id = p.id;
+      return r;
     }
-  } else {
-    while (!p.done) p.cv.wait(lock);
   }
   return p.response;
 }
@@ -446,62 +410,44 @@ void Engine::worker_loop(i32 worker) {
   const PoolWorkerScope worker_scope;
   const std::size_t slot = static_cast<std::size_t>(worker);
   for (;;) {
-    std::shared_ptr<InFlight> job;
+    QueryKey key;
     {
       MutexLock lock(queue_mu_);
       while (!stopping_ && queue_.empty()) queue_not_empty_.wait(lock);
       if (queue_.empty()) return;  // stopping and fully drained
-      job = std::move(queue_.front());
+      key = std::move(queue_.front());
       queue_.pop_front();
     }
     queue_not_full_.notify_one();
     {
       const MutexLock lock(stats_mu_);
-      worker_state_[slot] = "compute " + job->key.str();
+      worker_state_[slot] = "compute " + key.str();
     }
-    execute(job, slot);
+    execute(key, slot);
   }
 }
 
-void Engine::mark_idle(std::size_t slot) {
-  const MutexLock lock(stats_mu_);
-  worker_state_[slot] = "idle";
-}
-
-void Engine::execute(const std::shared_ptr<InFlight>& job, std::size_t slot) {
+void Engine::execute(const QueryKey& key, std::size_t slot) {
   const Clock::time_point dequeued = Clock::now();
 
   // Dequeue-time deadline sweep: when every waiter has already expired
   // there is no one left to receive the result — skip the computation
-  // entirely (and leave the cache untouched).
-  {
-    MutexLock lock(inflight_mu_);
-    bool all_expired = true;
-    for (const auto& w : job->waiters)
-      if (!w->expired(dequeued)) {
-        all_expired = false;
-        break;
-      }
-    if (all_expired) {
-      mark_idle(slot);
-      std::vector<std::shared_ptr<Pending>> waiters = std::move(job->waiters);
-      inflight_.erase(job->key);
-      lock.unlock();
-      for (const auto& w : waiters) {
-        w->queue_us = us_between(w->submitted, dequeued);
-        w->fanin = static_cast<i64>(waiters.size());
-        fulfill(w, timeout_response(job->key));
-      }
-      retire();
-      return;
+  // entirely (and leave no entry behind).
+  const PlanCache::Waiters expired = cache_.publish(key, nullptr, dequeued);
+  if (!expired.empty()) {
+    {
+      const MutexLock lock(stats_mu_);
+      worker_state_[slot] = "idle";
     }
+    answer_waiters(expired, timeout_response(key), dequeued, 0);
+    return;
   }
 
   Response response;
   const Clock::time_point start = Clock::now();
   try {
     TP_PROF_PHASE("service.compute");
-    QueryResult result = compute_query(job->key);
+    QueryResult result = compute_query(key);
     result.body = render_body(result);
     response.ok = true;
     response.result = std::make_shared<const QueryResult>(std::move(result));
@@ -511,45 +457,40 @@ void Engine::execute(const std::shared_ptr<InFlight>& job, std::size_t slot) {
   }
   const i64 compute_us = us_between(start, Clock::now());
 
-  // Publish to the cache BEFORE retiring the in-flight entry — the
-  // ordering submit() relies on for exactly-once computation.  Failed
-  // computations are never cached (an error or timeout must not poison
-  // the cache for later, well-formed retries of the same key).
-  if (response.ok) cache_.put(job->key, response.result);
-
-  mark_idle(slot);
-  std::vector<std::shared_ptr<Pending>> waiters;
-  {
-    const MutexLock lock(inflight_mu_);
-    waiters = std::move(job->waiters);
-    inflight_.erase(job->key);
-  }
-
+  // Failed computations are dropped, never cached: an error must not
+  // poison the cache for later, well-formed retries of the same key.  The
+  // entry is published before plans_computed counts it, so a save that
+  // reads the count finds the entry.
+  const PlanCache::Waiters waiters =
+      cache_.publish(key, response.ok ? response.result : nullptr);
   {
     const MutexLock lock(stats_mu_);
+    worker_state_[slot] = "idle";
     ++counters_.plans_computed;
     compute_us_.record(compute_us);
   }
-  for (const auto& w : waiters) {
-    w->queue_us = us_between(w->submitted, dequeued);
-    w->compute_us = compute_us;
-    w->fanin = static_cast<i64>(waiters.size());
-    fulfill(w, response);
-  }
-  retire();
+  answer_waiters(waiters, response, dequeued, compute_us);
 }
 
-void Engine::retire() {
-  {
-    const MutexLock lock(inflight_mu_);
-    --inflight_jobs_;
+void Engine::answer_waiters(const PlanCache::Waiters& waiters,
+                            const Response& response,
+                            Clock::time_point dequeued, i64 compute_us) {
+  for (std::size_t i = 0; i < waiters.size(); ++i) {
+    Pending& w = *waiters[i];
+    RequestSpan span;
+    span.outcome = i == 0 ? SpanOutcome::Computed : SpanOutcome::Coalesced;
+    span.queue_us = us_between(w.submitted, dequeued);
+    span.compute_us = compute_us;
+    span.fanin = static_cast<i64>(waiters.size());
+    fulfill(w, response, std::move(span));
   }
-  drain_cv_.notify_all();
 }
 
 void Engine::drain() {
-  MutexLock lock(inflight_mu_);
-  while (inflight_jobs_ != 0) drain_cv_.wait(lock);
+  MutexLock lock(stats_mu_);
+  while (counters_.requests !=
+         counters_.completed + counters_.timeouts + counters_.errors)
+    drain_cv_.wait(lock);
 }
 
 EngineStats Engine::stats() const {
@@ -562,11 +503,8 @@ EngineStats Engine::stats() const {
     const MutexLock lock(queue_mu_);
     s.queue_depth = static_cast<i64>(queue_.size());
   }
-  {
-    const MutexLock lock(inflight_mu_);
-    s.inflight = static_cast<i64>(inflight_.size());
-  }
   const PlanCache::Stats cs = cache_.stats();
+  s.inflight = cs.computing;
   s.cache_entries = cs.entries;
   s.cache_evictions = cs.evictions;
   return s;

@@ -1,18 +1,19 @@
 // Concurrent plan/load query engine.
 //
 // The Engine owns a persistent worker pool and answers QueryKey requests
-// with memoization and request coalescing:
+// with memoization and request coalescing, through one table (PlanCache)
+// whose entry per key is a ready answer or a computation with its waiters:
 //
-//   submit() ──> cache hit ───────────────> fulfilled immediately
-//            └─> in-flight for this key? ─> attach as waiter (coalesced)
-//            └─> else: new in-flight ─────> bounded queue ─> worker pool
+//   submit() ──> PlanCache::probe, one shard lock:
+//                ├─ hit ──────> ticket holding its answer (no waiter)
+//                ├─ coalesced > a waiter joins the computation
+//                └─ new ──────> a waiter starts one ──> bounded queue
+//   worker:      compute_query ──> render_body ──> PlanCache::publish
+//                ──> fulfill every waiter
 //
-// Concurrent identical requests block on ONE computation: the first
-// submitter enqueues an in-flight record, later submitters attach to it,
-// and the worker that computes it stores the result in the cache and
-// fulfills every waiter with the same shared immutable QueryResult — so a
-// key is planned exactly once no matter how many clients hammer it
-// (EngineStats::plans_computed counts real computations).
+// So concurrent identical requests share ONE computation and the same
+// immutable QueryResult: a key is planned exactly once no matter how many
+// clients hammer it (EngineStats::plans_computed counts computations).
 //
 // Deadlines: a request may carry a relative deadline, and it times out
 // iff its answer was not ready by then.  It is checked at submit (an
@@ -23,7 +24,7 @@
 // the answer lands (a waiter whose deadline has passed is fulfilled with
 // the timeout).  A late computation still completes and is cached —
 // timeouts never poison the cache with partial results.  Each request's
-// outcome is counted once, when it is fulfilled, as exactly one of
+// outcome is counted once, when it is answered, as exactly one of
 // completed / timeouts / errors.
 //
 // Shutdown drains gracefully: the destructor waits for every queued and
@@ -31,18 +32,21 @@
 // already fulfilled stay valid and nothing is dropped mid-compute.
 //
 // Request-scoped observability: every request carries a stable id
-// (client-supplied via Request::id or generated "r<seq>") from submit
-// through compute to fulfill.  Each fulfilled request produces a
-// RequestSpan (telemetry.h) — outcome, queue wait, compute time, coalesce
-// fan-in, cache shard, deadline margin — that feeds the slow-query log,
-// the rolling 1s/10s/60s rate windows behind rates(), and (when the
-// tracer is on) a Chrome complete event.  The {"op":"statusz"} /
-// {"op":"slowz"} admin responses (admin.h) render these live.
+// (client-supplied via Request::id or generated "r<seq>").  Each answered
+// request produces a RequestSpan (telemetry.h) — outcome, queue wait,
+// compute time, coalesce fan-in, cache shard, deadline margin — that
+// feeds the slow-query log, the rolling 1s/10s/60s rate windows behind
+// rates(), and (when the tracer is on) a Chrome complete event, rendered
+// live by the {"op":"statusz"} / {"op":"slowz"} admin responses (admin.h).
 //
-// Registry publication: the engine keeps exact atomic counters and
-// per-request latency histograms internally (workers must not record
-// into the global registry concurrently — see obs/registry.h) and
-// publishes them from the calling thread via publish_stats():
+// Lock order: a PlanCache shard lock (a waiter takes its id inside its
+// probe) or a waiter's lock, then stats_mu_; queue_mu_ is never held with
+// another.  A hit takes one shard lock and stats_mu_ once.
+//
+// Registry publication: the engine keeps exact counters and per-request
+// latency histograms internally (workers must not record into the global
+// registry concurrently — see obs/registry.h) and publishes them from the
+// calling thread via publish_stats():
 //
 //   counters   service.requests / completed / cache_hits / cache_misses /
 //              coalesced / plans_computed / timeouts / errors /
@@ -50,7 +54,7 @@
 //   gauges     service.queue_depth (current), service.queue_depth_peak,
 //              service.cache_entries, service.pool_threads,
 //              service.inflight
-//   histograms service.request_us (submit->fulfill), service.compute_us,
+//   histograms service.request_us (submit->answer), service.compute_us,
 //              service.queue_wait_us, service.fanin,
 //              service.deadline_margin_us
 
@@ -60,7 +64,6 @@
 #include <deque>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "src/obs/registry.h"
@@ -76,7 +79,6 @@ struct EngineConfig {
   i32 threads = 0;  ///< worker pool width; 0 = default_threads()
   std::size_t queue_capacity = 256;   ///< bounded submission queue
   std::size_t cache_capacity = 1024;  ///< PlanCache entries
-  std::size_t cache_shards = 8;
   i64 default_deadline_ms = 0;  ///< 0 = no deadline unless the request
                                 ///< carries one
   std::size_t slow_log_capacity = 16;  ///< spans per slow/failed ring
@@ -139,14 +141,14 @@ struct EngineStats {
   i64 completed = 0;       ///< responses fulfilled with a result
   i64 cache_hits = 0;      ///< answered from the cache at submit
   i64 cache_misses = 0;    ///< computations started (unique misses)
-  i64 coalesced = 0;       ///< requests attached to an in-flight compute
+  i64 coalesced = 0;       ///< requests attached to a computing key
   i64 plans_computed = 0;  ///< compute_query executions
   i64 timeouts = 0;        ///< structured deadline responses
   i64 errors = 0;          ///< error responses (invalid parameters,
                            ///< overloads)
   i64 queue_depth = 0;     ///< current submission-queue depth
   i64 peak_queue_depth = 0;
-  i64 inflight = 0;        ///< jobs queued or executing right now
+  i64 inflight = 0;        ///< keys being computed (queued or executing)
   i64 cache_entries = 0;
   i64 cache_evictions = 0;
 };
@@ -176,10 +178,9 @@ class Engine {
   class Ticket;
 
   /// Submits a request.  Blocks only when the submission queue is full
-  /// (back-pressure); cache hits and expired deadlines return an already
-  /// fulfilled ticket.  Tickets must not outlive the engine.
-  Ticket submit(const Request& req)
-      TP_EXCLUDES(queue_mu_, inflight_mu_, stats_mu_);
+  /// (back-pressure); cache hits and expired deadlines return a ticket
+  /// that already holds its answer.  Tickets must not outlive the engine.
+  Ticket submit(const Request& req) TP_EXCLUDES(queue_mu_, stats_mu_);
 
   /// Non-blocking submit for network front-ends: identical to submit()
   /// except that a full submission queue never blocks — the returned
@@ -187,20 +188,17 @@ class Engine {
   /// (Response::overload), so the caller can answer the client and keep
   /// its socket loop responsive.  Cache hits and coalesced waits are
   /// unaffected (neither touches the queue).
-  Ticket try_submit(const Request& req)
-      TP_EXCLUDES(queue_mu_, inflight_mu_, stats_mu_);
+  Ticket try_submit(const Request& req) TP_EXCLUDES(queue_mu_, stats_mu_);
 
   /// submit + wait.
-  Response run(const Request& req)
-      TP_EXCLUDES(queue_mu_, inflight_mu_, stats_mu_);
+  Response run(const Request& req) TP_EXCLUDES(queue_mu_, stats_mu_);
 
-  /// Blocks until every request submitted so far has been answered:
-  /// computed (or dropped as expired) and its waiters fulfilled, so
-  /// stats() then counts every one of them.  The pool stays alive for
-  /// further submits.
-  void drain() TP_EXCLUDES(inflight_mu_);
+  /// Blocks until every request submitted so far has been answered and
+  /// counted, so requests == completed + timeouts + errors on return.
+  /// The pool stays alive for further submits.
+  void drain() TP_EXCLUDES(stats_mu_);
 
-  EngineStats stats() const TP_EXCLUDES(stats_mu_, queue_mu_, inflight_mu_);
+  EngineStats stats() const TP_EXCLUDES(stats_mu_, queue_mu_);
   const EngineConfig& config() const { return config_; }
   const PlanCache& cache() const { return cache_; }
 
@@ -240,12 +238,9 @@ class Engine {
   /// Durability bookkeeping for statusz/cachez.
   SnapshotStatus snapshot_status() const TP_EXCLUDES(snapshot_mu_);
 
- private:
-  struct Pending;
-  struct InFlight;
-
  public:
-  /// Handle to one submitted request.
+  /// Handle to one submitted request: the answer itself when it was known
+  /// at submit (a hit, an expired deadline), else the request's waiter.
   class Ticket {
    public:
     /// Blocks until the response is ready or the request's deadline
@@ -257,56 +252,65 @@ class Engine {
     friend class Engine;
     explicit Ticket(std::shared_ptr<Pending> pending)
         : pending_(std::move(pending)) {}
-    std::shared_ptr<Pending> pending_;
+    explicit Ticket(Response answer) : answer_(std::move(answer)) {}
+    std::shared_ptr<Pending> pending_;  ///< null when answered at submit
+    Response answer_;
   };
 
  private:
+  using Clock = std::chrono::steady_clock;
+
   Ticket submit_impl(const Request& req, bool may_block)
-      TP_EXCLUDES(queue_mu_, inflight_mu_, stats_mu_);
-  void reject_overloaded(const std::shared_ptr<InFlight>& job)
-      TP_EXCLUDES(queue_mu_, inflight_mu_, stats_mu_);
+      TP_EXCLUDES(queue_mu_, stats_mu_);
+  /// Answers a request at submit, with no waiter: one stats_mu_
+  /// acquisition counts it and records its span.
+  Ticket answer_at_submit(const Request& req, Response response,
+                          SpanOutcome outcome, Clock::time_point submitted,
+                          Clock::time_point deadline) TP_EXCLUDES(stats_mu_);
+  /// A counted waiter for `req`, with its id, built inside its probe.
+  std::shared_ptr<Pending> new_waiter(const Request& req,
+                                      Clock::time_point submitted,
+                                      Clock::time_point deadline)
+      TP_EXCLUDES(stats_mu_);
   void worker_loop(i32 worker);
   void saver_loop();
-  /// Computes a job on worker `slot`, marking the slot idle before the job
-  /// retires so a caller returning from drain() sees every worker idle.
-  void execute(const std::shared_ptr<InFlight>& job, std::size_t slot);
-  void mark_idle(std::size_t slot) TP_EXCLUDES(stats_mu_);
+  /// Computes a queued key on worker `slot`, marking the slot idle before
+  /// answering, so a caller returning from drain() sees every worker idle.
+  void execute(const QueryKey& key, std::size_t slot) TP_EXCLUDES(stats_mu_);
+  /// Answers a job's waiters: the first started it, the rest coalesced.
+  void answer_waiters(const PlanCache::Waiters& waiters,
+                      const Response& response, Clock::time_point dequeued,
+                      i64 compute_us) TP_EXCLUDES(stats_mu_);
   /// Answers one waiter: stores the response (the timeout instead when
-  /// its deadline has passed), counts its outcome and records its span.
-  void fulfill(const std::shared_ptr<Pending>& pending, Response response)
+  /// its deadline has passed), counts its outcome and records `span`.
+  void fulfill(Pending& pending, Response response, RequestSpan span)
       TP_EXCLUDES(stats_mu_);
-  /// Takes a job out of drain()'s count once its waiters are fulfilled.
-  void retire() TP_EXCLUDES(inflight_mu_);
+  /// Counts a submit and returns its id: the client's, else "r<seq>".
+  std::string count_request(const Request& req) TP_REQUIRES(stats_mu_);
+  /// Counts an answered request's outcome and records its span in the
+  /// histograms, the slow log and the rate rings.
+  void account(const RequestSpan& span, Clock::time_point now)
+      TP_REQUIRES(stats_mu_);
   static Response timeout_response(const QueryKey& key);
 
   EngineConfig config_;
   i32 pool_threads_ = 1;
   PlanCache cache_;
-  std::chrono::steady_clock::time_point start_;
+  Clock::time_point start_;
 
-  // Submission queue (bounded) and pool.
+  // Submission queue (bounded) of computing keys, and the pool.
   mutable Mutex queue_mu_;
   CondVar queue_not_empty_;
   CondVar queue_not_full_;
-  std::deque<std::shared_ptr<InFlight>> queue_ TP_GUARDED_BY(queue_mu_);
+  std::deque<QueryKey> queue_ TP_GUARDED_BY(queue_mu_);
   bool stopping_ TP_GUARDED_BY(queue_mu_) = false;
   std::vector<Thread> pool_;
 
-  // In-flight coalescing map, keyed on the query.
-  mutable Mutex inflight_mu_;
-  CondVar drain_cv_;
-  std::unordered_map<QueryKey, std::shared_ptr<InFlight>, QueryKeyHash>
-      inflight_ TP_GUARDED_BY(inflight_mu_);
-  i64 inflight_jobs_ TP_GUARDED_BY(inflight_mu_) =
-      0;  ///< jobs not yet answered: queued, executing or fulfilling
-          ///< their waiters (for drain)
-
-  // Exact stats and request-scoped telemetry.  Counters live behind
-  // stats_mu_ together with the local latency histograms, the slow-query
-  // log, and the rolling rate windows; everything is touched once per
-  // request, so one short lock is cheaper than it looks next to a plan
-  // computation.
+  // Exact stats and request-scoped telemetry, behind one lock: counters,
+  // latency histograms, the slow-query log and the rate windows.
+  // drain_cv_ wakes drain() as waiters are answered.
   mutable Mutex stats_mu_;
+  CondVar drain_cv_;
   EngineStats counters_ TP_GUARDED_BY(stats_mu_);
   obs::HistogramData request_us_ TP_GUARDED_BY(stats_mu_);
   obs::HistogramData compute_us_ TP_GUARDED_BY(stats_mu_);

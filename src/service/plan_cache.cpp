@@ -15,9 +15,8 @@ PlanCache::PlanCache(std::size_t capacity, std::size_t shards) {
     shards_.push_back(std::make_unique<Shard>());
 }
 
-std::shared_ptr<const QueryResult> PlanCache::get(const QueryKey& key) {
-  Shard& shard = *shards_[shard_of(key)];
-  const MutexLock lock(shard.mu);
+std::shared_ptr<const QueryResult> PlanCache::find_ready(Shard& shard,
+                                                         const QueryKey& key) {
   const auto it = shard.index.find(key);
   if (it == shard.index.end()) {
     ++shard.misses;
@@ -28,12 +27,9 @@ std::shared_ptr<const QueryResult> PlanCache::get(const QueryKey& key) {
   return it->second->result;
 }
 
-void PlanCache::put(const QueryKey& key,
-                    std::shared_ptr<const QueryResult> result) {
-  TP_REQUIRE(result != nullptr, "cannot cache a null result");
+void PlanCache::insert_ready(Shard& shard, const QueryKey& key,
+                             std::shared_ptr<const QueryResult> result) const {
   const i64 now_ns = obs::Stopwatch::now_ns();
-  Shard& shard = *shards_[shard_of(key)];
-  const MutexLock lock(shard.mu);
   const auto it = shard.index.find(key);
   if (it != shard.index.end()) {
     it->second->result = std::move(result);
@@ -50,23 +46,42 @@ void PlanCache::put(const QueryKey& key,
   shard.index.emplace(key, shard.lru.begin());
 }
 
-void PlanCache::replace(const QueryKey& key,
-                        std::shared_ptr<const QueryResult> result) {
-  TP_REQUIRE(result != nullptr, "cannot cache a null result");
-  Shard& shard = *shards_[shard_of(key)];
+std::shared_ptr<const QueryResult> PlanCache::get(const QueryKey& key) {
+  Shard& shard = shard_for(key);
   const MutexLock lock(shard.mu);
-  const auto it = shard.index.find(key);
-  if (it != shard.index.end()) it->second->result = std::move(result);
+  return find_ready(shard, key);
+}
+
+void PlanCache::put(const QueryKey& key,
+                    std::shared_ptr<const QueryResult> result) {
+  TP_REQUIRE(result != nullptr, "cannot cache a null result");
+  Shard& shard = shard_for(key);
+  const MutexLock lock(shard.mu);
+  insert_ready(shard, key, std::move(result));
+}
+
+PlanCache::Waiters PlanCache::publish(
+    const QueryKey& key, std::shared_ptr<const QueryResult> result,
+    Clock::time_point now) {
+  Shard& shard = shard_for(key);
+  const MutexLock lock(shard.mu);
+  const auto it = shard.computing.find(key);
+  TP_ASSERT(it != shard.computing.end(), "publish of a key not computing");
+  if (now < it->second.until) return {};
+  Waiters waiters = std::move(it->second.waiters);
+  shard.computing.erase(it);
+  if (result != nullptr) insert_ready(shard, key, std::move(result));
+  return waiters;
 }
 
 PlanCache::Stats PlanCache::stats() const {
   Stats total;
-  for (const auto& shard : shards_) {
-    const MutexLock lock(shard->mu);
-    total.hits += shard->hits;
-    total.misses += shard->misses;
-    total.evictions += shard->evictions;
-    total.entries += static_cast<i64>(shard->lru.size());
+  for (const Stats& s : shard_stats()) {
+    total.hits += s.hits;
+    total.misses += s.misses;
+    total.evictions += s.evictions;
+    total.entries += s.entries;
+    total.computing += s.computing;
   }
   return total;
 }
@@ -76,12 +91,9 @@ std::vector<PlanCache::Stats> PlanCache::shard_stats() const {
   out.reserve(shards_.size());
   for (const auto& shard : shards_) {
     const MutexLock lock(shard->mu);
-    Stats s;
-    s.hits = shard->hits;
-    s.misses = shard->misses;
-    s.evictions = shard->evictions;
-    s.entries = static_cast<i64>(shard->lru.size());
-    out.push_back(s);
+    out.push_back({shard->hits, shard->misses, shard->evictions,
+                   static_cast<i64>(shard->lru.size()),
+                   static_cast<i64>(shard->computing.size())});
   }
   return out;
 }
@@ -98,22 +110,7 @@ obs::HistogramData PlanCache::age_histogram() const {
 }
 
 std::size_t PlanCache::size() const {
-  std::size_t n = 0;
-  for (const auto& shard : shards_) {
-    const MutexLock lock(shard->mu);
-    n += shard->lru.size();
-  }
-  return n;
-}
-
-std::vector<QueryKey> PlanCache::shard_keys_mru(std::size_t shard_idx) const {
-  TP_REQUIRE(shard_idx < shards_.size(), "shard index out of range");
-  const Shard& shard = *shards_[shard_idx];
-  const MutexLock lock(shard.mu);
-  std::vector<QueryKey> keys;
-  keys.reserve(shard.lru.size());
-  for (const Entry& e : shard.lru) keys.push_back(e.key);
-  return keys;
+  return static_cast<std::size_t>(stats().entries);
 }
 
 std::vector<std::pair<QueryKey, std::shared_ptr<const QueryResult>>>

@@ -107,8 +107,8 @@ struct QueryResult {
 
   /// The answer's response bytes after `{"id":<id>,` (render_body,
   /// jsonl.h), so that every hit writes stored bytes.  The engine renders
-  /// it right after computing, and on the first hit of a result restored
-  /// from a snapshot, which does not store it.  Empty until then.
+  /// it right after computing, and snapshots store it with the result.
+  /// Empty on a result that has not passed through the engine.
   std::string body;
 };
 

@@ -84,6 +84,7 @@ std::string encode_query_result(const QueryResult& result) {
     buf.put_i64(result.slab.procs_in);
     buf.put_i64(result.slab.boundary);
   }
+  buf.put_string(result.body);
   return buf.data();
 }
 
@@ -128,6 +129,7 @@ QueryResult decode_query_result(std::string_view payload) {
     result.slab.procs_in = view.get_i64();
     result.slab.boundary = view.get_i64();
   }
+  result.body = view.get_string();
   TP_REQUIRE(view.empty(), "snapshot entry: trailing bytes after result");
   return result;
 }

@@ -14,8 +14,9 @@
 //              cross-checked against the hash recomputed from the decoded
 //              key), the key fields, and the full QueryResult — doubles
 //              as raw IEEE-754 bits, so a loaded result is bit-identical
-//              to the computed one and a warmed cache serves responses
-//              byte-identical to cold computation.
+//              to the computed one, and its rendered body, so a warmed
+//              cache serves responses byte-identical to cold computation
+//              without rendering anything.
 //
 // Compatibility: the build key is "<version> <git describe>" — the same
 // provenance `torusplace version` prints.  A snapshot written by a
@@ -48,8 +49,9 @@ namespace tp::service {
 /// IEEE bits, changes; old files are refused.  Version 2: UDR loads are
 /// the correctly rounded exact rationals, no longer double sums.
 /// Version 3: entries carry no per-link load map, and mean_load is the
-/// exact ΣLee / 2dN.
-constexpr std::uint32_t kSnapshotFormatVersion = 3;
+/// exact ΣLee / 2dN.  Version 4: entries carry their rendered response
+/// body (QueryResult::body), so a restored entry is served as stored.
+constexpr std::uint32_t kSnapshotFormatVersion = 4;
 
 /// The compatibility key baked into every snapshot: "<version> <git>".
 /// `torusplace version` prints the same fields (docs/durability.md).

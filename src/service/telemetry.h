@@ -4,7 +4,7 @@
 // (the stable request id), what they asked for (the canonical key), how
 // it ended, and where the time went (queue wait vs compute), plus the
 // coalesce fan-in and the deadline margin.  The engine materializes one
-// span per fulfilled request and feeds it three ways: into its local
+// span per answered request and feeds it three ways: into its local
 // histograms (published to the registry by publish_stats), into the
 // Chrome tracer as a complete event, and into the SlowQueryLog below.
 //
@@ -23,7 +23,7 @@
 #include <string>
 #include <vector>
 
-#include "src/util/math.h"
+#include "src/service/query.h"
 
 namespace tp::service {
 
@@ -31,7 +31,7 @@ namespace tp::service {
 enum class SpanOutcome {
   Hit,        ///< answered from the plan cache at submit
   Computed,   ///< first waiter of a fresh computation
-  Coalesced,  ///< attached to an in-flight computation
+  Coalesced,  ///< joined a computing key's waiters
   Timeout,    ///< structured deadline response (or fulfilled past it)
   Error,      ///< computation failed (invalid parameters)
 };
@@ -41,15 +41,15 @@ const char* span_outcome_name(SpanOutcome o);
 /// One request's timing breakdown.
 struct RequestSpan {
   std::string request_id;  ///< client-supplied or engine-generated id
-  std::string key;         ///< canonical query key text
+  QueryKey key;            ///< the query (formatted only when read)
   SpanOutcome outcome = SpanOutcome::Hit;
-  i64 total_us = 0;    ///< submit -> fulfill
+  i64 total_us = 0;    ///< submit -> answer
   i64 queue_us = 0;    ///< submit -> worker dequeue (0 for cache hits)
   i64 compute_us = 0;  ///< compute_query wall time (0 for cache hits)
   i64 fanin = 1;       ///< waiters fulfilled by the same computation
   i64 shard = 0;       ///< plan-cache shard of the key
   bool has_deadline = false;
-  i64 deadline_margin_us = 0;  ///< deadline minus fulfill time; negative
+  i64 deadline_margin_us = 0;  ///< deadline minus answer time; negative
                                ///< means the deadline was missed
 };
 

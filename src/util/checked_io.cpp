@@ -45,15 +45,23 @@ constexpr std::uint32_t kMaxRecordBytes = 1u << 30;
 
 namespace {
 
+/// entries[k][b] is the CRC of byte b followed by k zero bytes, so eight
+/// bytes fold in with eight independent lookups (slicing-by-8) instead of
+/// a chain of eight: the same CRC, several times faster, which keeps the
+/// snapshot load of a warm boot cheap.
 struct Crc32Table {
-  std::uint32_t entries[256];
+  std::uint32_t entries[8][256];
   Crc32Table() {
     for (std::uint32_t i = 0; i < 256; ++i) {
       std::uint32_t c = i;
       for (int bit = 0; bit < 8; ++bit)
         c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
-      entries[i] = c;
+      entries[0][i] = c;
     }
+    for (int k = 1; k < 8; ++k)
+      for (std::uint32_t i = 0; i < 256; ++i)
+        entries[k][i] = (entries[k - 1][i] >> 8) ^
+                        entries[0][entries[k - 1][i] & 0xFFu];
   }
 };
 
@@ -62,10 +70,18 @@ struct Crc32Table {
 std::uint32_t crc32_update(std::uint32_t crc, const void* data,
                            std::size_t n) {
   static const Crc32Table table;
+  const auto& t = table.entries;
   const auto* bytes = static_cast<const unsigned char*>(data);
   std::uint32_t c = crc ^ 0xFFFFFFFFu;
-  for (std::size_t i = 0; i < n; ++i)
-    c = table.entries[(c ^ bytes[i]) & 0xFFu] ^ (c >> 8);
+  for (; n >= 8; n -= 8, bytes += 8) {
+    const std::uint32_t lo =
+        c ^ (std::uint32_t{bytes[0]} | std::uint32_t{bytes[1]} << 8 |
+             std::uint32_t{bytes[2]} << 16 | std::uint32_t{bytes[3]} << 24);
+    c = t[7][lo & 0xFFu] ^ t[6][(lo >> 8) & 0xFFu] ^
+        t[5][(lo >> 16) & 0xFFu] ^ t[4][lo >> 24] ^ t[3][bytes[4]] ^
+        t[2][bytes[5]] ^ t[1][bytes[6]] ^ t[0][bytes[7]];
+  }
+  for (; n > 0; --n, ++bytes) c = t[0][(c ^ *bytes) & 0xFFu] ^ (c >> 8);
   return c ^ 0xFFFFFFFFu;
 }
 

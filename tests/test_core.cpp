@@ -166,6 +166,18 @@ TEST(Answers, ExactClaimsHoldAndBoundsBracketTheMeasurement) {
   EXPECT_EQ(answers, 3 * (3 * (3 * 11 - 1) + 2 * 3));
 }
 
+TEST(Answers, AdaptivePredictionIsNotAnUpperBound) {
+  // The adaptive prediction is UDR's bound, which the exact adaptive
+  // E_max passes on 2-D tori from k = 115 on: 230.448... > 230 here.
+  const service::QueryResult r = service::compute_query(
+      service::make_query_key(Radices{115, 115}, 1, RouterKind::Adaptive,
+                              service::QueryOp::Load));
+  EXPECT_FALSE(r.prediction_exact);
+  EXPECT_EQ(r.predicted_emax, 230.0);
+  EXPECT_GT(r.measured_emax, r.predicted_emax);
+  EXPECT_EQ(r.measured_emax, 230.4481430687286);
+}
+
 TEST(Verifier, CertifiesLinearPlacementFamily) {
   const auto family = [](const Torus& torus) {
     return linear_placement(torus);

@@ -33,6 +33,14 @@ std::shared_ptr<const QueryResult> dummy_result(const QueryKey& key) {
   return r;
 }
 
+/// The cache's keys, most-recently-used first (one shard: the global
+/// recency order).
+std::vector<QueryKey> keys_mru(const PlanCache& cache) {
+  std::vector<QueryKey> keys;
+  for (const auto& entry : cache.entries_mru()) keys.push_back(entry.first);
+  return keys;
+}
+
 // ---------------------------------------------------------------- QueryKey
 
 TEST(QueryKey, NormalizesRadixOrder) {
@@ -120,7 +128,7 @@ TEST(PlanCache, DeterministicLruEvictionOrder) {
   EXPECT_NE(cache.get(a), nullptr);
   EXPECT_NE(cache.get(c), nullptr);
 
-  const auto mru = cache.shard_keys_mru(0);
+  const auto mru = keys_mru(cache);
   ASSERT_EQ(mru.size(), 2u);
   EXPECT_EQ(mru[0], c);  // last touched
   EXPECT_EQ(mru[1], a);
@@ -149,7 +157,7 @@ TEST(PlanCache, RePutReplacesAndPromotes) {
   cache.put(a, fresh);  // replace + promote; nothing evicted
   EXPECT_EQ(cache.stats().evictions, 0);
   EXPECT_EQ(cache.get(a).get(), fresh.get());
-  const auto mru = cache.shard_keys_mru(0);
+  const auto mru = keys_mru(cache);
   EXPECT_EQ(mru[0], a);
 }
 
@@ -158,6 +166,95 @@ TEST(PlanCache, ShardSelectionIsStable) {
   const QueryKey a = key_dk(3, 8);
   EXPECT_EQ(cache.shard_of(a), cache.shard_of(a));
   EXPECT_EQ(cache.shard_of(a), static_cast<std::size_t>(a.hash()) % 4);
+}
+
+/// A probe that registers a null waiter: the table only holds waiters.
+PlanCache::Probe probe(PlanCache& cache, const QueryKey& key,
+                       PlanCache::Clock::time_point until =
+                           PlanCache::Clock::time_point::max()) {
+  std::shared_ptr<const QueryResult> hit;
+  return cache.probe(key, until, &hit,
+                     [] { return std::shared_ptr<Pending>(); });
+}
+
+TEST(PlanCache, ComputingKeyIsNeitherEvictedSnapshottedNorCounted) {
+  // One shard of one entry: every ready put evicts the last, and the
+  // computing key survives all of them.
+  PlanCache cache(1, 1);
+  const QueryKey a = key_dk(2, 4), b = key_dk(2, 6), c = key_dk(2, 8);
+  EXPECT_EQ(probe(cache, a), PlanCache::Probe::New);
+  cache.put(b, dummy_result(b));
+  cache.put(c, dummy_result(c));  // evicts b, not the computing a
+  PlanCache::Stats s = cache.stats();
+  EXPECT_EQ(s.evictions, 1);
+  EXPECT_EQ(s.entries, 1);
+  EXPECT_EQ(s.computing, 1);
+  EXPECT_EQ(cache.size(), 1u);
+  EXPECT_EQ(cache.get(a), nullptr);  // computing is not ready
+  const auto entries = cache.entries_mru();
+  ASSERT_EQ(entries.size(), 1u);
+  EXPECT_EQ(entries[0].first, c);
+  const std::string path = ::testing::TempDir() + "/tp_computing_key.snap";
+  EXPECT_EQ(save_cache_snapshot(cache, path).entries, 1);
+  std::remove(path.c_str());
+
+  // Published, a becomes the shard's one ready entry.
+  EXPECT_EQ(cache.publish(a, dummy_result(a)).size(), 1u);
+  s = cache.stats();
+  EXPECT_EQ(s.computing, 0);
+  EXPECT_EQ(s.evictions, 2);
+  EXPECT_NE(cache.get(a), nullptr);
+}
+
+TEST(PlanCache, SecondProbeCoalescesOntoAComputingKey) {
+  PlanCache cache(4, 2);
+  const QueryKey a = key_dk(3, 8);
+  EXPECT_EQ(probe(cache, a), PlanCache::Probe::New);
+  EXPECT_EQ(probe(cache, a), PlanCache::Probe::Coalesced);
+  EXPECT_EQ(probe(cache, a), PlanCache::Probe::Coalesced);
+  EXPECT_EQ(cache.stats().misses, 3);  // one per probe
+  const auto result = dummy_result(a);
+  EXPECT_EQ(cache.publish(a, result).size(), 3u);  // every waiter, once
+
+  std::shared_ptr<const QueryResult> hit;
+  bool built = false;
+  EXPECT_EQ(cache.probe(a, PlanCache::Clock::time_point::max(), &hit,
+                        [&built] {
+                          built = true;
+                          return std::shared_ptr<Pending>();
+                        }),
+            PlanCache::Probe::Hit);
+  EXPECT_FALSE(built);  // a hit builds no waiter
+  EXPECT_EQ(hit.get(), result.get());
+  EXPECT_EQ(cache.stats().hits, 1);
+}
+
+TEST(PlanCache, DroppedComputationLeavesNoEntry) {
+  PlanCache cache(4, 1);
+  const QueryKey a = key_dk(2, 4);
+  EXPECT_EQ(probe(cache, a), PlanCache::Probe::New);
+  EXPECT_EQ(probe(cache, a), PlanCache::Probe::Coalesced);
+  EXPECT_EQ(cache.publish(a, nullptr).size(), 2u);  // an error, an overload
+  EXPECT_EQ(cache.stats().computing, 0);
+  EXPECT_EQ(cache.stats().entries, 0);
+  EXPECT_EQ(probe(cache, a), PlanCache::Probe::New);  // a retry computes
+}
+
+TEST(PlanCache, ExpiryDropsOnlyAComputationNoWaiterWants) {
+  PlanCache cache(4, 1);
+  const QueryKey a = key_dk(2, 4);
+  const auto t0 = PlanCache::Clock::now();
+  const auto soon = t0 + std::chrono::milliseconds(5);
+  const auto later = t0 + std::chrono::milliseconds(50);
+  EXPECT_EQ(probe(cache, a, soon), PlanCache::Probe::New);
+  EXPECT_EQ(probe(cache, a, later), PlanCache::Probe::Coalesced);
+  // At `soon` the second waiter still wants the answer.
+  EXPECT_TRUE(cache.publish(a, nullptr, soon).empty());
+  EXPECT_EQ(cache.stats().computing, 1);
+  // Past both, the computation goes with both waiters.
+  EXPECT_EQ(cache.publish(a, nullptr, later).size(), 2u);
+  EXPECT_EQ(cache.stats().computing, 0);
+  EXPECT_EQ(probe(cache, a), PlanCache::Probe::New);
 }
 
 // ------------------------------------------------------------------ Engine
@@ -407,17 +504,55 @@ TEST(Engine, DrainReturnsWithEveryOutcomeCountedOnce) {
   EXPECT_EQ(overloads, 3);
 }
 
-TEST(Engine, LruEvictionAppliesUnderTheEngine) {
+TEST(Engine, OverloadedOrFailedJobLeavesNoEntrySoARetryComputes) {
   EngineConfig config;
   config.threads = 1;
-  config.cache_capacity = 2;
-  config.cache_shards = 1;
+  config.queue_capacity = 1;
   Engine engine(config);
-  ASSERT_TRUE(engine.run({key_dk(2, 4)}).ok);
-  ASSERT_TRUE(engine.run({key_dk(2, 6)}).ok);
-  ASSERT_TRUE(engine.run({key_dk(2, 8)}).ok);  // evicts k=4
+  Engine::Ticket parked = park_worker(engine);
+  Engine::Ticket queued = engine.submit({key_dk(2, 6)});  // fills the queue
+  const QueryKey key = key_dk(2, 8, 1, RouterKind::Odr, QueryOp::Load);
+  const Response overloaded = engine.try_submit({key}).wait();
+  EXPECT_TRUE(overloaded.overload);
+  EXPECT_TRUE(parked.wait().ok);
+  EXPECT_TRUE(queued.wait().ok);
+  engine.drain();
+  EXPECT_EQ(engine.stats().inflight, 0);
+  EXPECT_EQ(engine.stats().cache_misses, 2);  // the overload started none
+
+  // The overloaded key was never computed or cached: the retry computes.
+  const Response retried = engine.run({key});
+  ASSERT_TRUE(retried.ok);
+  EXPECT_EQ(engine.stats().plans_computed, 3);
+  EXPECT_EQ(engine.stats().cache_misses, 3);
+
+  // A failed job leaves no entry either.
+  const QueryKey bad = key_dk(2, 4, 99);  // t > k
+  EXPECT_FALSE(engine.run({bad}).ok);
+  EXPECT_FALSE(engine.run({bad}).ok);
+  EXPECT_EQ(engine.stats().plans_computed, 5);
+  EXPECT_EQ(engine.stats().inflight, 0);
+  EXPECT_EQ(engine.cache().stats().computing, 0);
+}
+
+TEST(Engine, LruEvictionAppliesUnderTheEngine) {
+  // 16 entries over the engine's 8 shards: 2 per shard.  Three keys of
+  // one shard overflow it.
+  EngineConfig config;
+  config.threads = 1;
+  config.cache_capacity = 16;
+  Engine engine(config);
+  ASSERT_EQ(engine.cache().per_shard_capacity(), 2u);
+  std::vector<QueryKey> same_shard = {key_dk(2, 4)};
+  for (i32 k = 5; same_shard.size() < 3; ++k)
+    if (engine.cache().shard_of(key_dk(2, k)) ==
+        engine.cache().shard_of(same_shard[0]))
+      same_shard.push_back(key_dk(2, k));
+  ASSERT_TRUE(engine.run({same_shard[0]}).ok);
+  ASSERT_TRUE(engine.run({same_shard[1]}).ok);
+  ASSERT_TRUE(engine.run({same_shard[2]}).ok);  // evicts the first
   EXPECT_EQ(engine.stats().cache_evictions, 1);
-  ASSERT_TRUE(engine.run({key_dk(2, 4)}).ok);  // recomputes
+  ASSERT_TRUE(engine.run({same_shard[0]}).ok);  // recomputes
   EXPECT_EQ(engine.stats().plans_computed, 4);
 }
 
@@ -993,7 +1128,6 @@ TEST(Admin, StatuszGoldenSchema) {
 TEST(Admin, CachezGoldenSchema) {
   EngineConfig config;
   config.threads = 1;
-  config.cache_shards = 2;
   config.cache_capacity = 8;
   Engine engine(config);
   ASSERT_TRUE(engine.run({key_dk(2, 4)}).ok);
@@ -1005,12 +1139,13 @@ TEST(Admin, CachezGoldenSchema) {
   EXPECT_EQ(doc.find("entries")->as_int(), 1);
   EXPECT_EQ(doc.find("capacity")->as_int(), 8);
   const auto& shards = doc.find("shards")->items();
-  ASSERT_EQ(shards.size(), 2u);
+  ASSERT_EQ(shards.size(), 8u);  // the engine's 8 shards
   EXPECT_EQ(member_keys(shards[0]), "shard,entries,hits,misses,evictions");
   // One real miss happened; it landed in exactly one shard.
-  EXPECT_EQ(shards[0].find("misses")->as_int() +
-                shards[1].find("misses")->as_int(),
-            1);
+  i64 misses = 0;
+  for (const obs::JsonValue& shard : shards)
+    misses += shard.find("misses")->as_int();
+  EXPECT_EQ(misses, 1);
   EXPECT_EQ(doc.find("age_us")->find("count")->as_int(), 1);
 }
 

@@ -60,6 +60,14 @@ std::shared_ptr<const QueryResult> dummy_result(const QueryKey& key) {
   return r;
 }
 
+/// The cache's keys, most-recently-used first (one shard: the global
+/// recency order).
+std::vector<QueryKey> keys_mru(const PlanCache& cache) {
+  std::vector<QueryKey> keys;
+  for (const auto& entry : cache.entries_mru()) keys.push_back(entry.first);
+  return keys;
+}
+
 // ------------------------------------------------------------------ CRC32
 
 TEST(Crc32, KnownAnswerAndComposition) {
@@ -72,6 +80,23 @@ TEST(Crc32, KnownAnswerAndComposition) {
   std::uint32_t crc = util::crc32_update(0, s, 4);
   crc = util::crc32_update(crc, s + 4, 5);
   EXPECT_EQ(crc, 0xCBF43926u);
+
+  // Every length and alignment agrees with the bit-at-a-time definition,
+  // whole 8-byte blocks and tails alike.
+  std::string bytes(64, '\0');
+  for (std::size_t i = 0; i < bytes.size(); ++i)
+    bytes[i] = static_cast<char>(i * 37 + 11);
+  for (std::size_t off = 0; off < 8; ++off)
+    for (std::size_t n = 0; off + n <= bytes.size(); ++n) {
+      std::uint32_t c = 0xFFFFFFFFu;
+      for (std::size_t i = off; i < off + n; ++i) {
+        c ^= static_cast<unsigned char>(bytes[i]);
+        for (int bit = 0; bit < 8; ++bit)
+          c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+      }
+      EXPECT_EQ(util::crc32(bytes.data() + off, n), c ^ 0xFFFFFFFFu)
+          << "offset " << off << " length " << n;
+    }
 }
 
 // ------------------------------------------------- ByteBuffer / ByteView
@@ -320,6 +345,15 @@ TEST(SnapshotCodec, FullAnalyzeResultRoundTripsBitExact) {
   }
 }
 
+TEST(SnapshotCodec, RenderedBodyRoundTrips) {
+  QueryResult original =
+      compute_query(key_dk(2, 4, 1, RouterKind::Udr, QueryOp::Analyze));
+  original.body = render_body(original);
+  ASSERT_FALSE(original.body.empty());
+  EXPECT_EQ(decode_query_result(encode_query_result(original)).body,
+            original.body);
+}
+
 TEST(SnapshotCodec, DamagedKeyFieldsAreRefusedByHashCheck) {
   const QueryResult original = compute_query(key_dk(2, 4));
   std::string payload = encode_query_result(original);
@@ -389,8 +423,8 @@ TEST(Snapshot, PreservesEvictionOrderAcrossRoundTrip) {
   PlanCache warmed(3, 1);
   ASSERT_TRUE(load_cache_snapshot(warmed, path).ok);
 
-  const auto order = warmed.shard_keys_mru(0);
-  const auto expected = cache.shard_keys_mru(0);
+  const auto order = keys_mru(warmed);
+  const auto expected = keys_mru(cache);
   ASSERT_EQ(order.size(), 3u);
   EXPECT_EQ(order, expected);
 
@@ -432,25 +466,29 @@ TEST(Snapshot, FormatVersionMismatchRefused) {
 }
 
 TEST(Snapshot, FormatVersion2BootsCold) {
-  // Version 2 entries carried a per-link load map; they are refused whole.
+  // Version 2 entries carried a per-link load map and version 3 entries
+  // no rendered body; both are refused whole.
   const std::string path = temp_path("tp_snapshot_version2.snap");
-  std::remove(path.c_str());
   PlanCache cache(8, 2);
   const QueryKey key = key_dk(2, 4, 1, RouterKind::Odr, QueryOp::Load);
   cache.put(key, std::make_shared<QueryResult>(compute_query(key)));
 
-  SnapshotIdentity old;
-  old.format_version = 2;
-  save_cache_snapshot(cache, path, old);
+  for (const std::uint32_t version : {2u, 3u}) {
+    std::remove(path.c_str());
+    SnapshotIdentity old;
+    old.format_version = version;
+    save_cache_snapshot(cache, path, old);
 
-  PlanCache warmed(8, 2);
-  const SnapshotLoadInfo info = load_cache_snapshot(warmed, path);
-  EXPECT_FALSE(info.ok);
-  EXPECT_NE(info.error.find("snapshot format version 2 != supported 3"),
-            std::string::npos)
-      << info.error;
-  EXPECT_EQ(info.entries, 0);
-  EXPECT_EQ(warmed.size(), 0u);
+    PlanCache warmed(8, 2);
+    const SnapshotLoadInfo info = load_cache_snapshot(warmed, path);
+    EXPECT_FALSE(info.ok);
+    EXPECT_NE(info.error.find("snapshot format version " +
+                              std::to_string(version) + " != supported 4"),
+              std::string::npos)
+        << info.error;
+    EXPECT_EQ(info.entries, 0);
+    EXPECT_EQ(warmed.size(), 0u);
+  }
   std::remove(path.c_str());
 }
 

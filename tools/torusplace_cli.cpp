@@ -149,7 +149,7 @@ void dump_slow_queries(const service::Engine& engine, std::ostream& err) {
   if (!slowest.empty()) {
     err << "slowest requests:\n";
     for (const service::RequestSpan& s : slowest)
-      err << "  " << s.request_id << " " << s.key << " "
+      err << "  " << s.request_id << " " << s.key.str() << " "
           << service::span_outcome_name(s.outcome) << " total=" << s.total_us
           << "us queue=" << s.queue_us << "us compute=" << s.compute_us
           << "us fanin=" << s.fanin << "\n";
@@ -158,7 +158,7 @@ void dump_slow_queries(const service::Engine& engine, std::ostream& err) {
   if (!failures.empty()) {
     err << "recent failures:\n";
     for (const service::RequestSpan& s : failures)
-      err << "  " << s.request_id << " " << s.key << " "
+      err << "  " << s.request_id << " " << s.key.str() << " "
           << service::span_outcome_name(s.outcome) << " total=" << s.total_us
           << "us\n";
   }

@@ -1,20 +1,28 @@
 #include "src/bounds/lower_bounds.h"
 
 #include <algorithm>
+#include <functional>
 #include <utility>
 
+#include "src/bisection/cut.h"
 #include "src/bisection/dimension_cut.h"
-#include "src/bisection/hyperplane_sweep.h"
 #include "src/load/formulas.h"
-#include "src/placement/uniformity.h"
 #include "src/util/error.h"
 
 namespace tp {
 
+namespace {
+
+BoundValue blaum_of(i64 size, i32 d) {
+  if (size < 2) return {"blaum", 0.0, true, "trivial for |P| < 2"};
+  return {"blaum", blaum_lower_bound(size, d), true, ""};
+}
+
+}  // namespace
+
 BoundValue blaum_bound(const Torus& torus, const Placement& p) {
   p.check_torus(torus);
-  if (p.size() < 2) return {"blaum", 0.0, true, "trivial for |P| < 2"};
-  return {"blaum", blaum_lower_bound(p.size(), torus.dims()), true, ""};
+  return blaum_of(p.size(), torus.dims());
 }
 
 BoundValue separator_bound(const Torus& torus, const Placement& p,
@@ -38,42 +46,60 @@ BoundValue separator_bound(const Torus& torus, const Placement& p,
 }
 
 BoundValue bisection_bound(const Torus& torus, const Placement& p) {
-  p.check_torus(torus);
-  if (p.size() < 2) return {"bisection", 0.0, true, "trivial for |P| < 2"};
-  const auto dim_cut = best_dimension_cut(torus, p);
-  i64 width;
-  std::string note;
-  if (dim_cut.imbalance <= 1) {
-    width = dim_cut.directed_edges;
-    note = "dimension cut (Theorem 1)";
-  } else {
-    const auto sweep = hyperplane_sweep_bisection(torus, p);
-    width = sweep.directed_edges;
-    note = "hyperplane sweep (Proposition 1)";
-  }
-  return {"bisection", bisection_lower_bound(p.size(), width), true, note};
+  return bisection_bound(torus, layer_counts(torus, p));
+}
+
+BoundValue bisection_bound(const Torus& torus, const LayerCounts& counts) {
+  if (counts.size < 2)
+    return {"bisection", 0.0, true, "trivial for |P| < 2"};
+  // Both cuts put ⌊|P|/2⌋ or ⌈|P|/2⌉ processors on a side, and Lemma 1
+  // gives the same value for either.
+  const i64 half = counts.size / 2;
+  const LayerSplit split = best_layer_split(torus, counts);
+  if (split.imbalance <= 1)
+    return {"bisection", separator_lower_bound(half, counts.size, split.width),
+            true, "dimension cut (Theorem 1)"};
+  const PrefixCut cut = middle_prefix_cut(torus, counts);
+  return {"bisection",
+          separator_lower_bound(half, counts.size, cut.directed_edges), true,
+          "layer prefix cut (whole layers, then part of one)"};
 }
 
 BoundValue improved_bound(const Torus& torus, const Placement& p) {
-  p.check_torus(torus);
+  return improved_bound(torus, layer_counts(torus, p));
+}
+
+BoundValue improved_bound(const Torus& torus, const LayerCounts& counts) {
   if (!torus.is_uniform_radix())
     return {"improved", 0.0, false, "needs uniform radix"};
-  if (uniform_dimensions(torus, p).empty())
+  const bool uniform_somewhere =
+      std::any_of(counts.layers.begin(), counts.layers.end(),
+                  [](const std::vector<i64>& layer) {
+                    return std::adjacent_find(layer.begin(), layer.end(),
+                                              std::not_equal_to<>()) ==
+                           layer.end();
+                  });
+  if (!uniform_somewhere)
     return {"improved", 0.0, false,
             "placement not uniform along any dimension"};
   const i32 k = torus.radix(0);
   const i32 d = torus.dims();
-  const double c = static_cast<double>(p.size()) /
+  const double c = static_cast<double>(counts.size) /
                    static_cast<double>(powi(k, d - 1));
   return {"improved", improved_lower_bound(c, k, d), true,
           "c = " + std::to_string(c)};
 }
 
 std::vector<BoundValue> all_bounds(const Torus& torus, const Placement& p) {
+  return all_bounds(torus, layer_counts(torus, p));
+}
+
+std::vector<BoundValue> all_bounds(const Torus& torus,
+                                   const LayerCounts& counts) {
   std::vector<BoundValue> bounds;
-  bounds.push_back(blaum_bound(torus, p));
-  bounds.push_back(bisection_bound(torus, p));
-  bounds.push_back(improved_bound(torus, p));
+  bounds.push_back(blaum_of(counts.size, torus.dims()));
+  bounds.push_back(bisection_bound(torus, counts));
+  bounds.push_back(improved_bound(torus, counts));
   double best = 0.0;
   for (const auto& b : bounds)
     if (b.applicable) best = std::max(best, b.value);

@@ -6,10 +6,23 @@
 //
 //   blaum            (|P|-1)/2d                          eq. (1)/(6)
 //   separator        2|S|(|P|-|S|)/|dS| for a given S     Lemma 1
-//   bisection        2(|P|/2)^2 / |d_b P|                 eq. (8), with
-//                    |d_b P| instantiated by a constructive cut
+//   bisection        2⌊|P|/2⌋⌈|P|/2⌉ / |d_b P|            Lemma 1 on a cut
+//                    with ⌊|P|/2⌋ processors on one side; eq. (8)'s
+//                    2(|P|/2)^2/|d_b P| for even |P|
 //   improved         c^2 k^{d-1}/8 with c = |P|/k^{d-1}   Section 4 (odd k:
 //                    the half-slab value, see formulas.h)
+//
+// The bisection cut is Theorem 1's dimension cut when some pair of layer
+// boundaries balances P to within one processor, else the layer prefix
+// cut {n : id(n) < r} of dimension_cut.h, which takes whole layers first
+// and holds exactly ⌊|P|/2⌋ processors.  An odd |P| split ⌊|P|/2⌋ :
+// ⌈|P|/2⌉ proves only the Lemma 1 value, 1/(2|d_b P|) below eq. (8)'s.
+//
+// Blaum, bisection and improved read the placement only through its
+// LayerCounts (src/placement/layer_counts.h), so a caller that has the
+// counts in closed form (the planner) needs no Placement; the Placement
+// overloads fill the counts in one pass and share the same arithmetic.
+// No bound builds a Cut or sweeps.
 //
 // All bounds are valid for every shortest-path routing algorithm; `best`
 // returns the largest applicable one.
@@ -19,7 +32,7 @@
 #include <string>
 #include <vector>
 
-#include "src/bisection/cut.h"
+#include "src/placement/layer_counts.h"
 #include "src/placement/placement.h"
 
 namespace tp {
@@ -30,6 +43,8 @@ struct BoundValue {
   double value = 0.0;
   bool applicable = true;  ///< e.g. `improved` needs a uniform placement
   std::string note;        ///< why not applicable / what it used
+
+  bool operator==(const BoundValue&) const = default;
 };
 
 /// Eq. (1): (|P|-1)/2d.
@@ -40,18 +55,22 @@ BoundValue blaum_bound(const Torus& torus, const Placement& p);
 BoundValue separator_bound(const Torus& torus, const Placement& p,
                            const std::vector<NodeId>& subset);
 
-/// Eq. (8) with the bisection realized by the best dimension cut
-/// (Theorem 1) when it balances, else by the hyperplane sweep.
+/// Lemma 1 on a bisection: Theorem 1's dimension cut when it balances P,
+/// else the layer prefix cut (see above).
 BoundValue bisection_bound(const Torus& torus, const Placement& p);
+BoundValue bisection_bound(const Torus& torus, const LayerCounts& counts);
 
 /// Section 4's dimension-independent bound.  Applicable when the placement
 /// is uniform along at least one dimension (the generalization the paper
 /// notes after Theorem 1) and the torus has uniform radix.
 BoundValue improved_bound(const Torus& torus, const Placement& p);
+BoundValue improved_bound(const Torus& torus, const LayerCounts& counts);
 
 /// Every bound above (separator over singleton subsets == blaum, so the
 /// subset variant is not repeated) and, in `.back()`, the best value.
 std::vector<BoundValue> all_bounds(const Torus& torus, const Placement& p);
+std::vector<BoundValue> all_bounds(const Torus& torus,
+                                   const LayerCounts& counts);
 
 /// max over all applicable bounds.
 double best_lower_bound(const Torus& torus, const Placement& p);

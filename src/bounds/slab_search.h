@@ -12,6 +12,7 @@
 #pragma once
 
 #include "src/bounds/lower_bounds.h"
+#include "src/placement/layer_counts.h"
 #include "src/placement/placement.h"
 
 namespace tp {
@@ -25,9 +26,13 @@ struct SlabBound {
   i32 len = 0;        ///< number of consecutive layers (cyclically)
   i64 procs_in = 0;   ///< processors inside the slab
   i64 boundary = 0;   ///< directed boundary links
+
+  bool operator==(const SlabBound&) const = default;
 };
 
-/// Sweeps every (dim, lo, len) slab; len ranges 1..k-1.
+/// Sweeps every (dim, lo, len) slab; len ranges 1..k-1.  Reads only the
+/// layer counts, which the Placement overload fills in one pass.
 SlabBound best_slab_bound(const Torus& torus, const Placement& p);
+SlabBound best_slab_bound(const Torus& torus, const LayerCounts& counts);
 
 }  // namespace tp

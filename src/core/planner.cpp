@@ -1,6 +1,7 @@
 #include "src/core/planner.h"
 
 #include <optional>
+#include <utility>
 
 #include "src/obs/obs.h"
 #include "src/load/counted_loads.h"
@@ -24,7 +25,7 @@ std::unique_ptr<Router> make_router(RouterKind kind) {
   TP_ASSERT(false, "unknown router kind");
 }
 
-PlacementPlan plan_placement(const Torus& torus, i32 t, RouterKind kind) {
+DesignPlan plan_design(const Torus& torus, i32 t, RouterKind kind) {
   TP_OBS_SCOPE("plan.plan");
   TP_REQUIRE(torus.is_uniform_radix(),
              "planning requires the paper's T_k^d (uniform radix)");
@@ -32,14 +33,10 @@ PlacementPlan plan_placement(const Torus& torus, i32 t, RouterKind kind) {
   const i32 d = torus.dims();
   TP_REQUIRE(t >= 1 && t <= k, "multiplicity t must be in [1, k]");
 
-  std::optional<Placement> placement;
-  {
-    TP_OBS_SCOPE("plan.place");
-    placement.emplace(multiple_linear_placement(torus, t));
-  }
-  PlacementPlan plan{std::move(*placement), kind, nullptr, 0.0, false, 0.0,
-                     {}, ""};
-
+  DesignPlan plan;
+  plan.placement_name = multiple_linear_name(t);
+  plan.counts = multiple_linear_counts(torus, t);
+  plan.router_kind = kind;
   {
     TP_OBS_SCOPE("plan.route");
     plan.router = make_router(kind);
@@ -71,17 +68,23 @@ PlacementPlan plan_placement(const Torus& torus, i32 t, RouterKind kind) {
   }
   {
     TP_OBS_SCOPE("plan.bound");
-    plan.bounds = all_bounds(torus, plan.placement);
+    plan.bounds = all_bounds(torus, plan.counts);
     plan.lower_bound = plan.bounds.back().value;
   }
-  plan.summary = plan.placement.name() + " + " + plan.router->name() +
+  plan.summary = plan.placement_name + " + " + plan.router->name() +
                  " on T_" + std::to_string(k) + "^" + std::to_string(d) +
-                 ": |P| = " + std::to_string(plan.placement.size()) +
+                 ": |P| = " + std::to_string(plan.counts.size) +
                  ", predicted E_max " +
                  (plan.prediction_exact ? "= " : "<= ") +
                  std::to_string(plan.predicted_emax) + ", lower bound " +
                  std::to_string(plan.lower_bound);
   return plan;
+}
+
+PlacementPlan plan_placement(const Torus& torus, i32 t, RouterKind kind) {
+  DesignPlan design = plan_design(torus, t, kind);
+  TP_OBS_SCOPE("plan.place");
+  return {std::move(design), multiple_linear_placement(torus, t)};
 }
 
 LoadMap measure_loads(const Torus& torus, const Placement& p,

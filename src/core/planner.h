@@ -5,6 +5,11 @@
 // with ODR (minimal load) or UDR (fault tolerance) — together with its
 // predicted maximum load, the theoretical lower bounds, and optionally the
 // measured exact load.
+//
+// plan_design() is the same plan without the placement: |P|, the layer
+// counts the bounds read and Section 4's c are closed forms in (d, k, t),
+// so it builds nothing per node.  It is what a served key computes;
+// plan_placement() calls it and attaches multiple_linear_placement().
 
 #pragma once
 
@@ -15,6 +20,7 @@
 #include "src/bounds/lower_bounds.h"
 #include "src/load/complete_exchange.h"
 #include "src/load/load_map.h"
+#include "src/placement/layer_counts.h"
 #include "src/placement/placement.h"
 #include "src/routing/router.h"
 
@@ -23,10 +29,11 @@ namespace tp {
 /// Creates the router for a kind (ODR/UDR use the canonical tie-break).
 std::unique_ptr<Router> make_router(RouterKind kind);
 
-/// A planned placement + routing design for one torus.
-struct PlacementPlan {
-  Placement placement;
-  RouterKind router_kind;
+/// A planned placement + routing design for one torus, without the nodes.
+struct DesignPlan {
+  std::string placement_name;  ///< multiple_linear_name(t)
+  LayerCounts counts;          ///< multiple_linear_counts: |P|, layers, ...
+  RouterKind router_kind = RouterKind::Odr;
   std::unique_ptr<Router> router;
 
   double predicted_emax = 0.0;     ///< exact E_max, or a closed form that
@@ -38,9 +45,18 @@ struct PlacementPlan {
   std::string summary;             ///< one-line human-readable description
 };
 
-/// Plans the optimal design for T_k^d: a multiple linear placement of
-/// multiplicity t routed by `kind`.  Requires a uniform-radix torus and
-/// 1 <= t <= k.
+/// A DesignPlan with its placement.
+struct PlacementPlan : DesignPlan {
+  Placement placement;
+};
+
+/// Plans the optimal design for T_k^d from (d, k, t) alone: a multiple
+/// linear placement of multiplicity t routed by `kind`.  Requires a
+/// uniform-radix torus and 1 <= t <= k.  O(d·k²), whatever N is.
+DesignPlan plan_design(const Torus& torus, i32 t = 1,
+                       RouterKind kind = RouterKind::Odr);
+
+/// plan_design plus the placement itself (multiple_linear_placement).
 PlacementPlan plan_placement(const Torus& torus, i32 t = 1,
                              RouterKind kind = RouterKind::Odr);
 

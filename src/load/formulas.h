@@ -16,6 +16,11 @@ double separator_lower_bound(i64 s_size, i64 placement_size,
                              i64 boundary_size);
 
 /// Eq. (8) — bisection form of Lemma 1:  E_max >= 2(|P|/2)^2 / |d_b P|.
+/// Lemma 1 proves it only for even |P|: a cut splits an odd |P| into
+/// ⌊|P|/2⌋ and ⌈|P|/2⌉, which proves separator_lower_bound(⌊|P|/2⌋, |P|,
+/// |d_b P|) = 2⌊|P|/2⌋⌈|P|/2⌉ / |d_b P|, 1/(2|d_b P|) less.  The served
+/// bisection row (bisection_bound) is that Lemma 1 value, on Theorem 1's
+/// cut or on the layer prefix cut of src/bisection/dimension_cut.h.
 double bisection_lower_bound(i64 placement_size, i64 bisection_width);
 
 /// Section 4 — improved dimension-independent bound for uniform placements

@@ -1,9 +1,9 @@
 #include "src/placement/placement.h"
 
 #include <algorithm>
+#include <array>
 #include <numeric>
 
-#include "src/torus/lattice.h"
 #include "src/util/error.h"
 #include "src/util/prng.h"
 
@@ -75,23 +75,63 @@ Placement linear_placement(const Torus& torus, i32 c) {
   return linear_placement(torus, coeffs, c);
 }
 
-Placement multiple_linear_placement(const Torus& torus, i32 t) {
+namespace {
+
+void require_multiple_linear(const Torus& torus, i32 t) {
   TP_REQUIRE(torus.is_uniform_radix(),
              "multiple linear placements require a uniform-radix torus");
+  TP_REQUIRE(t >= 1 && t <= torus.radix(0), "t must be in [1, k]");
+}
+
+/// The j-th smallest last coordinate x (j < t) with (s + x) mod k < t, in
+/// a row whose other coordinates sum to s mod k: residues s..t-1 give
+/// x = 0..t-1-s, then residues 0..s-1 give x = k-s, k-s+1, ...
+i32 row_member(i32 k, i32 t, i32 s, i32 j) {
+  const i32 low = t > s ? t - s : 0;
+  return j < low ? j : k - s + (j - low);
+}
+
+}  // namespace
+
+Placement multiple_linear_placement(const Torus& torus, i32 t) {
+  require_multiple_linear(torus, t);
   const i32 k = torus.radix(0);
-  TP_REQUIRE(t >= 1 && t <= k, "t must be in [1, k]");
-  const Lattice lat(torus);
+  const auto head = static_cast<std::size_t>(torus.dims() - 1);
+  const i64 rows = torus.num_nodes() / k;
   std::vector<NodeId> nodes;
-  lat.for_each_node([&](NodeId n, const i32* c) {
-    i32 residue = 0;  // coordinate sum mod k
-    for (std::size_t i = 0; i < lat.d; ++i) {
-      residue += c[i];
-      if (residue >= k) residue -= k;
+  nodes.reserve(static_cast<std::size_t>(rows * t));
+  // Rows in id order: an odometer over the first d-1 coordinates, whose
+  // sum s moves by 1 mod k per digit touched (a step adds 1, a wrap
+  // -(k-1)).
+  std::array<i32, kMaxDims> c{};
+  i32 s = 0;
+  for (i64 row = 0; row < rows; ++row) {
+    for (i32 j = 0; j < t; ++j)
+      nodes.push_back(row * k + row_member(k, t, s, j));
+    for (std::size_t i = head; i-- > 0;) {
+      s = s + 1 == k ? 0 : s + 1;
+      if (++c[i] < k) break;
+      c[i] = 0;
     }
-    if (residue < t) nodes.push_back(n);
-  });
-  return Placement(torus, std::move(nodes),
-                   "multiple_linear(t=" + std::to_string(t) + ")");
+  }
+  return Placement(torus, std::move(nodes), multiple_linear_name(t));
+}
+
+std::string multiple_linear_name(i32 t) {
+  return "multiple_linear(t=" + std::to_string(t) + ")";
+}
+
+NodeId multiple_linear_node(const Torus& torus, i32 t, i64 m) {
+  require_multiple_linear(torus, t);
+  const i32 k = torus.radix(0);
+  TP_REQUIRE(m >= 0 && m < t * (torus.num_nodes() / k),
+             "processor index out of range");
+  // Row m / t is the base-k number of the first d-1 coordinates.
+  const i64 row = m / t;
+  i64 s = 0;
+  for (i64 r = row; r > 0; r /= k) s += r % k;
+  return row * k +
+         row_member(k, t, static_cast<i32>(s % k), static_cast<i32>(m % t));
 }
 
 Placement shifted_diagonal_placement(const Torus& torus, i32 shift) {

@@ -61,8 +61,17 @@ Placement linear_placement(const Torus& torus, i32 c = 0);
 
 /// Multiple linear placement (Section 5): union of the all-ones linear
 /// placements with residues 0, 1, ..., t-1.  Size is t * k^{d-1}.
-/// Requires 1 <= t <= k.
+/// Requires 1 <= t <= k.  Generated row by row: each row (p_1, ..., p_{d-1})
+/// holds the t nodes whose last coordinate brings the sum into [0, t).
 Placement multiple_linear_placement(const Torus& torus, i32 t);
+
+/// The name multiple_linear_placement(torus, t) carries.
+std::string multiple_linear_name(i32 t);
+
+/// Id of processor m (0-based, in id order) of
+/// multiple_linear_placement(torus, t), in O(d) and without the placement.
+/// Requires a uniform-radix torus, 1 <= t <= k and 0 <= m < t·k^{d-1}.
+NodeId multiple_linear_node(const Torus& torus, i32 t, i64 m);
 
 /// Shifted diagonal placement in the style of Blaum et al.: the set
 ///   { p : p_d == shift - (p_1 + ... + p_{d-1}) (mod k) }.

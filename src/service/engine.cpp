@@ -2,6 +2,7 @@
 
 #include <chrono>
 #include <cstdio>
+#include <optional>
 
 #include "src/obs/obs.h"
 #include "src/service/jsonl.h"
@@ -61,12 +62,14 @@ void trace(const RequestSpan& span) {
 /// A request that must wait for its key's computation.  Only its answer
 /// changes once the cache holds it, under its own lock.
 struct Pending {
+  explicit Pending(HashedKey k) : key(std::move(k)) {}
+
   Mutex mu;
   CondVar cv;
   bool done TP_GUARDED_BY(mu) = false;
   Response response TP_GUARDED_BY(mu);
 
-  QueryKey key;
+  HashedKey key;
   std::string id;
   Clock::time_point submitted;
   Clock::time_point deadline = kNoDeadline;
@@ -253,11 +256,11 @@ void Engine::fulfill(Pending& pending, Response response, RequestSpan span) {
   // late result is still cached (by publish), but this waiter gets the
   // structured timeout, whichever of wait() and fulfill runs first.
   if (response.ok && now >= pending.deadline)
-    response = timeout_response(pending.key);
+    response = timeout_response(pending.key.key);
   if (!response.ok)
     span.outcome = response.timeout ? SpanOutcome::Timeout : SpanOutcome::Error;
   span.request_id = pending.id;
-  stamp(span, pending.key, cache_.shard_of(pending.key), pending.submitted,
+  stamp(span, pending.key.key, cache_.shard_of(pending.key), pending.submitted,
         pending.deadline, now);
   {
     const MutexLock stats_lock(stats_mu_);
@@ -275,10 +278,10 @@ void Engine::fulfill(Pending& pending, Response response, RequestSpan span) {
 }
 
 std::shared_ptr<Pending> Engine::new_waiter(const Request& req,
+                                            const HashedKey& key,
                                             Clock::time_point submitted,
                                             Clock::time_point deadline) {
-  auto waiter = std::make_shared<Pending>();
-  waiter->key = req.key;
+  auto waiter = std::make_shared<Pending>(key);
   waiter->submitted = submitted;
   waiter->deadline = deadline;
   const MutexLock lock(stats_mu_);
@@ -286,14 +289,15 @@ std::shared_ptr<Pending> Engine::new_waiter(const Request& req,
   return waiter;
 }
 
-Engine::Ticket Engine::answer_at_submit(const Request& req, Response response,
-                                        SpanOutcome outcome,
+Engine::Ticket Engine::answer_at_submit(const Request& req,
+                                        const HashedKey& key,
+                                        Response response, SpanOutcome outcome,
                                         Clock::time_point submitted,
                                         Clock::time_point deadline) {
   const Clock::time_point now = Clock::now();
   RequestSpan span;
   span.outcome = outcome;
-  stamp(span, req.key, cache_.shard_of(req.key), submitted, deadline, now);
+  stamp(span, key.key, cache_.shard_of(key), submitted, deadline, now);
   {
     const MutexLock lock(stats_mu_);
     span.request_id = count_request(req);
@@ -315,6 +319,8 @@ Engine::Ticket Engine::try_submit(const Request& req) {
 
 Engine::Ticket Engine::submit_impl(const Request& req, bool may_block) {
   const Clock::time_point submitted = Clock::now();
+  // The one hash of this submit: the shard, the table and the span read it.
+  const HashedKey key(req.key);
   // Request-level 0 means "already expired"; a config default of 0 means
   // "no deadline" (the common case).
   const i64 deadline_ms = req.deadline_ms >= 0 ? req.deadline_ms
@@ -324,20 +330,20 @@ Engine::Ticket Engine::submit_impl(const Request& req, bool may_block) {
           ? submitted + std::chrono::milliseconds(deadline_ms)
           : kNoDeadline;
   if (submitted >= deadline)
-    return answer_at_submit(req, timeout_response(req.key),
+    return answer_at_submit(req, key, timeout_response(req.key),
                             SpanOutcome::Timeout, submitted, deadline);
 
   std::shared_ptr<const QueryResult> hit;
   std::shared_ptr<Pending> waiter;
-  const PlanCache::Probe probe = cache_.probe(req.key, deadline, &hit, [&] {
-    return waiter = new_waiter(req, submitted, deadline);
+  const PlanCache::Probe probe = cache_.probe(key, deadline, &hit, [&] {
+    return waiter = new_waiter(req, key, submitted, deadline);
   });
   if (probe == PlanCache::Probe::Hit) {
     Response r;
     r.ok = true;
     r.result = std::move(hit);
-    return answer_at_submit(req, std::move(r), SpanOutcome::Hit, submitted,
-                            deadline);
+    return answer_at_submit(req, key, std::move(r), SpanOutcome::Hit,
+                            submitted, deadline);
   }
   if (probe == PlanCache::Probe::Coalesced) {
     const MutexLock lock(stats_mu_);
@@ -361,13 +367,13 @@ Engine::Ticket Engine::submit_impl(const Request& req, bool may_block) {
       r.error = "overloaded: submission queue full (capacity " +
                 std::to_string(config_.queue_capacity) + "), dropped " +
                 req.key.str();
-      answer_waiters(cache_.publish(req.key, nullptr), r, submitted, 0);
+      answer_waiters(cache_.publish(key, nullptr), r, submitted, 0);
       return Ticket(std::move(waiter));
     }
     while (queue_.size() >= config_.queue_capacity && !stopping_)
       queue_not_full_.wait(lock);
     TP_REQUIRE(!stopping_, "submit on a stopped engine");
-    queue_.push_back(req.key);
+    queue_.push_back(key);
     depth = static_cast<i64>(queue_.size());
   }
   queue_not_empty_.notify_one();
@@ -394,7 +400,7 @@ Response Engine::Ticket::wait() {
       // Deadline passed first.  The computation (if any) continues and
       // will land in the cache; fulfill() stores and counts this same
       // timeout when the late answer arrives.
-      Response r = timeout_response(p.key);
+      Response r = timeout_response(p.key.key);
       r.request_id = p.id;
       return r;
     }
@@ -410,24 +416,24 @@ void Engine::worker_loop(i32 worker) {
   const PoolWorkerScope worker_scope;
   const std::size_t slot = static_cast<std::size_t>(worker);
   for (;;) {
-    QueryKey key;
+    std::optional<HashedKey> key;
     {
       MutexLock lock(queue_mu_);
       while (!stopping_ && queue_.empty()) queue_not_empty_.wait(lock);
       if (queue_.empty()) return;  // stopping and fully drained
-      key = std::move(queue_.front());
+      key.emplace(std::move(queue_.front()));
       queue_.pop_front();
     }
     queue_not_full_.notify_one();
     {
       const MutexLock lock(stats_mu_);
-      worker_state_[slot] = "compute " + key.str();
+      worker_state_[slot] = "compute " + key->key.str();
     }
-    execute(key, slot);
+    execute(*key, slot);
   }
 }
 
-void Engine::execute(const QueryKey& key, std::size_t slot) {
+void Engine::execute(const HashedKey& key, std::size_t slot) {
   const Clock::time_point dequeued = Clock::now();
 
   // Dequeue-time deadline sweep: when every waiter has already expired
@@ -439,7 +445,7 @@ void Engine::execute(const QueryKey& key, std::size_t slot) {
       const MutexLock lock(stats_mu_);
       worker_state_[slot] = "idle";
     }
-    answer_waiters(expired, timeout_response(key), dequeued, 0);
+    answer_waiters(expired, timeout_response(key.key), dequeued, 0);
     return;
   }
 
@@ -447,7 +453,7 @@ void Engine::execute(const QueryKey& key, std::size_t slot) {
   const Clock::time_point start = Clock::now();
   try {
     TP_PROF_PHASE("service.compute");
-    QueryResult result = compute_query(key);
+    QueryResult result = compute_query(key.key);
     result.body = render_body(result);
     response.ok = true;
     response.result = std::make_shared<const QueryResult>(std::move(result));

@@ -264,11 +264,12 @@ class Engine {
       TP_EXCLUDES(queue_mu_, stats_mu_);
   /// Answers a request at submit, with no waiter: one stats_mu_
   /// acquisition counts it and records its span.
-  Ticket answer_at_submit(const Request& req, Response response,
-                          SpanOutcome outcome, Clock::time_point submitted,
+  Ticket answer_at_submit(const Request& req, const HashedKey& key,
+                          Response response, SpanOutcome outcome,
+                          Clock::time_point submitted,
                           Clock::time_point deadline) TP_EXCLUDES(stats_mu_);
   /// A counted waiter for `req`, with its id, built inside its probe.
-  std::shared_ptr<Pending> new_waiter(const Request& req,
+  std::shared_ptr<Pending> new_waiter(const Request& req, const HashedKey& key,
                                       Clock::time_point submitted,
                                       Clock::time_point deadline)
       TP_EXCLUDES(stats_mu_);
@@ -276,7 +277,7 @@ class Engine {
   void saver_loop();
   /// Computes a queued key on worker `slot`, marking the slot idle before
   /// answering, so a caller returning from drain() sees every worker idle.
-  void execute(const QueryKey& key, std::size_t slot) TP_EXCLUDES(stats_mu_);
+  void execute(const HashedKey& key, std::size_t slot) TP_EXCLUDES(stats_mu_);
   /// Answers a job's waiters: the first started it, the rest coalesced.
   void answer_waiters(const PlanCache::Waiters& waiters,
                       const Response& response, Clock::time_point dequeued,
@@ -302,7 +303,7 @@ class Engine {
   mutable Mutex queue_mu_;
   CondVar queue_not_empty_;
   CondVar queue_not_full_;
-  std::deque<QueryKey> queue_ TP_GUARDED_BY(queue_mu_);
+  std::deque<HashedKey> queue_ TP_GUARDED_BY(queue_mu_);
   bool stopping_ TP_GUARDED_BY(queue_mu_) = false;
   std::vector<Thread> pool_;
 

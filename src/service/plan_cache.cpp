@@ -16,7 +16,7 @@ PlanCache::PlanCache(std::size_t capacity, std::size_t shards) {
 }
 
 std::shared_ptr<const QueryResult> PlanCache::find_ready(Shard& shard,
-                                                         const QueryKey& key) {
+                                                         const HashedKey& key) {
   const auto it = shard.index.find(key);
   if (it == shard.index.end()) {
     ++shard.misses;
@@ -27,7 +27,7 @@ std::shared_ptr<const QueryResult> PlanCache::find_ready(Shard& shard,
   return it->second->result;
 }
 
-void PlanCache::insert_ready(Shard& shard, const QueryKey& key,
+void PlanCache::insert_ready(Shard& shard, const HashedKey& key,
                              std::shared_ptr<const QueryResult> result) const {
   const i64 now_ns = obs::Stopwatch::now_ns();
   const auto it = shard.index.find(key);
@@ -46,13 +46,13 @@ void PlanCache::insert_ready(Shard& shard, const QueryKey& key,
   shard.index.emplace(key, shard.lru.begin());
 }
 
-std::shared_ptr<const QueryResult> PlanCache::get(const QueryKey& key) {
+std::shared_ptr<const QueryResult> PlanCache::get(const HashedKey& key) {
   Shard& shard = shard_for(key);
   const MutexLock lock(shard.mu);
   return find_ready(shard, key);
 }
 
-void PlanCache::put(const QueryKey& key,
+void PlanCache::put(const HashedKey& key,
                     std::shared_ptr<const QueryResult> result) {
   TP_REQUIRE(result != nullptr, "cannot cache a null result");
   Shard& shard = shard_for(key);
@@ -61,7 +61,7 @@ void PlanCache::put(const QueryKey& key,
 }
 
 PlanCache::Waiters PlanCache::publish(
-    const QueryKey& key, std::shared_ptr<const QueryResult> result,
+    const HashedKey& key, std::shared_ptr<const QueryResult> result,
     Clock::time_point now) {
   Shard& shard = shard_for(key);
   const MutexLock lock(shard.mu);
@@ -118,7 +118,7 @@ PlanCache::entries_mru() const {
   std::vector<std::pair<QueryKey, std::shared_ptr<const QueryResult>>> out;
   for (const auto& shard : shards_) {
     const MutexLock lock(shard->mu);
-    for (const Entry& e : shard->lru) out.emplace_back(e.key, e.result);
+    for (const Entry& e : shard->lru) out.emplace_back(e.key.key, e.result);
   }
   return out;
 }

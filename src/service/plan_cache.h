@@ -12,6 +12,8 @@
 // The key's stable hash selects one of `shards` shards, each behind its
 // own mutex.  Eviction is strictly per-shard LRU, so deterministic for a
 // given sequence of calls (tests pin shards = 1 to see the global order).
+// A key travels with its hash (HashedKey): the engine hashes each submit
+// once, and the shard choice and both tables read that value.
 
 #pragma once
 
@@ -31,6 +33,26 @@ namespace tp::service {
 
 /// A request waiting on a computing key: the engine's (engine.cpp).
 struct Pending;
+
+/// A key with its QueryKey::hash(), computed once at construction.  The
+/// conversion is implicit, so a plain QueryKey is a lookup key too.
+struct HashedKey {
+  HashedKey(QueryKey k) : key(std::move(k)), hash(key.hash()) {}
+
+  QueryKey key;
+  u64 hash;
+
+  bool operator==(const HashedKey& o) const {
+    return hash == o.hash && key == o.key;
+  }
+};
+
+/// The table hasher: the stored hash, so no lookup rehashes the key.
+struct HashedKeyHash {
+  std::size_t operator()(const HashedKey& k) const noexcept {
+    return static_cast<std::size_t>(k.hash);
+  }
+};
 
 class PlanCache {
  public:
@@ -57,12 +79,12 @@ class PlanCache {
 
   /// Returns the ready result and promotes it to most-recently-used;
   /// nullptr on miss (a computing key is a miss).
-  std::shared_ptr<const QueryResult> get(const QueryKey& key);
+  std::shared_ptr<const QueryResult> get(const HashedKey& key);
 
   /// Inserts (or refreshes) a ready entry, evicting the shard's
   /// least-recently used entry when the shard is full.  Re-putting an
   /// existing key replaces the value and promotes it.
-  void put(const QueryKey& key, std::shared_ptr<const QueryResult> result);
+  void put(const HashedKey& key, std::shared_ptr<const QueryResult> result);
 
   /// Classifies one request in a single shard-locked step.  A ready entry
   /// is promoted and returned in *hit (Hit).  Otherwise the waiter that
@@ -70,7 +92,7 @@ class PlanCache {
   /// (Coalesced) or starts one (New), which is wanted until the latest
   /// `until` of its waiters.  Counted as one hit or miss, like get().
   template <class MakeWaiter>
-  Probe probe(const QueryKey& key, Clock::time_point until,
+  Probe probe(const HashedKey& key, Clock::time_point until,
               std::shared_ptr<const QueryResult>* hit, MakeWaiter make_waiter) {
     Shard& shard = shard_for(key);
     const MutexLock lock(shard.mu);
@@ -87,7 +109,7 @@ class PlanCache {
   /// default, always), and returns its waiters, its starter first.  A
   /// result becomes the ready entry (an insert that may evict); null
   /// drops the computation, so the next probe starts afresh.
-  Waiters publish(const QueryKey& key,
+  Waiters publish(const HashedKey& key,
                   std::shared_ptr<const QueryResult> result,
                   Clock::time_point now = Clock::time_point::max());
 
@@ -108,8 +130,8 @@ class PlanCache {
   /// Ready entries.
   std::size_t size() const;
   std::size_t num_shards() const { return shards_.size(); }
-  std::size_t shard_of(const QueryKey& key) const {
-    return static_cast<std::size_t>(key.hash()) % shards_.size();
+  std::size_t shard_of(const HashedKey& key) const {
+    return static_cast<std::size_t>(key.hash) % shards_.size();
   }
 
   /// Every ready entry, shard by shard, each shard most-recently-used
@@ -121,7 +143,7 @@ class PlanCache {
 
  private:
   struct Entry {
-    QueryKey key;
+    HashedKey key;
     std::shared_ptr<const QueryResult> result;
     i64 insert_ns = 0;  ///< steady clock at insert/refresh (for ages)
   };
@@ -135,23 +157,25 @@ class PlanCache {
     mutable Mutex mu;
     // front = most recently used; eviction pops the back.
     std::list<Entry> lru TP_GUARDED_BY(mu);
-    std::unordered_map<QueryKey, decltype(lru)::iterator, QueryKeyHash> index
-        TP_GUARDED_BY(mu);
-    std::unordered_map<QueryKey, Computing, QueryKeyHash> computing
+    std::unordered_map<HashedKey, decltype(lru)::iterator, HashedKeyHash>
+        index TP_GUARDED_BY(mu);
+    std::unordered_map<HashedKey, Computing, HashedKeyHash> computing
         TP_GUARDED_BY(mu);
     i64 hits TP_GUARDED_BY(mu) = 0;
     i64 misses TP_GUARDED_BY(mu) = 0;
     i64 evictions TP_GUARDED_BY(mu) = 0;
   };
 
-  Shard& shard_for(const QueryKey& key) const { return *shards_[shard_of(key)]; }
+  Shard& shard_for(const HashedKey& key) const {
+    return *shards_[shard_of(key)];
+  }
 
   /// The ready result, promoted and counted as a hit; nullptr, counted as
   /// a miss, when there is none.
   static std::shared_ptr<const QueryResult> find_ready(Shard& shard,
-                                                       const QueryKey& key)
+                                                       const HashedKey& key)
       TP_REQUIRES(shard.mu);
-  void insert_ready(Shard& shard, const QueryKey& key,
+  void insert_ready(Shard& shard, const HashedKey& key,
                     std::shared_ptr<const QueryResult> result) const
       TP_REQUIRES(shard.mu);
 

@@ -3,7 +3,8 @@
 #include <algorithm>
 #include <utility>
 
-#include "src/placement/placement.h"
+#include "src/load/counted_loads.h"
+#include "src/obs/obs.h"
 #include "src/util/error.h"
 
 namespace tp::service {
@@ -118,18 +119,22 @@ QueryResult compute_query(const QueryKey& key) {
   QueryResult r;
   r.key = key;
 
-  PlacementPlan plan = plan_placement(torus, key.t, key.router);
-  r.placement_name = plan.placement.name();
+  DesignPlan plan = plan_design(torus, key.t, key.router);
+  r.placement_name = std::move(plan.placement_name);
   r.router_name = plan.router->name();
-  r.summary = plan.summary;
-  r.placement_size = plan.placement.size();
+  r.summary = std::move(plan.summary);
+  r.placement_size = plan.counts.size;
   r.predicted_emax = plan.predicted_emax;
   r.prediction_exact = plan.prediction_exact;
   r.lower_bound = plan.lower_bound;
 
   if (key.measure) {
-    const FoldedLoads loads =
-        measure_orbit_loads(torus, plan.placement, key.router);
+    TP_OBS_SCOPE("plan.measure");
+    // multiple_linear_placement(t) is the union of the cosets 0..t-1.
+    CosetUnion u{torus.dims(), torus.radix(0),
+                 std::vector<bool>(static_cast<std::size_t>(torus.radix(0)))};
+    std::fill_n(u.classes.begin(), key.t, true);
+    const FoldedLoads loads = counted_orbit_loads(u, key.router);
     r.measured_emax = loads.max_load();
     r.mean_load = loads.mean_load();
     r.loaded_links = loads.num_loaded_edges();
@@ -137,8 +142,8 @@ QueryResult compute_query(const QueryKey& key) {
 
   if (key.bounds) {
     r.bound_table = std::move(plan.bounds);
-    if (plan.placement.size() >= 2) {
-      r.slab = best_slab_bound(torus, plan.placement);
+    if (plan.counts.size >= 2) {
+      r.slab = best_slab_bound(torus, plan.counts);
       r.has_slab = true;
     }
   }

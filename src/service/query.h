@@ -71,13 +71,6 @@ struct QueryKey {
 QueryKey make_query_key(const Radices& radices, i32 t, RouterKind router,
                         QueryOp op);
 
-/// Hasher for unordered containers keyed on QueryKey.
-struct QueryKeyHash {
-  std::size_t operator()(const QueryKey& k) const {
-    return static_cast<std::size_t>(k.hash());
-  }
-};
-
 /// The immutable answer to one query.
 struct QueryResult {
   QueryKey key;
@@ -113,11 +106,13 @@ struct QueryResult {
 };
 
 /// Executes a query synchronously — the engine's work function, also
-/// usable directly for a poolless one-shot.  Every served placement is a
-/// union of cosets, whose loads are counted, so no analyzer width applies.
-/// Throws tp::Error on invalid parameters (non-uniform radices, t out of
-/// [1, k], ...), which parse_request_line refuses first; the engine
-/// converts the throw into an error response.
+/// usable directly for a poolless one-shot.  Every answer is computed from
+/// (d, k, t) and no Placement is built: plan_design reads the plan and its
+/// bounds off closed-form layer counts, and the loads are counted on the
+/// union of the cosets 0..t-1 (counted_orbit_loads), so no analyzer width
+/// applies.  Throws tp::Error on invalid parameters (non-uniform radices,
+/// t out of [1, k], ...), which parse_request_line refuses first; the
+/// engine converts the throw into an error response.
 QueryResult compute_query(const QueryKey& key);
 
 }  // namespace tp::service

@@ -4,6 +4,8 @@
 //   * Proposition 1 / Appendix: the hyperplane sweep bisects any placement
 //     crossing at most 2 d k^{d-1} array wires (6 d k^{d-1} directed links
 //     with the wrap wires, Corollary 1)
+//   * the layer prefix cut: its O(d) width is the crossing count, it holds
+//     ⌊|P|/2⌋ processors, and it crosses at most 4(k^d - 1)/(k - 1) links
 //   * removing a bisection's links really disconnects the two sides
 //   * the exact small-case optimum never exceeds the constructions
 
@@ -19,6 +21,7 @@
 #include "src/placement/placement.h"
 #include "src/torus/graph.h"
 #include "src/util/error.h"
+#include "src/util/prng.h"
 
 namespace tp {
 namespace {
@@ -111,6 +114,43 @@ TEST(DimensionCut, NonUniformPlacementStillGetsBestEffort) {
   EXPECT_TRUE(result.cut.bisects(t, p));
 }
 
+TEST(DimensionCut, LinearSplitSearchPicksThePairOfThePairSearch) {
+  // The first (a, b) of least imbalance, as the O(k²) search over every
+  // pair finds it, on random layer counts with zeros and equal runs.
+  Xoshiro256SS rng(29);
+  for (i32 round = 0; round < 3000; ++round) {
+    const i32 k = 2 + static_cast<i32>(rng.below(40));
+    const u64 spread = 1 + rng.below(round % 3 == 0 ? 2 : 6);
+    LayerCounts counts;
+    counts.layers.emplace_back();
+    for (i32 v = 0; v < k; ++v) {
+      counts.layers[0].push_back(static_cast<i64>(rng.below(spread + 1)));
+      counts.size += counts.layers[0].back();
+    }
+    const std::vector<i64>& layer = counts.layers[0];
+    i64 best = -1;
+    i32 best_a = 0, best_b = 0;
+    for (i32 a = 0; a < k; ++a) {
+      i64 in_a = 0;
+      for (i32 b = a + 1; b < k; ++b) {
+        in_a += layer[static_cast<std::size_t>(b)];
+        const i64 imbalance =
+            in_a * 2 > counts.size ? in_a * 2 - counts.size
+                                   : counts.size - in_a * 2;
+        if (best < 0 || imbalance < best) {
+          best = imbalance;
+          best_a = a;
+          best_b = b;
+        }
+      }
+    }
+    const LayerSplit split = best_layer_split(Torus(Radices{k}), counts, 0);
+    ASSERT_EQ(split.imbalance, best) << "round " << round;
+    ASSERT_EQ(split.a, best_a) << "round " << round;
+    ASSERT_EQ(split.b, best_b) << "round " << round;
+  }
+}
+
 TEST(DimensionCut, InvalidDimensionThrows) {
   Torus t(2, 4);
   const Placement p = linear_placement(t);
@@ -178,6 +218,83 @@ TEST(HyperplaneSweep, EmptyPlacementRejected) {
   Torus t(2, 3);
   const Placement p(t, {}, "empty");
   EXPECT_THROW(hyperplane_sweep_bisection(t, p), Error);
+}
+
+// --- the layer prefix cut ---------------------------------------------------------
+
+/// The prefix {n : id(n) < r} as a Cut: side B is every id from r on.
+Cut prefix_side(const Torus& torus, NodeId r) {
+  std::vector<bool> side(static_cast<std::size_t>(torus.num_nodes()), false);
+  for (NodeId n = r; n < torus.num_nodes(); ++n)
+    side[static_cast<std::size_t>(n)] = true;
+  return Cut(torus, std::move(side));
+}
+
+/// Four directed links per line through r's own layers: Σ_j 4·stride_j,
+/// which is 4(k^d - 1)/(k - 1) on T_k^d.
+i64 prefix_width_ceiling(const Torus& torus) {
+  i64 lines = 0;
+  i64 stride = 1;
+  for (i32 j = torus.dims(); j-- > 0;) {
+    lines += stride;
+    stride *= torus.radix(j);
+  }
+  return 4 * lines;
+}
+
+TEST(PrefixCut, WidthIsTheCrossingCountOfEveryPrefix) {
+  for (const Radices& radices :
+       {Radices{7}, Radices{2, 2}, Radices{3, 3}, Radices{4, 5},
+        Radices{2, 3, 4}, Radices{3, 3, 3}, Radices{5, 2, 3},
+        Radices{2, 2, 2, 2}, Radices{3, 4, 2, 3},
+        Radices{2, 2, 2, 2, 2, 2, 2, 2}}) {
+    const Torus torus(radices);
+    for (NodeId r = 1; r < torus.num_nodes(); ++r)
+      ASSERT_EQ(prefix_cut_width(torus, r),
+                prefix_side(torus, r).directed_cut_size(torus))
+          << "r=" << r << " on " << torus.num_nodes() << " nodes";
+    EXPECT_THROW(prefix_cut_width(torus, 0), Error);
+    EXPECT_THROW(prefix_cut_width(torus, torus.num_nodes()), Error);
+  }
+}
+
+TEST(PrefixCut, HoldsHalfOfEveryPlacementWithinTheLayerBound) {
+  // Every multiple linear placement on T_k^d with N <= 3000 (rings up to
+  // k = 64), random and clustered placements there and on a mixed-radix
+  // torus, and test_bounds' lopsided placement.
+  i64 checked = 0;
+  const auto check = [&checked](const Torus& torus, const Placement& p) {
+    SCOPED_TRACE(p.name() + " on " + std::to_string(torus.num_nodes()) +
+                 " nodes");
+    const PrefixCut cut = middle_prefix_cut(torus, layer_counts(torus, p));
+    const Cut side = prefix_side(torus, cut.r);
+    EXPECT_EQ(cut.directed_edges, side.directed_cut_size(torus));
+    EXPECT_EQ(side.processor_split(torus, p).first, p.size() / 2);
+    EXPECT_LE(cut.directed_edges, prefix_width_ceiling(torus));
+    ++checked;
+  };
+  for (i32 d = 1; d <= 8; ++d)
+    for (i32 k = 2; k <= 64; ++k) {
+      const Torus torus(d, k);
+      if (torus.num_nodes() > 3000) break;
+      EXPECT_EQ(prefix_width_ceiling(torus), 4 * (powi(k, d) - 1) / (k - 1));
+      for (i32 t = 1; t <= k; ++t) {
+        const Placement p = multiple_linear_placement(torus, t);
+        if (p.size() >= 2) check(torus, p);
+      }
+      const i64 n = torus.num_nodes();
+      check(torus, random_placement(torus, std::max<i64>(2, n / 3),
+                                    static_cast<u64>(n)));
+      check(torus, clustered_placement(torus, n / 2 + 1));
+    }
+  const Torus mixed(Radices{5, 8, 12});
+  for (u64 seed = 1; seed <= 20; ++seed)
+    check(mixed, random_placement(mixed, static_cast<i64>(7 * seed), seed));
+  check(mixed, clustered_placement(mixed, 101));
+  const Torus t42(2, 4);
+  check(t42, Placement(t42, {0, 1, 5}, "lopsided"));
+  EXPECT_EQ(checked, 2016 + 1484 + 104 + 27 + 9 + 5 + 5 + 2 +
+                         2 * (63 + 53 + 13 + 6 + 3 + 2 + 2 + 1) + 22);
 }
 
 // --- exact small cases -----------------------------------------------------------

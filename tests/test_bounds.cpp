@@ -77,15 +77,60 @@ TEST(BisectionBound, UsesTheorem1ForUniformPlacements) {
                    bisection_lower_bound(16, uniform_bisection_width(4, 3)));
 }
 
-TEST(BisectionBound, FallsBackToSweepWhenLayersCannotBalance) {
-  // A placement deliberately unbalanced along every dimension: two
-  // processors in one corner cell and one elsewhere (odd count, clustered).
-  Torus t(2, 4);
-  const Placement p(t, {0, 1, 5}, "lopsided");
-  const BoundValue b = bisection_bound(t, p);
+TEST(BisectionBound, FallsBackToPrefixCutWhenLayersCannotBalance) {
+  // The full T_3^2: every layer holds 3 of the 9 processors, so no pair of
+  // layer boundaries splits them within one.  The prefix {0, 1, 2, 3}
+  // holds 4 of them behind 16 directed links: Lemma 1 gives 2·4·5/16.
+  const Torus t(2, 3);
+  const Placement full = full_population(t);
+  const BoundValue b = bisection_bound(t, full);
   EXPECT_TRUE(b.applicable);
-  // Whichever construction was used, a measured load respects the bound.
-  EXPECT_GE(odr_loads(t, p).max_load(), b.value - 1e-9);
+  EXPECT_EQ(b.note, "layer prefix cut (whole layers, then part of one)");
+  EXPECT_EQ(b.value, 2.5);
+  EXPECT_GE(odr_loads(t, full).max_load(), b.value);
+
+  // T_9^3's linear placement: 9 processors a layer, 81 in all.  Processors
+  // 39 and 40 sit at (4,3,2) and (4,4,1), ids 353 and 361, so r = 360 =
+  // (4,4,0), the coarsest multiple between them: whole layers of
+  // dimension 0, then whole rows.  Its 180 wires are 360 directed links.
+  const Torus t93(3, 9);
+  const BoundValue odd_k = bisection_bound(t93, linear_placement(t93));
+  EXPECT_EQ(odd_k.note, b.note);
+  EXPECT_EQ(odd_k.value, separator_lower_bound(40, 81, 360));
+
+  // A placement deliberately unbalanced: two processors in one corner
+  // cell and one elsewhere (odd count, clustered).  Whichever cut is
+  // used, a measured load respects the bound.
+  const Torus t42(2, 4);
+  const Placement lopsided(t42, {0, 1, 5}, "lopsided");
+  const BoundValue l = bisection_bound(t42, lopsided);
+  EXPECT_TRUE(l.applicable);
+  EXPECT_GE(odr_loads(t42, lopsided).max_load(), l.value - 1e-9);
+}
+
+TEST(BisectionBound, OddSizeServesLemma1ForTheSplitItMakes) {
+  // T_5^2's linear placement: 5 processors, one per layer, split 2 : 3 by
+  // the dimension cut's 20 links.  Lemma 1 proves 2·2·3/20 = 0.6; eq. (8)'s
+  // 2·2.5²/20 = 0.625 assumes a split no cut makes.
+  const Torus t(2, 5);
+  const BoundValue b = bisection_bound(t, linear_placement(t));
+  EXPECT_EQ(b.note, "dimension cut (Theorem 1)");
+  EXPECT_EQ(b.value, 0.6);
+  // For even |P| the Lemma 1 form is eq. (8), bit for bit.
+  const Torus t43(3, 4);
+  EXPECT_EQ(bisection_bound(t43, linear_placement(t43)).value,
+            bisection_lower_bound(16, uniform_bisection_width(4, 3)));
+}
+
+TEST(BisectionBound, ReadsOnlyTheLayerCounts) {
+  // The counts overload on the closed forms and the Placement overload on
+  // the built placement agree, odd k (the prefix cut) included.
+  for (i32 k : {4, 5, 9}) {
+    const Torus t(3, k);
+    for (i32 tt = 1; tt <= 3; ++tt)
+      EXPECT_EQ(bisection_bound(t, multiple_linear_counts(t, tt)),
+                bisection_bound(t, multiple_linear_placement(t, tt)));
+  }
 }
 
 TEST(ImprovedBound, AppliesToUniformPlacements) {

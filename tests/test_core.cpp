@@ -112,11 +112,12 @@ i64 sum_of_lee_distances(const Torus& torus, const Placement& p) {
 }
 
 TEST(Answers, ExactClaimsHoldAndBoundsBracketTheMeasurement) {
-  // `analyze` over d = 2..4, k = 2..12, t = 1..3 (t <= k) and the tori of
-  // the benchmark's cold sweep, under every router.  Identities are
-  // checked with ==; inequalities with 1e-9 relative slack.
+  // `analyze` over d = 1..4, k = 2..12, t = 1..k and the tori of the
+  // benchmark's cold sweep, under every router.  Identities are checked
+  // with ==; inequalities with 1e-9 relative slack.  The full rings of odd
+  // size (d = 1, t = k odd) catch a bisection row above the exact E_max.
   std::set<std::pair<i32, i32>> tori;  // (d, k)
-  for (i32 d = 2; d <= 4; ++d)
+  for (i32 d = 1; d <= 4; ++d)
     for (i32 k = 2; k <= 12; ++k) tori.insert({d, k});
   for (const auto& dk : {std::pair{2, 32}, std::pair{2, 64}, std::pair{3, 12},
                          std::pair{4, 5}})
@@ -127,7 +128,7 @@ TEST(Answers, ExactClaimsHoldAndBoundsBracketTheMeasurement) {
   i64 answers = 0;
   for (const auto& [d, k] : tori) {
     const Torus torus(d, k);
-    for (i32 t = 1; t <= std::min(3, k); ++t) {
+    for (i32 t = 1; t <= k; ++t) {
       const double links = static_cast<double>(torus.num_directed_edges());
       const double mean =
           static_cast<double>(sum_of_lee_distances(
@@ -163,7 +164,40 @@ TEST(Answers, ExactClaimsHoldAndBoundsBracketTheMeasurement) {
       }
     }
   }
-  EXPECT_EQ(answers, 3 * (3 * (3 * 11 - 1) + 2 * 3));
+  // 4 · (2 + ... + 12) keys on the grid, plus T_32^2 and T_64^2.
+  EXPECT_EQ(answers, 3 * (4 * 77 + 32 + 64));
+}
+
+TEST(Answers, ServedBoundsEqualTheBoundsOfTheBuiltPlacement) {
+  // The server reads the bound table and the slab off closed-form layer
+  // counts; a caller holding the placement (the CLI, the benchmark's
+  // replay) scans it.  Both must give the same doubles and notes: d =
+  // 1..5, k = 2..25, t = 1..k, N <= 20000.
+  i64 keys = 0;
+  for (i32 d = 1; d <= 5; ++d)
+    for (i32 k = 2; k <= 25; ++k) {
+      const Torus torus(d, k);
+      if (torus.num_nodes() > 20000) continue;
+      for (i32 t = 1; t <= k; ++t) {
+        SCOPED_TRACE(testing::Message() << "T" << k << "^" << d << " t=" << t);
+        const Placement p = multiple_linear_placement(torus, t);
+        const service::QueryResult r = service::compute_query(
+            service::make_query_key(torus.radices(), t, RouterKind::Odr,
+                                    service::QueryOp::Bounds));
+        const std::vector<BoundValue> scanned = all_bounds(torus, p);
+        EXPECT_EQ(r.bound_table, scanned);
+        EXPECT_EQ(r.lower_bound, scanned.back().value);
+        EXPECT_EQ(r.placement_size, p.size());
+        EXPECT_EQ(r.placement_name, p.name());
+        EXPECT_EQ(r.summary, plan_placement(torus, t).summary);
+        ASSERT_EQ(r.has_slab, p.size() >= 2);
+        if (r.has_slab) {
+          EXPECT_EQ(r.slab, best_slab_bound(torus, p));
+        }
+        ++keys;
+      }
+    }
+  EXPECT_EQ(keys, 3 * 324 + 65 + 27);
 }
 
 TEST(Answers, AdaptivePredictionIsNotAnUpperBound) {

@@ -339,14 +339,15 @@ TEST(Engine, TrySubmitRejectsWithOverloadWhenQueueFull) {
   config.queue_capacity = 1;
   Engine engine(config);
 
-  // Park the one worker on a key that plans for tens of milliseconds
-  // (odd k: the hyperplane sweep over 61^3 nodes).  While it computes,
-  // the first distinct key fills the 1-deep queue and the next ones must
-  // overflow: try_submit answers them with a structured overload
-  // response instead of blocking.
+  // Park the one worker on a key that computes for tens of milliseconds
+  // (the adaptive count of the full T_64^3, where every corridor class
+  // counts).  While it computes, the first distinct key fills the 1-deep
+  // queue and the next ones must overflow: try_submit answers them with a
+  // structured overload response instead of blocking.
   service::Request parked;
-  parked.key = service::make_query_key(Radices{61, 61, 61}, 1, RouterKind::Odr,
-                                       service::QueryOp::Plan);
+  parked.key =
+      service::make_query_key(Radices{64, 64, 64}, 64, RouterKind::Adaptive,
+                              service::QueryOp::Load);
   Engine::Ticket parked_ticket = engine.try_submit(parked);
   while (engine.worker_states()[0] == "idle")
     std::this_thread::sleep_for(std::chrono::microseconds(100));

@@ -5,6 +5,7 @@
 
 #include <set>
 
+#include "src/placement/layer_counts.h"
 #include "src/placement/placement.h"
 #include "src/placement/uniformity.h"
 #include "src/util/error.h"
@@ -121,6 +122,83 @@ TEST(MultipleLinearPlacement, IsUniform) {
   Torus t(3, 4);
   for (i32 tt = 1; tt <= 3; ++tt)
     EXPECT_TRUE(is_uniform(t, multiple_linear_placement(t, tt)));
+}
+
+/// The served keys of small tori: d = 1..5, k = 2..25, t = 1..k, with at
+/// most `max_nodes` nodes.
+template <typename Fn>
+void for_each_served_key(i64 max_nodes, Fn&& fn) {
+  for (i32 d = 1; d <= 5; ++d)
+    for (i32 k = 2; k <= 25; ++k) {
+      const Torus torus(d, k);
+      if (torus.num_nodes() > max_nodes) continue;
+      for (i32 t = 1; t <= k; ++t) fn(torus, t);
+    }
+}
+
+/// The definition, node by node: every node whose coordinate sum mod k is
+/// below t, in id order.
+std::vector<NodeId> multiple_linear_by_scan(const Torus& torus, i32 t) {
+  std::vector<NodeId> nodes;
+  for (NodeId n = 0; n < torus.num_nodes(); ++n) {
+    i64 sum = 0;
+    for (i32 j = 0; j < torus.dims(); ++j) sum += torus.coord_of(n, j);
+    if (sum % torus.radix(0) < t) nodes.push_back(n);
+  }
+  return nodes;
+}
+
+TEST(MultipleLinearPlacement, RowByRowEqualsTheScanNodeForNode) {
+  i64 keys = 0;
+  for_each_served_key(20000, [&](const Torus& torus, i32 t) {
+    SCOPED_TRACE(testing::Message() << "T" << torus.radix(0) << "^"
+                                    << torus.dims() << " t=" << t);
+    const Placement p = multiple_linear_placement(torus, t);
+    ASSERT_EQ(p.nodes(), multiple_linear_by_scan(torus, t));
+    EXPECT_EQ(p.name(), multiple_linear_name(t));
+    for (i64 m = 0; m < p.size(); ++m)
+      ASSERT_EQ(multiple_linear_node(torus, t, m),
+                p.nodes()[static_cast<std::size_t>(m)])
+          << "m=" << m;
+    ++keys;
+  });
+  EXPECT_EQ(keys, 324 * 3 + 65 + 27);
+  const Torus t(2, 4);
+  EXPECT_THROW(multiple_linear_node(t, 2, 8), Error);
+  EXPECT_THROW(multiple_linear_node(t, 5, 0), Error);
+}
+
+TEST(LayerCounts, ClosedFormsEqualTheScanOfEveryServedKey) {
+  // |P|, every layer count and the two middle ids, for every served key
+  // with N <= 10^5.
+  i64 keys = 0;
+  for_each_served_key(100000, [&](const Torus& torus, i32 t) {
+    SCOPED_TRACE(testing::Message() << "T" << torus.radix(0) << "^"
+                                    << torus.dims() << " t=" << t);
+    const LayerCounts closed = multiple_linear_counts(torus, t);
+    const LayerCounts scanned =
+        layer_counts(torus, multiple_linear_placement(torus, t));
+    EXPECT_EQ(closed.size, t * torus.num_nodes() / torus.radix(0));
+    EXPECT_EQ(closed.layers, scanned.layers);
+    EXPECT_EQ(closed.below_middle, scanned.below_middle);
+    EXPECT_EQ(closed.middle, scanned.middle);
+    EXPECT_TRUE(closed == scanned);
+    ++keys;
+  });
+  EXPECT_EQ(keys, 324 * 3 + 152 + 54);
+}
+
+TEST(LayerCounts, ScanCountsEveryDimensionAndTheMiddle) {
+  const Torus t(Radices{3, 4});
+  const Placement p(t, {0, 1, 5, 11}, "four");  // (0,0) (0,1) (1,1) (2,3)
+  const LayerCounts c = layer_counts(t, p);
+  EXPECT_EQ(c.size, 4);
+  EXPECT_EQ(c.layers, (std::vector<std::vector<i64>>{{2, 1, 1}, {1, 2, 0, 1}}));
+  EXPECT_EQ(c.below_middle, 1);
+  EXPECT_EQ(c.middle, 5);
+  const LayerCounts single = layer_counts(t, Placement(t, {7}, "one"));
+  EXPECT_EQ(single.size, 1);
+  EXPECT_EQ(single.middle, 0);
 }
 
 TEST(ShiftedDiagonal, EquivalentToLinearPlacement) {

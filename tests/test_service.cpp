@@ -385,10 +385,13 @@ TEST(Engine, DrainWaitsForAllSubmitted) {
   EXPECT_EQ(engine.stats().queue_depth, 0);
 }
 
-/// A key that plans for ~0.1 s (odd k: the hyperplane sweep over 81^3
-/// nodes), several times the deadlines below, which in turn leave a
-/// loaded host's scheduler room to dequeue a request before they pass.
-QueryKey slow_key() { return key_dk(3, 81); }
+/// A key that computes for ~0.1 s (the adaptive count of the full T_81^3,
+/// where every corridor class counts), several times the deadlines below,
+/// which in turn leave a loaded host's scheduler room to dequeue a request
+/// before they pass.
+QueryKey slow_key() {
+  return key_dk(3, 81, 81, RouterKind::Adaptive, QueryOp::Load);
+}
 
 /// Parks a one-worker engine's worker on slow_key().
 Engine::Ticket park_worker(Engine& engine) {

@@ -160,7 +160,7 @@ std::vector<BenchResult> run_benchmarks(int reps) {
   {
     // The lower-bound table: T64^2's linear placement balances on a
     // dimension cut; T5^4's (25 processors a layer, 5 layers) cannot, so
-    // its bisection bound falls back to the hyperplane sweep.
+    // its bisection bound falls back to the layer prefix cut.
     Torus torus(2, 64);
     const Placement p = linear_placement(torus);
     results.push_back(time_fn("all_bounds/T64^2", reps, [&] {
@@ -227,6 +227,16 @@ std::vector<BenchResult> run_benchmarks(int reps) {
     results.push_back(time_fn("service_cold_miss/T64^3", reps, [&] {
       g_sink += service::compute_query(big).measured_emax;
     }));
+    // A served plan from (d, k, t) alone: even k bisects on Theorem 1's
+    // dimension cut, odd k on the layer prefix cut, and neither builds
+    // the 64M-node placement.
+    for (const i32 k : {400, 401}) {
+      const service::QueryKey plan = service::make_query_key(
+          Radices{k, k, k}, 1, RouterKind::Odr, service::QueryOp::Plan);
+      results.push_back(
+          time_fn("plan_compute/T" + std::to_string(k) + "^3", reps,
+                  [&] { g_sink += service::compute_query(plan).lower_bound; }));
+    }
     service::Engine warm;
     warm.run({key});
     results.push_back(time_fn("service_warm_hit/T16^2", reps, [&] {
